@@ -40,6 +40,13 @@ Query-index invariants (the service plane leans on these):
   :attr:`~FastReqSketch.query_index_rebuilds` count served-from-cache
   queries vs rebuilds (misses == rebuilds), and
   :attr:`~FastReqSketch.query_index_version` stamps the current build.
+* Each build also memoizes its last small ``quantiles`` answer, keyed on
+  the request's fractions: re-asking the same tail quantiles of an
+  unchanged sketch (a dashboard refresh) is one bytes comparison and one
+  array copy instead of a handful of numpy calls.  Only validated answers
+  are stored, a hit hands out a copy, and the memo dies with its build.
+  :attr:`~FastReqSketch.query_index_answer_hits` counts the reads it
+  answered whole.
 
 Differences from the reference engine, all deliberate: float64 items only
 (NaN rejected); the ``auto`` parameter scheme only (constant ``k``,
@@ -83,6 +90,12 @@ _EMPTY_WEIGHTS = np.empty(0, dtype=np.int64)
 #: bother copying out of bases larger than this).
 _PIN_EXEMPT_BYTES = 16384
 
+#: ``quantiles`` requests of at most this many fractions have their answer
+#: memoized on the index build that served them (a dashboard re-asks the
+#: same few tail quantiles); larger requests, such as uniform batch
+#: frames, are never retained, so the memo stays a few hundred bytes.
+_MEMO_MAX_POINTS = 16
+
 #: The C staging-buffer type, or None when no toolchain is available.
 _NativeStageBuffer = load_stage_buffer()
 
@@ -97,9 +110,15 @@ class _QueryIndex:
     ``searchsorted`` of query values over ``items`` indexes into it to
     read estimated ranks).  ``version`` is the sketch's monotonically
     increasing rebuild stamp for this build.
+
+    ``memo`` is the last validated small ``quantiles`` answer served from
+    this build, as ``(fractions bytes, private answer copy)``.  A build is
+    never mutated — any content change makes the sketch build a new index
+    — so the memo can never serve an answer from an older state and needs
+    no invalidation.
     """
 
-    __slots__ = ("items", "cumweights", "padded", "total", "version")
+    __slots__ = ("items", "cumweights", "padded", "total", "version", "memo")
 
     def __init__(
         self,
@@ -113,6 +132,7 @@ class _QueryIndex:
         self.padded = padded
         self.total = int(cumweights[-1]) if cumweights.size else 0
         self.version = version
+        self.memo: Optional[Tuple[bytes, np.ndarray]] = None
 
 
 def _sketch_from_wire(cls, payload: bytes):
@@ -302,6 +322,8 @@ class FastReqSketch:
         self.query_index_hits = 0
         #: Index rebuilds (== cache misses: every miss rebuilds).
         self.query_index_rebuilds = 0
+        #: Index hits whose whole answer came from the build's answer memo.
+        self.query_index_answer_hits = 0
 
         stage_type = _NativeStageBuffer or _PyStageBuffer
         self._stage = stage_type(_PENDING_BLOCK, InvalidParameterError)
@@ -719,19 +741,32 @@ class FastReqSketch:
         return float(self.quantiles(np.asarray([q]))[0])
 
     def quantiles(self, fractions: Sequence[float]) -> np.ndarray:
-        """Vectorized quantile queries."""
+        """Vectorized quantile queries.
+
+        The answer depends on ``_min``/``_max`` as well as the index, but
+        those only move together with a level version (run ingest and
+        merges), so memoizing on the index build is exact.
+        """
         if self.n == 0:
             raise EmptySketchError("quantiles on an empty sketch")
         qs = np.asarray(fractions, dtype=np.float64)
-        if ((qs < 0.0) | (qs > 1.0)).any():
-            raise InvalidParameterError("quantile fractions must be in [0, 1]")
         index = self.query_index()
+        key = qs.tobytes() if qs.ndim == 1 and qs.size <= _MEMO_MAX_POINTS else None
+        memo = index.memo
+        if key is not None and memo is not None and memo[0] == key:
+            self.query_index_answer_hits += 1
+            return memo[1].copy()
+        # Written so that NaN fails the check (it compares false both ways).
+        if not ((qs >= 0.0) & (qs <= 1.0)).all():
+            raise InvalidParameterError("quantile fractions must be in [0, 1]")
         targets = np.maximum(1, np.ceil(qs * index.total)).astype(np.int64)
         positions = np.searchsorted(index.cumweights, targets, side="left")
         positions = np.minimum(positions, index.items.size - 1)
         result = index.items[positions]
         result = np.where(qs <= 0.0, self._min, result)
         result = np.where(qs >= 1.0, self._max, result)
+        if key is not None:
+            index.memo = (key, result.copy())
         return result
 
     def cdf(self, split_points: Sequence[float], *, inclusive: bool = True) -> np.ndarray:
@@ -739,6 +774,8 @@ class FastReqSketch:
         points = np.asarray(split_points, dtype=np.float64)
         if points.size == 0:
             raise InvalidParameterError("split_points must be non-empty")
+        if np.isnan(points).any():
+            raise InvalidParameterError("split_points must not be NaN")
         if (np.diff(points) <= 0).any():
             raise InvalidParameterError("split_points must be strictly increasing")
         masses = self.ranks(points, inclusive=inclusive) / self.n

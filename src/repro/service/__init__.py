@@ -72,12 +72,13 @@ The query plane leans on the engine's **version-stamped query index**
   arrays, so answers over the wire are bit-identical to in-process ones;
 * every mutation bumps a level version that invalidates the index on
   the next read — a stale index (or stale memoized ``error_bound``) is
-  never served;
+  never served, and neither is a stale memoized answer, because a small
+  ``quantiles`` answer is memoized on the index build itself;
 * a uniform ``MULTI_QUERY`` frame is answered with ONE batched
   ``searchsorted`` over the index and vectorized response encode; the
-  server's ``STATS`` reports the aggregate hit/miss/rebuild counters
-  (``query_index``) plus per-opcode counts so cache behaviour is
-  observable in production.
+  server's ``STATS`` reports the aggregate hit/miss/rebuild and
+  answer-memo hit counters (``query_index``) plus per-opcode counts so
+  cache behaviour is observable in production.
 
 Run it::
 

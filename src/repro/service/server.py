@@ -2124,6 +2124,10 @@ class QuantileServer:
             # the write was never applied, so RETRY_LATER (against this
             # node once space returns, or a healthy replica) is honest.
             return wire.error_body(wire.STATUS_RETRY_LATER, str(exc))
+        if isinstance(exc, InvalidParameterError):
+            # A bad argument (out-of-range or NaN fraction, unordered
+            # split points, NaN value) is the client's mistake.
+            return wire.error_body(wire.STATUS_BAD_REQUEST, str(exc))
         if isinstance(exc, EmptySketchError):
             return wire.error_body(wire.STATUS_ERROR, str(exc))
         if isinstance(exc, ServiceError):

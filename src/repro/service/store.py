@@ -158,6 +158,7 @@ class SketchStore:
         #: counters ride on each resident sketch; see query_index_stats).
         self._index_hits_evicted = 0
         self._index_rebuilds_evicted = 0
+        self._index_answer_hits_evicted = 0
         #: Reusable coalescing scratch for :meth:`stage_concat` (float64;
         #: grown geometrically, never shrunk — the store is single-writer).
         self._stage_buf: Optional[np.ndarray] = None
@@ -393,8 +394,7 @@ class SketchStore:
         old = self._entries.pop(key, None)
         if old is not None:
             self._retained_total -= old.retained
-            self._index_hits_evicted += int(getattr(old.sketch, "query_index_hits", 0))
-            self._index_rebuilds_evicted += int(getattr(old.sketch, "query_index_rebuilds", 0))
+            self._retire_counters(old.sketch)
         self._spilled.pop(key, None)
         entry = _Entry(donor)
         entry.ingested = int(donor.n)
@@ -436,8 +436,7 @@ class SketchStore:
         # The plane's counters start at zero; fold the replaced sketch's
         # into the store accumulator (like eviction does) so aggregate
         # query-index stats never go backwards on promotion.
-        self._index_hits_evicted += int(getattr(entry.sketch, "query_index_hits", 0))
-        self._index_rebuilds_evicted += int(getattr(entry.sketch, "query_index_rebuilds", 0))
+        self._retire_counters(entry.sketch)
         entry.sketch = sharded
         entry.sharded = True
 
@@ -497,6 +496,8 @@ class SketchStore:
         elif kind == "cdf":
             if count == 0:
                 raise InvalidParameterError("split_points must be non-empty")
+            if np.isnan(pts).any():
+                raise InvalidParameterError("split_points must not be NaN")
             if (np.diff(pts, axis=1) <= 0).any():
                 raise InvalidParameterError("split_points must be strictly increasing")
             # Same operations as FastReqSketch.cdf per row (int64 rank
@@ -514,13 +515,29 @@ class SketchStore:
         plus an accumulator absorbed from evicted sketches, so the totals
         are monotonic across spill/reload cycles.  A miss always rebuilds
         (the index is never served stale), so ``misses == rebuilds``.
+        ``answer_hits`` counts the hits whose whole answer came from the
+        index build's answer memo (a subset of ``hits``).
         """
         hits = self._index_hits_evicted
         rebuilds = self._index_rebuilds_evicted
+        answer_hits = self._index_answer_hits_evicted
         for entry in self._entries.values():
-            hits += int(getattr(entry.sketch, "query_index_hits", 0))
-            rebuilds += int(getattr(entry.sketch, "query_index_rebuilds", 0))
-        return {"hits": hits, "misses": rebuilds, "rebuilds": rebuilds}
+            sketch = entry.sketch
+            hits += int(getattr(sketch, "query_index_hits", 0))
+            rebuilds += int(getattr(sketch, "query_index_rebuilds", 0))
+            answer_hits += int(getattr(sketch, "query_index_answer_hits", 0))
+        return {
+            "hits": hits,
+            "misses": rebuilds,
+            "rebuilds": rebuilds,
+            "answer_hits": answer_hits,
+        }
+
+    def _retire_counters(self, sketch) -> None:
+        """Fold a departing sketch's query-index counters into the store's."""
+        self._index_hits_evicted += int(getattr(sketch, "query_index_hits", 0))
+        self._index_rebuilds_evicted += int(getattr(sketch, "query_index_rebuilds", 0))
+        self._index_answer_hits_evicted += int(getattr(sketch, "query_index_answer_hits", 0))
 
     # ------------------------------------------------------------------
     # Eviction
@@ -563,8 +580,7 @@ class SketchStore:
         # The reloaded sketch restarts its counters at zero; fold the
         # evicted sketch's into the store accumulator so aggregate
         # query-index stats stay monotonic across spill/reload cycles.
-        self._index_hits_evicted += int(getattr(entry.sketch, "query_index_hits", 0))
-        self._index_rebuilds_evicted += int(getattr(entry.sketch, "query_index_rebuilds", 0))
+        self._retire_counters(entry.sketch)
 
     def _enforce_budget(self, *, keep: str) -> None:
         """Spill LRU keys until back under budget (never the active key)."""

@@ -27,8 +27,9 @@ invalidated whenever new data arrives (including :meth:`absorb`).  Batch
 version-stamped query index (:meth:`~repro.fast.FastReqSketch.query_index`),
 so a read-heavy workload rebuilds neither the union nor its index per
 call; :attr:`query_index_hits` / :attr:`query_index_rebuilds` count
-union-cache reuse vs rebuilds (the same surface the service's STATS
-aggregates for promoted hot keys).
+union-cache reuse vs rebuilds, and :attr:`query_index_answer_hits` the
+reads the unions' answer memos served whole (the same surface the
+service's STATS aggregates for promoted hot keys).
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ class ShardedReqSketch:
         self.query_index_hits = 0
         #: Union-coreset rebuilds (== cache misses: every miss rebuilds).
         self.query_index_rebuilds = 0
+        #: Answer-memo hits of unions already dropped (keeps
+        #: :attr:`query_index_answer_hits` monotonic across rebuilds).
+        self._answer_hits_dropped = 0
         if backend == "local":
             self._shards = [
                 FastReqSketch(k, hra=hra, seed=self._shard_seed(i))
@@ -210,7 +214,7 @@ class ShardedReqSketch:
         # Invalidate the cached union (and thus its query index) even when
         # the donor leaves n unchanged (an empty donor is a no-op anyway);
         # clearing the token too keeps the staleness check single-sourced.
-        self._union = None
+        self._drop_union()
         self._union_token = None
         target = min(self._shards, key=lambda shard: shard.n)
         target.merge_many((sketch,))
@@ -227,7 +231,7 @@ class ShardedReqSketch:
         ``owned`` marks a freshly allocated private array the backend may
         retain without a defensive copy.
         """
-        self._union = None
+        self._drop_union()
         shards = self.num_shards
         if shards == 1:
             self._ingest(0, values, owned=owned)
@@ -319,6 +323,7 @@ class ShardedReqSketch:
             self.query_index_hits += 1
             return self._union
         self.query_index_rebuilds += 1
+        self._drop_union()
         # seed - 1 is disjoint from every shard seed (seed..seed+S-1) and
         # every worker-task seed (>= seed + S): no correlated coin streams.
         union_seed = None if self._seed is None else self._seed - 1
@@ -350,6 +355,19 @@ class ShardedReqSketch:
         self._union = union
         self._union_token = token
         return union
+
+    def _drop_union(self) -> None:
+        """Forget the cached union, keeping its answer-memo hit count."""
+        if self._union is not None:
+            self._answer_hits_dropped += self._union.query_index_answer_hits
+            self._union = None
+
+    @property
+    def query_index_answer_hits(self) -> int:
+        """Reads the cached unions' answer memos served whole (monotonic)."""
+        union = self._union
+        current = 0 if union is None else union.query_index_answer_hits
+        return self._answer_hits_dropped + current
 
     @property
     def query_index_version(self) -> int:

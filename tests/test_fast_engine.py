@@ -176,6 +176,38 @@ class TestVectorQueries:
         with pytest.raises(InvalidParameterError):
             sketch.cdf([])
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda s: s.quantiles([math.nan, 0.5]),
+            lambda s: s.quantiles([0.5, math.nan]),
+            lambda s: s.cdf([1.0, math.nan]),
+            lambda s: s.cdf([math.nan, 1.0]),
+        ],
+        ids=["quantiles-lead", "quantiles-trail", "cdf-trail", "cdf-lead"],
+    )
+    def test_nan_arguments_rejected_like_reference(self, query):
+        """NaN fractions / split points raise in both engines (the fast
+        engine used to cast NaN to a rank and answer with garbage)."""
+        data = np.arange(1000, dtype=np.float64)
+        reference = ReqSketch(32, seed=1)
+        for value in data:
+            reference.update(float(value))
+        fast = FastReqSketch(32, seed=1)
+        fast.update_many(data)
+        with pytest.raises(InvalidParameterError):
+            query(reference)
+        with np.errstate(all="raise"):  # no cast warning on the way out
+            for _ in range(2):  # and never memoized: raises every time
+                with pytest.raises(InvalidParameterError):
+                    query(fast)
+
+    def test_single_nan_split_point_rejected(self):
+        sketch = FastReqSketch(32, seed=2)
+        sketch.update_many(np.arange(100, dtype=np.float64))
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            sketch.cdf([math.nan])
+
 
 class TestMerge:
     def test_merge_basics(self, big_stream):

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import eps_for_streaming_k
+from repro.errors import InvalidParameterError
 from repro.fast import FastReqSketch
+from repro.fast import engine
 from repro.service import QuantileService, SketchStore
 
 QUERY_FRACTIONS = np.array([0.0, 0.001, 0.25, 0.5, 0.75, 0.99, 1.0])
@@ -111,6 +113,42 @@ class TestSpillReloadAndRecovery:
         assert stats["hits"] >= 1
         assert stats["misses"] == stats["rebuilds"]
 
+    def test_answer_hits_stay_monotonic_across_spill_reload(self, tmp_path):
+        store = SketchStore(k=32, seed=0, spill_dir=str(tmp_path / "spill"))
+        store.update_many("k", np.random.default_rng(12).random(20_000))
+        for _ in range(3):
+            store.query("k", "quantiles", QUERY_FRACTIONS)
+        before = store.query_index_stats()
+        assert before["answer_hits"] == 2
+        store.spill("k")
+        assert store.query_index_stats() == before  # folded, not lost
+        store.query("k", "quantiles", QUERY_FRACTIONS)  # reload: a fresh build
+        store.query("k", "quantiles", QUERY_FRACTIONS)
+        after = store.query_index_stats()
+        assert after["answer_hits"] == before["answer_hits"] + 1
+        assert after["hits"] == before["hits"] + 1
+        assert after["rebuilds"] == before["rebuilds"] + 1
+
+    def test_answer_hits_count_promoted_keys(self, tmp_path):
+        store = SketchStore(k=32, seed=0, hot_key_items=5_000, spill_dir=str(tmp_path / "spill"))
+        rng = np.random.default_rng(14)
+        store.update_many("hot", rng.random(4_000))
+        store.query("hot", "quantiles", QUERY_FRACTIONS)
+        store.query("hot", "quantiles", QUERY_FRACTIONS)
+        assert store.query_index_stats()["answer_hits"] == 1
+        store.update_many("hot", rng.random(4_000))  # promotes the key
+        assert not isinstance(store.get("hot"), FastReqSketch)
+        assert store.query_index_stats()["answer_hits"] == 1  # folded on promotion
+        for _ in range(3):
+            store.query("hot", "quantiles", QUERY_FRACTIONS)
+        assert store.query_index_stats()["answer_hits"] == 3  # the union's memo
+        store.update_many("hot", rng.random(1_000))  # the plane drops its union
+        store.query("hot", "quantiles", QUERY_FRACTIONS)
+        store.query("hot", "quantiles", QUERY_FRACTIONS)
+        assert store.query_index_stats()["answer_hits"] == 4
+        store.spill("hot")
+        assert store.query_index_stats()["answer_hits"] == 4
+
     def test_snapshot_recovery_answers_bit_identical(self, tmp_path):
         rng = np.random.default_rng(23)
         service = QuantileService(tmp_path, k=32)
@@ -190,6 +228,23 @@ class TestMemoizedErrorBound:
 
 
 class TestShardedQueryPath:
+    def test_answer_hits_count_union_memo_and_survive_rebuilds(self):
+        from repro.shard import ShardedReqSketch
+
+        rng = np.random.default_rng(11)
+        plane = ShardedReqSketch(3, k=32, seed=6, backend="local")
+        plane.update_many(rng.random(10_000))
+        for _ in range(3):
+            plane.quantiles(QUERY_FRACTIONS)
+        assert plane.query_index_answer_hits == 2
+        plane.update_many(rng.random(1_000))  # drops the union
+        assert plane.query_index_answer_hits == 2
+        plane.quantiles(QUERY_FRACTIONS)  # a fresh union: miss
+        plane.quantiles(QUERY_FRACTIONS)
+        assert plane.query_index_answer_hits == 3
+        plane.absorb(FastReqSketch(32, seed=1))
+        assert plane.query_index_answer_hits == 3
+
     def test_union_cache_hits_and_absorb_invalidation(self):
         from repro.shard import ShardedReqSketch
 
@@ -254,3 +309,149 @@ def test_wire_answers_match_in_process(hra):
             assert np.array_equal(mixed[0].quantiles, expected_q)
             assert np.array_equal(mixed[1].quantiles, expected_r)
             assert np.array_equal(mixed[2].quantiles, expected_c)
+
+
+#: Requests drawn by the answer-memo property test: (method, points,
+#: kwargs).  Repeats of a small ``quantiles`` request are memo hits; q=0
+#: and q=1 read the exact extremes, which live beside the index, not in
+#: it.  ``ranks``/``cdf`` are never memoized but share the index.
+MEMO_REQUESTS = [
+    ("quantiles", np.array([0.0]), {}),
+    ("quantiles", np.array([1.0]), {}),
+    ("quantiles", np.array([0.0, 0.5, 1.0]), {}),
+    ("quantiles", np.array([0.5, 0.9, 0.99, 0.999]), {}),
+    ("ranks", QUERY_POINTS, {}),
+    ("ranks", QUERY_POINTS, {"inclusive": False}),
+    ("cdf", CDF_POINTS, {}),
+    ("cdf", CDF_POINTS, {"inclusive": False}),
+    # Over the size cap: answered, never retained.
+    ("quantiles", np.linspace(0.0, 1.0, engine._MEMO_MAX_POINTS + 1), {}),
+]
+
+#: Invalid requests: each must raise on every attempt (never memoized).
+MEMO_INVALID = [
+    ("quantiles", np.array([np.nan, 0.5])),
+    ("quantiles", np.array([0.5, 1.5])),
+    ("cdf", np.array([0.5, np.nan])),
+    ("cdf", np.array([0.9, 0.1])),
+]
+
+memo_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["update", "update_many", "merge", "merge_many", "flush", "roundtrip", "query", "invalid"]
+        ),
+        st.integers(0, 2**31 - 1),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _memo(sketch):
+    """The current build's memoized ``quantiles`` answer, if any."""
+    return None if sketch._index is None else sketch._index.memo
+
+
+def assert_memo_well_formed(sketch) -> None:
+    memo = _memo(sketch)
+    if memo is not None:
+        fractions = np.frombuffer(memo[0], dtype=np.float64)
+        assert fractions.size <= engine._MEMO_MAX_POINTS
+        assert ((fractions >= 0.0) & (fractions <= 1.0)).all()  # validated only
+        assert memo[1].size == fractions.size
+
+
+def assert_answers_match_fresh(sketch) -> None:
+    """Every request, asked twice (the second small ``quantiles`` read is
+    a memo hit), answers bit-identically to a clone; a caller scribbling
+    on a returned array changes no later answer."""
+    fresh = FastReqSketch.from_bytes(sketch.to_bytes())
+    for method, points, kwargs in MEMO_REQUESTS:
+        expected = getattr(fresh, method)(points, **kwargs).tobytes()
+        for _ in range(2):
+            answer = getattr(sketch, method)(points, **kwargs)
+            assert answer.tobytes() == expected
+            answer[...] = -7.0
+        assert_memo_well_formed(sketch)
+
+
+class TestAnswerMemo:
+    @given(memo_steps, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_memoized_answers_match_a_fresh_clone(self, ops, hra):
+        sketch = FastReqSketch(16, hra=hra, seed=5)
+        sketch.update_many(np.random.default_rng(0).random(3_000))
+        assert_answers_match_fresh(sketch)
+        for op, arg in ops:
+            rng = np.random.default_rng(arg)
+            if op == "update":
+                for value in rng.random(int(rng.integers(1, 40))):
+                    sketch.update(value)
+            elif op == "update_many":
+                sketch.update_many(rng.random(int(rng.integers(1, 12_000))) * 2.0 - 0.5)
+            elif op == "merge":
+                donor = FastReqSketch(16, hra=hra, seed=arg)
+                donor.update_many(rng.random(int(rng.integers(1, 4_000))) + 0.5)
+                donor.quantiles(QUERY_FRACTIONS)  # the donor's own memo is warm
+                sketch.merge(donor)
+            elif op == "merge_many":
+                donors = []
+                for offset in range(int(rng.integers(1, 4))):
+                    donor = FastReqSketch(16, hra=hra, seed=arg + offset)
+                    donor.update_many(rng.random(int(rng.integers(1, 2_000))) - 0.25)
+                    donors.append(donor)
+                sketch.merge_many(donors)
+            elif op == "flush":
+                sketch.flush()
+            elif op == "roundtrip":
+                sketch = FastReqSketch.from_bytes(sketch.to_bytes())
+            elif op == "invalid":
+                method, points = MEMO_INVALID[arg % len(MEMO_INVALID)]
+                memo = _memo(sketch)
+                for _ in range(2):
+                    with pytest.raises(InvalidParameterError):
+                        getattr(sketch, method)(points)
+                assert _memo(sketch) is memo  # a rejected request is never stored
+            else:  # query: a repeat of a small quantiles request is a memo hit
+                method, points, kwargs = MEMO_REQUESTS[arg % len(MEMO_REQUESTS)]
+                getattr(sketch, method)(points, **kwargs)
+                hits = sketch.query_index_answer_hits
+                getattr(sketch, method)(points, **kwargs)
+                memoized = method == "quantiles" and points.size <= engine._MEMO_MAX_POINTS
+                assert sketch.query_index_answer_hits == hits + memoized
+                if not memoized and method == "quantiles":
+                    memo = _memo(sketch)
+                    assert memo is None or memo[0] != points.tobytes()
+            assert_answers_match_fresh(sketch)
+
+    def test_memo_dies_with_its_build(self):
+        sketch = FastReqSketch(32, seed=8)
+        sketch.update_many(np.random.default_rng(4).random(10_000))
+        fractions = np.array([0.5, 0.99])
+        before = sketch.quantiles(fractions)
+        assert sketch.quantiles(fractions).tobytes() == before.tobytes()
+        assert sketch.query_index_answer_hits == 1
+        sketch.update_many(np.full(10_000, 5.0))  # shifts every quantile up
+        after = sketch.quantiles(fractions)
+        assert after[1] == 5.0
+        assert sketch.query_index_answer_hits == 1  # the new build started empty
+
+    def test_memo_holds_one_answer(self):
+        sketch = FastReqSketch(32, seed=10)
+        sketch.update_many(np.random.default_rng(5).random(10_000))
+        sketch.quantiles([0.5])
+        sketch.quantiles([0.99])  # replaces the memoized answer
+        sketch.quantiles([0.5])
+        assert sketch.query_index_answer_hits == 0
+        sketch.quantiles([0.5])
+        assert sketch.query_index_answer_hits == 1
+
+    def test_ranks_and_cdf_are_not_memoized(self):
+        sketch = FastReqSketch(32, seed=9)
+        sketch.update_many(np.arange(100, dtype=np.float64))
+        for _ in range(2):
+            sketch.ranks(QUERY_POINTS)
+            sketch.cdf(CDF_POINTS)
+        assert sketch.query_index_answer_hits == 0
+        assert _memo(sketch) is None

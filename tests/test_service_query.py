@@ -383,3 +383,137 @@ class TestQueryStreamShapes:
             exc = excinfo.value
             assert exc.request_index == 3
             assert len(exc.errors) == 1  # ONLY the offending request failed
+
+
+#: The dashboard's per-key read (tail quantiles, as a monitor asks them).
+DASH_FRACTIONS = np.array([0.5, 0.9, 0.99, 0.999])
+
+
+def _signature(result):
+    """Every byte a read record carries: n, eps, values, retained footer."""
+    return (result.n, result.error_bound, result.quantiles.tobytes(), result.num_retained)
+
+
+def _fresh_answer(service, key, kind, points):
+    """``key``'s answer from a cache-free clone of the server's state."""
+    from repro.fast import FastReqSketch
+
+    fresh = FastReqSketch.from_bytes(service.store.payload(key))
+    values = getattr(fresh, kind)(np.asarray(points, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestAnswerMemoOverTheWire:
+    """Repeated reads are answered from the engine's answer memo; a key's
+    answers may change only when that key's state changes."""
+
+    def test_nan_record_is_bad_request_and_neighbours_answer(self, harness, rng):
+        service = QuantileService(None)
+        running = harness(service)
+        with QuantileClient(port=running.port) as client:
+            client.ingest("a", rng.random(2_000))
+            client.ingest("b", rng.random(2_000))
+            for _ in range(2):  # the second pass reads through the memo
+                results = client.query_many(
+                    [
+                        ("a", DASH_FRACTIONS),
+                        ("a", [np.nan, 0.5]),
+                        ("b", "cdf", [0.5, np.nan]),
+                        ("b", DASH_FRACTIONS),
+                    ]
+                )
+                for index in (1, 2):
+                    assert isinstance(results[index], ServiceError)
+                    assert results[index].status == wire.STATUS_BAD_REQUEST
+                    assert results[index].request_index == index
+                for index, key in ((0, "a"), (3, "b")):
+                    assert results[index].quantiles.tobytes() == _fresh_answer(
+                        service, key, "quantiles", DASH_FRACTIONS
+                    )
+            # A NaN row inside a uniform cdf frame falls back per request.
+            points = np.tile([0.25, 0.75], (4, 1))
+            points[2, 1] = np.nan
+            with pytest.raises(ServiceError) as excinfo:
+                client.query_stream("a", points, kind="cdf", window=1)
+            assert excinfo.value.request_index == 2
+            assert excinfo.value.status == wire.STATUS_BAD_REQUEST
+            assert len(excinfo.value.errors) == 1
+
+    def test_dashboard_reads_change_only_for_mutated_keys(self, harness, rng, tmp_path):
+        from repro.fast import FastReqSketch
+
+        service = QuantileService(tmp_path, k=32, seed=0)
+        running = harness(service)
+        keys = [f"dash/svc{i:02d}" for i in range(24)]
+        requests = [(key, DASH_FRACTIONS) for key in keys]
+        requests += [(keys[5], "ranks", [0.25, 0.5]), (keys[6], "cdf", [0.3, 0.6])]
+        with QuantileClient(port=running.port) as client:
+            for index, key in enumerate(keys):
+                client.ingest(key, rng.lognormal(1.0 + index / 10, 0.8, 3_000))
+            first = [_signature(r) for r in client.query_many(requests)]
+            hits = client.stats()["query_index"]["answer_hits"]
+            assert [_signature(r) for r in client.query_many(requests)] == first
+            # One memo hit per key's quantiles read; ranks/cdf are not memoized.
+            assert client.stats()["query_index"]["answer_hits"] == hits + len(keys)
+
+            ingested, spilled, merged, replaced = keys[0], keys[1], keys[2], keys[3]
+            client.ingest(ingested, np.full(5_000, 1e6))
+            service.store.spill(spilled)
+            assert spilled in service.store.spilled_keys
+            donor = FastReqSketch(32, seed=1)
+            donor.update_many(np.full(4_000, 1e6))
+            client.merge(merged, donor)
+            replacement = FastReqSketch(32, seed=2)
+            replacement.update_many(rng.random(3_000) * 1e6)
+            client.migrate_push(
+                replaced, wire.pack_migration_bundle(3_000, replacement.to_bytes(), {})
+            )
+
+            after = client.query_many(requests)
+        touched = {ingested, spilled, merged, replaced}
+        for (key, *_rest), before, result in zip(requests, first, after):
+            if key not in touched:
+                assert _signature(result) == before, key
+        for key in touched:
+            result = after[keys.index(key)]
+            assert result.quantiles.tobytes() == _fresh_answer(
+                service, key, "quantiles", DASH_FRACTIONS
+            )
+            assert result.num_retained == service.store.get(key).num_retained
+        for key in (ingested, merged, replaced):  # these states really moved
+            assert _signature(after[keys.index(key)]) != first[keys.index(key)]
+
+    def test_single_key_reads_change_only_for_mutated_keys(self, harness, rng):
+        from repro.fast import FastReqSketch
+
+        service = QuantileService(None, k=32, seed=0)
+        running = harness(service)
+        keys = ["a", "b", "c", "d"]
+        with QuantileClient(port=running.port) as client:
+            for key in keys:
+                client.ingest(key, rng.random(4_000))
+
+            def read_all():
+                return {
+                    key: (
+                        _signature(client.query(key, DASH_FRACTIONS)),
+                        _signature(client.cdf(key, [0.2, 0.4, 0.8])),
+                        _signature(client.rank(key, [0.1, 0.5, 2.0])),
+                    )
+                    for key in keys
+                }
+
+            before = read_all()
+            assert read_all() == before
+            client.ingest("a", rng.random(4_000) + 1.0)
+            donor = FastReqSketch(32, seed=3)
+            donor.update_many(rng.random(4_000) - 1.0)
+            client.merge("b", donor)
+            after = read_all()
+        assert after["c"] == before["c"] and after["d"] == before["d"]
+        for key in ("a", "b"):
+            query, cdf, rank = after[key]
+            assert query != before[key][0]
+            assert query[2] == _fresh_answer(service, key, "quantiles", DASH_FRACTIONS)
+            assert cdf[2] == _fresh_answer(service, key, "cdf", [0.2, 0.4, 0.8])
+            assert rank[2] == _fresh_answer(service, key, "ranks", [0.1, 0.5, 2.0])
