@@ -804,10 +804,21 @@ class QuantileClient:
     def ingest_multi(self, batches) -> Dict[str, int]:
         """Ship several keys' batches in ONE ``MULTI_INGEST`` frame.
 
-        ``batches`` is a mapping (or ``(key, values)`` pairs).  The whole
-        frame is applied atomically-per-key server-side and acked with one
-        round trip; returns ``{key: n_after}`` (for a repeated key, the
-        total after its *last* group).
+        ``batches`` is a mapping (or ``(key, values)`` pairs); returns
+        ``{key: n_after}`` (for a repeated key, the total after its *last*
+        group — the server acks each group with the key's cumulative ``n``).
+        The contract, one round trip for the lot:
+
+        * An empty or NaN batch, or an unroutable key, rejects the whole
+          frame (``BAD_REQUEST`` naming the group, or the redirect) before
+          anything is applied.
+        * Otherwise every group is applied in order, each as its own WAL
+          record, and the ack is released once they are all durable.
+        * With an exactly-once session the frame carries one sequence
+          number: a replay acks each already-applied key with its current
+          ``n`` and applies nothing, and a shed frame (``RETRY_LATER``:
+          draining, overloaded, degraded or frozen for a cutover) moved no
+          mark, so the retry applies it exactly once.
         """
         items = list(batches.items()) if hasattr(batches, "items") else list(batches)
         if self.exactly_once:

@@ -209,17 +209,24 @@ class WriteAheadLog:
             )
 
     def append(self, op: int, seq: int, key: str, payload: bytes, *, flush: bool = True) -> None:
-        """Append one record.  ``flush=False`` defers the buffered-write
-        flush (and any fsync) to a later :meth:`commit` — the group-commit
-        writer uses this to pay one flush/fsync for a whole batch."""
+        """Append one record (see :meth:`append_many`)."""
+        self.append_many(((op, seq, key, payload),), flush=flush)
+
+    def append_many(self, records, *, flush: bool = True) -> None:
+        """Append ``(op, seq, key, payload)`` records in order.
+
+        Every record is framed before the first byte is written, so a bad
+        record (an oversized key) appends nothing.  ``flush=False`` defers
+        the buffered-write flush (and any fsync) to a later :meth:`commit`
+        — the group-commit writer uses this to pay one flush/fsync for a
+        whole batch.
+        """
         self._check_usable()
-        raw_key = key.encode("utf-8")
-        if len(raw_key) > 0xFFFF:
-            raise ServiceError(f"key of {len(raw_key)} UTF-8 bytes exceeds the 65535-byte cap")
-        body = _BODY_HEAD.pack(op, seq, len(raw_key)) + raw_key + payload
+        frames = [self._frame(*record) for record in records]
         try:
-            self.io.write(self._file, _RECORD_HEAD.pack(len(body), zlib.crc32(body)))
-            self.io.write(self._file, body)
+            for head, body in frames:
+                self.io.write(self._file, head)
+                self.io.write(self._file, body)
             if flush:
                 self.io.flush(self._file)
                 if self.fsync:
@@ -227,6 +234,15 @@ class WriteAheadLog:
         except Exception as exc:
             self._failed = exc
             raise
+
+    @staticmethod
+    def _frame(op: int, seq: int, key: str, payload: bytes) -> Tuple[bytes, bytes]:
+        """``(record head, body)`` bytes for one record."""
+        raw_key = key.encode("utf-8")
+        if len(raw_key) > 0xFFFF:
+            raise ServiceError(f"key of {len(raw_key)} UTF-8 bytes exceeds the 65535-byte cap")
+        body = _BODY_HEAD.pack(op, seq, len(raw_key)) + raw_key + payload
+        return _RECORD_HEAD.pack(len(body), zlib.crc32(body)), body
 
     def commit(self, *, fsync: Optional[bool] = None) -> None:
         """Flush buffered appends to the OS (and optionally the platter)."""
@@ -451,13 +467,22 @@ class GroupCommitWal:
         ``payload`` must be an owned buffer: it is written after this call
         returns, so a view into a reusable scratch would tear.
         """
+        return self.append_many(((op, seq, key, payload),))
+
+    def append_many(self, records) -> Future:
+        """Enqueue ``(op, seq, key, payload)`` records under one lock and
+        one writer wakeup; returns the one commit ticket covering them all
+        (same contract as :meth:`append`).  The records are queued
+        together, so one commit covers them all.
+        """
         with self._cond:
             self._check_usable()
             if len(self._queue) >= self.max_queue:
                 # Backpressure: the producer (event loop) outran the disk.
                 # Block briefly rather than growing without bound; the
                 # writer drains whole queues per wakeup, so this clears in
-                # one commit.
+                # one commit.  A multi-record batch may overshoot the cap
+                # by its own length.
                 while (
                     len(self._queue) >= self.max_queue
                     and not self._closed
@@ -472,7 +497,7 @@ class GroupCommitWal:
             ticket = self._open_ticket
             if ticket is None:
                 ticket = self._open_ticket = Future()
-            self._queue.append((op, seq, key, payload))
+            self._queue.extend(records)
             self._cond.notify_all()
         return ticket
 
@@ -509,8 +534,7 @@ class GroupCommitWal:
             started = time.perf_counter()
             error: Optional[BaseException] = None
             try:
-                for op, seq, key, payload in batch:
-                    self._inner.append(op, seq, key, payload, flush=False)
+                self._inner.append_many(batch, flush=False)
                 self._inner.commit(fsync=self.fsync)
             except BaseException as exc:  # disk full, handle revoked, ...
                 error = exc

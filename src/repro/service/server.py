@@ -17,11 +17,16 @@ Two layers:
 The ingest hot path is **pipelined and coalesced**: connections are
 ``asyncio.Protocol`` transports (no stream-reader overhead), every
 ``data_received`` tick parses *all* complete frames in the connection
-buffer as zero-copy views, ``INGEST``/``MULTI_INGEST`` batches for the
+buffer as zero-copy views, ``INGEST``/``SEQ_INGEST`` batches for the
 same key are funnelled through one staging concat into a **single**
 ``update_many`` (one WAL record, one amortized-compaction pass — the
 schedule the paper's cost analysis assumes), and the per-frame acks are
-computed from the cumulative counts.  With a group-commit WAL
+computed from the cumulative counts.  Multi-key frames
+(``MULTI_INGEST``/``SEQ_MULTI_INGEST``, plain or routed) are applied
+**frame-at-a-time** through :meth:`QuantileService.ingest_groups`: one
+empty/NaN pass over the whole frame, per-key admission as before, one
+WAL enqueue carrying the unchanged per-group records, one
+``update_many`` per group, and one packed ack.  With a group-commit WAL
 (``group_commit=True``), WAL writes and fsyncs run on a background
 writer thread and acks are released only when the covering commit
 ticket resolves — responses stay in request order via a per-connection
@@ -80,6 +85,7 @@ from repro.service.persistence import (
     recover,
 )
 from repro.service.resilience import (
+    ADMIT_APPLY,
     ADMIT_DUPLICATE,
     ADMIT_SHED,
     OverloadPolicy,
@@ -92,6 +98,25 @@ __all__ = ["QuantileService", "QuantileServer", "ServerThread", "run_server", "n
 
 #: Sentinel: "use the default overload policy" (``None`` disables shedding).
 _DEFAULT_OVERLOAD = object()
+
+
+def _find_bad_batch(batches) -> Optional[Tuple[int, str]]:
+    """``None`` when every batch is non-empty and NaN-free, else
+    ``(index, reason)`` for the first bad one.
+
+    One NaN scan over the concatenation covers a whole multi-key frame;
+    only a failing call rescans batch by batch to name the culprit.
+    """
+    if all(batch.size for batch in batches):
+        flat = batches[0] if len(batches) == 1 else np.concatenate(batches)
+        if not np.isnan(flat).any():
+            return None
+    for index, batch in enumerate(batches):
+        if batch.size == 0:
+            return index, "empty ingest batch"
+        if np.isnan(batch).any():
+            return index, "cannot insert NaN: items must form a total order"
+    return None
 
 
 class _Migration:
@@ -369,31 +394,41 @@ class QuantileService:
     # Mutations (WAL first, then the store)
     # ------------------------------------------------------------------
 
-    def _wal_append(self, op: int, key: str, payload: bytes) -> None:
-        """Append one record (sequence assignment + ticket bookkeeping)."""
+    def _wal_append_many(self, records) -> int:
+        """Append ``(op, key, payload)`` records under consecutive
+        sequences in one WAL call; returns the first sequence.
+
+        Callers stamp the applied-seq maps themselves: a key's stamp must
+        be set just before *that* key's apply (see :meth:`ingest_groups`).
+        """
         if self.degraded:
             raise DegradedError(
                 f"read-only degraded mode ({self.degraded_reason}): write shed"
             )
-        seq = self._seq
-        self._seq += 1
+        first = self._seq
+        stamped = [(op, first + i, key, payload) for i, (op, key, payload) in enumerate(records)]
+        self._seq = first + len(stamped)
         try:
-            ticket = self.wal.append(op, seq, key, payload)
+            ticket = self.wal.append_many(stamped)
         except Exception as exc:
-            # The record never became replayable (a failed sync append is
-            # healed as a torn tail at next open); hand the sequence back
+            # The records never became replayable (a failed sync append is
+            # healed as a torn tail at next open); hand the sequences back
             # so the log carries no gap, then flip read-only.  Only a
             # storage failure degrades — a validation error (oversized
             # key) is the caller's problem, not the disk's.
-            self._seq = seq
+            self._seq = first
             if not isinstance(exc, OSError) and getattr(self.wal, "failed", None) is None:
                 raise
             self.enter_degraded(f"WAL append failed: {exc}")
             raise DegradedError(f"WAL append failed, entering degraded mode: {exc}") from exc
         if ticket is not None:  # group-commit log: durability is deferred
             self._last_ticket = ticket
-        self.wal_appends += 1
-        self._applied_seq[key] = seq
+        self.wal_appends += len(stamped)
+        return first
+
+    def _wal_append(self, op: int, key: str, payload: bytes) -> None:
+        """Append one plain-plane record and stamp ``key``'s applied seq."""
+        self._applied_seq[key] = self._wal_append_many(((op, key, payload),))
 
     def commit_ticket(self):
         """The pending commit ticket covering every WAL append so far.
@@ -592,25 +627,8 @@ class QuantileService:
         session mark so recovery rebuilds the dedup table (see
         :class:`~repro.service.resilience.SessionTable`).
         """
-        self._check_key(key)
         array = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        if array.size == 0:
-            raise InvalidParameterError("empty ingest batch")
-        if np.isnan(array).any():
-            raise InvalidParameterError("cannot insert NaN: items must form a total order")
-        if self.wal is not None:
-            payload = array.astype("<f8", copy=False).tobytes()
-            if session is not None:
-                self._wal_append(
-                    WAL_SEQ_INGEST, key, pack_session_header(*session) + payload
-                )
-            else:
-                self._wal_append(WAL_INGEST, key, payload)
-        n = self.store.update_many(key, array)
-        self.ingested_values += array.size
-        if self._migrations:
-            self._migration_buffer(key, wire.DRAIN_INGEST, session, array)
-        return n
+        return self.ingest_groups(((key, array),), session=session)[0]
 
     def ingest_batches(
         self, key: str, arrays, *, prevalidated: bool = False, session=None
@@ -625,42 +643,89 @@ class QuantileService:
         over the whole group exactly as the paper's schedule intends.
         Per-frame acks are reconstructed by the caller from the cumulative
         counts (``n`` grows by exactly each batch's size).
+        ``prevalidated=True`` (the server, which checks each frame so
+        errors name it) skips the empty/NaN scan here.
         """
         if len(arrays) == 1:
-            # No kwargs in the common case: embedders (and a couple of
-            # tests) monkeypatch ``ingest`` with plain two-arg callables.
-            if session is None:
-                return self.ingest(key, arrays[0])
-            return self.ingest(key, arrays[0], session=session)
-        self._check_key(key)
-        array = self.store.stage_concat(arrays)
+            array = np.ascontiguousarray(arrays[0], dtype=np.float64).reshape(-1)
+        else:
+            array = self.store.stage_concat(arrays)
+        return self.ingest_groups(
+            ((key, array),), session=session, prevalidated=prevalidated
+        )[0]
+
+    def ingest_groups(self, groups, *, session=None, prevalidated: bool = False) -> List[int]:
+        """Apply ``(key, values)`` groups in order as one unit; returns
+        each group's ``n`` after it (a repeated key's acks are cumulative).
+
+        The one apply path of every plain ingest (``ingest``,
+        ``ingest_batches`` and the server's multi-key frames):
+
+        1. validate — the keys, then one empty/NaN pass over all values
+           (skipped when ``prevalidated``); a bad group rejects the call
+           before anything is logged;
+        2. log — one degraded check, one WAL call enqueueing one
+           ``WAL_INGEST`` (or, with ``session=(sid, seq)``,
+           ``WAL_SEQ_INGEST``) record per group, in group order;
+        3. apply — one ``store.update_many`` per group, exactly as replay
+           applies one record, so spill points (and the reseeds they
+           trigger) match replay's and recovery stays bit-exact.
+
+        Each key's applied seq is stamped just before its own apply, never
+        for the whole call up front: applying group *i* can spill a later
+        group's key, and that spill snapshot must not claim a record that
+        has not been applied yet (see :func:`~repro.service.persistence.recover`).
+
+        A group whose apply fails does not stop the others (their records
+        are already logged, so live state keeps tracking the log); the
+        first failure is raised once every group has been tried.
+        """
+        if not groups:
+            return []
+        for key, _values in groups:
+            self._check_key(key)
         if not prevalidated:
-            # The server validates per frame before staging (so errors
-            # attribute to the exact frame) and passes prevalidated=True;
-            # direct callers get the full check here.
-            if array.size == 0:
-                raise InvalidParameterError("empty ingest batch")
-            if np.isnan(array).any():
-                raise InvalidParameterError("cannot insert NaN: items must form a total order")
-        elif array.size == 0:
-            raise InvalidParameterError("empty ingest batch")
-        if self.wal is not None:
-            # tobytes() owns the bytes — the WAL writer thread must never
-            # see the reusable staging scratch this view points into.
-            payload = array.astype("<f8", copy=False).tobytes()
-            if session is not None:
-                self._wal_append(
-                    WAL_SEQ_INGEST, key, pack_session_header(*session) + payload
+            bad = _find_bad_batch([values for _key, values in groups])
+            if bad is not None:
+                index, reason = bad
+                raise InvalidParameterError(
+                    reason if len(groups) == 1 else f"group {index}: {reason}"
                 )
+        seq = None
+        if self.wal is not None:
+            if session is None:
+                op, head = WAL_INGEST, b""
             else:
-                self._wal_append(WAL_INGEST, key, payload)
-        n = self.store.update_many(key, array)
-        self.ingested_values += array.size
-        if self._migrations:
-            # pack_drain_entry copies the values immediately, so handing it
-            # the reusable staging scratch view is safe.
-            self._migration_buffer(key, wire.DRAIN_INGEST, session, array)
-        return n
+                op, head = WAL_SEQ_INGEST, pack_session_header(*session)
+            seq = self._wal_append_many(
+                [(op, key, head + values.astype("<f8", copy=False).tobytes())
+                 for key, values in groups]
+            )
+        store = self.store
+        applied_seq = self._applied_seq
+        migrations = self._migrations
+        results: List[int] = []
+        error: Optional[BaseException] = None
+        ingested = 0
+        for key, values in groups:
+            if seq is not None:
+                applied_seq[key] = seq
+                seq += 1
+            try:
+                n = store.update_many(key, values)
+            except Exception as exc:
+                error = error or exc
+                continue
+            results.append(n)
+            ingested += values.size
+            if migrations:
+                # pack_drain_entry copies the values immediately, so a
+                # view into a frame or the staging scratch is safe here.
+                self._migration_buffer(key, wire.DRAIN_INGEST, session, values)
+        self.ingested_values += ingested
+        if error is not None:
+            raise error
+        return results
 
     def current_n(self, key: str) -> int:
         """``key``'s total count right now (``0`` for an unknown key).
@@ -956,24 +1021,7 @@ class QuantileService:
 
     def _wal_window_append(self, op: int, key: str, payload: bytes) -> None:
         """A windowed WAL record: same log, separate applied-seq map."""
-        if self.degraded:
-            raise DegradedError(
-                f"read-only degraded mode ({self.degraded_reason}): write shed"
-            )
-        seq = self._seq
-        self._seq += 1
-        try:
-            ticket = self.wal.append(op, seq, key, payload)
-        except Exception as exc:
-            self._seq = seq
-            if not isinstance(exc, OSError) and getattr(self.wal, "failed", None) is None:
-                raise
-            self.enter_degraded(f"WAL append failed: {exc}")
-            raise DegradedError(f"WAL append failed, entering degraded mode: {exc}") from exc
-        if ticket is not None:
-            self._last_ticket = ticket
-        self.wal_appends += 1
-        self._window_applied_seq[key] = seq
+        self._window_applied_seq[key] = self._wal_append_many(((op, key, payload),))
 
     def window_ingest(self, key: str, timestamps, values, *, session=None):
         """Apply one (timestamps, values) batch to ``key``'s rings.
@@ -1727,11 +1775,13 @@ class QuantileServer:
 
         ``payload`` is every response frame, encoded and joined in request
         order; ``ticket`` (or ``None``) is the group-commit ticket the
-        write must wait for.  Consecutive ingest batches coalesce per
-        ``(key, session)`` into one WAL record + one ``update_many``
-        (per-frame acks reconstructed from cumulative counts); any other
-        opcode flushes the pending coalesce first so a connection's own
-        request order is always observed.
+        write must wait for.  Consecutive single-key ingest batches
+        coalesce per ``(key, session)`` into one WAL record + one
+        ``update_many`` (per-frame acks reconstructed from cumulative
+        counts); any other opcode — a multi-key frame included, which is
+        applied whole by :meth:`_ingest_multi` — flushes the pending
+        coalesce first so a connection's own request order is always
+        observed.
 
         Sequenced frames (``SEQ_INGEST``/``SEQ_MULTI_INGEST``) pass the
         session's dedup gate first: duplicates (replays of frames whose
@@ -1750,8 +1800,6 @@ class QuantileServer:
         #: (key, sid) -> mark BEFORE this tick's first admit for the
         #: group; rollback target if the apply fails (see flush_pending).
         pending_prev: Dict[tuple, int] = {}
-        #: frame index -> per-group result list (MULTI_INGEST assembly).
-        multi: Dict[int, list] = {}
         appends_before = service.wal_appends
         shedding = self._shedding(conn)
         #: Routing guards engage only when a topology is installed or a
@@ -1843,40 +1891,6 @@ class QuantileServer:
                     )
 
                 stage(key, None, values, resolve_single)
-            elif op == wire.OP_MULTI_INGEST:
-                if shedding:
-                    slots[index] = shed_body
-                    self.shed_count += 1
-                    continue
-                try:
-                    groups = wire.unpack_multi_ingest(frame)
-                    for g_index, (_key, values) in enumerate(groups):
-                        try:
-                            self._validate_batch(values)
-                        except Exception as exc:
-                            raise ServiceError(f"MULTI_INGEST group {g_index}: {exc}") from exc
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                if routed:
-                    reject = None
-                    for g_key, _values in groups:
-                        reject = self._route_reject(g_key)
-                        if reject is not None:
-                            break
-                    if reject is not None:
-                        # One unroutable key rejects the whole frame —
-                        # nothing was staged yet, so the client can retry
-                        # or re-route the entire batch safely.
-                        slots[index] = reject
-                        continue
-                results = multi[index] = [None] * len(groups)
-                for g_index, (key, values) in enumerate(groups):
-
-                    def resolve_group(result, results=results, g_index=g_index):
-                        results[g_index] = result
-
-                    stage(key, None, values, resolve_group)
             elif op == wire.OP_SEQ_INGEST:
                 try:
                     seq, offset = wire.unpack_seq(frame, 1)
@@ -1921,18 +1935,22 @@ class QuantileServer:
                         )
 
                     stage_seq(key, sid, seq, values, resolve_seq, prev_mark)
-            elif op == wire.OP_SEQ_MULTI_INGEST:
+            elif op == wire.OP_MULTI_INGEST or op == wire.OP_SEQ_MULTI_INGEST:
+                sequenced = op == wire.OP_SEQ_MULTI_INGEST
+                if shedding and not sequenced:
+                    slots[index] = shed_body
+                    self.shed_count += 1
+                    continue
                 try:
-                    seq, offset = wire.unpack_seq(frame, 1)
+                    seq, offset = wire.unpack_seq(frame, 1) if sequenced else (None, 1)
                     groups = wire.unpack_multi_ingest(frame, offset)
-                    for g_index, (_key, values) in enumerate(groups):
-                        try:
-                            self._validate_batch(values)
-                        except Exception as exc:
-                            raise ServiceError(
-                                f"SEQ_MULTI_INGEST group {g_index}: {exc}"
-                            ) from exc
-                    if conn.session_id is None:
+                    # One empty/NaN pass for the whole frame; a bad group
+                    # rejects it whole, before any admit or WAL record.
+                    bad = _find_bad_batch([values for _key, values in groups])
+                    if bad is not None:
+                        label = "SEQ_MULTI_INGEST" if sequenced else "MULTI_INGEST"
+                        raise ServiceError(f"{label} group {bad[0]}: {bad[1]}")
+                    if sequenced and conn.session_id is None:
                         raise ServiceError(
                             "sequenced ingest requires an exactly-once session "
                             "(send HELLO first)"
@@ -1941,51 +1959,25 @@ class QuantileServer:
                     slots[index] = self._error_response(exc)
                     continue
                 if routed:
+                    # One unroutable key rejects the whole frame before
+                    # anything is admitted or applied, so the client can
+                    # retry or re-route the entire batch safely.  Sequenced
+                    # frames only redirect here: their freeze shed is
+                    # decided frame-wide at admit (see _ingest_multi).
+                    check = self._topology_reject if sequenced else self._route_reject
                     reject = None
                     for g_key, _values in groups:
-                        reject = self._topology_reject(g_key)
+                        reject = check(g_key)
                         if reject is not None:
                             break
                     if reject is not None:
                         slots[index] = reject
                         continue
-                sid = conn.session_id
-                # One frozen key sheds the WHOLE frame, and the flag must
-                # be frame-constant BEFORE any admit: ADMIT_APPLY advances
-                # the mark immediately, so mixing per-key freeze verdicts
-                # in one frame could advance an unfrozen key's mark and
-                # then shed the frame — its retry would be wrongly
-                # deduplicated (an acked-but-never-counted value).
-                frame_shedding = shedding or (
-                    routed
-                    and any(service.migration_frozen(g_key) for g_key, _v in groups)
-                )
-                verdicts = {}
-                prev_marks = {}
-                for key, _values in groups:
-                    if key not in verdicts:
-                        prev_marks[key] = sessions.high_water(sid, key)
-                        verdicts[key] = sessions.admit(sid, key, seq, shedding=frame_shedding)
-                if any(v is ADMIT_SHED for v in verdicts.values()):
-                    # Shedding is tick-constant and the shed floor is
-                    # per-session, so APPLY+SHED cannot mix in one frame
-                    # (see SessionTable.admit); retrying the whole frame
-                    # is therefore safe and simple.
-                    self.shed_count += 1
-                    slots[index] = shed_body or wire.error_body(
-                        wire.STATUS_RETRY_LATER, "ingest shed, retry later"
-                    )
-                    continue
-                results = multi[index] = [None] * len(groups)
-                for g_index, (key, values) in enumerate(groups):
-                    if verdicts[key] is ADMIT_DUPLICATE:
-                        results[g_index] = service.current_n(key)
-                        continue
-
-                    def resolve_seq_group(result, results=results, g_index=g_index):
-                        results[g_index] = result
-
-                    stage_seq(key, sid, seq, values, resolve_seq_group, prev_marks[key])
+                # Frames staged earlier in this tick apply first, so the
+                # connection's program order holds.
+                flush_pending()
+                sid = conn.session_id if sequenced else None
+                slots[index] = self._ingest_multi(groups, sid, seq, shedding, shed_body, routed)
             elif op == wire.OP_WINDOW_INGEST:
                 if shedding:
                     slots[index] = shed_body
@@ -2083,18 +2075,6 @@ class QuantileServer:
                 slots[index] = self._dispatch(frame)
         flush_pending()
 
-        # Assemble MULTI_INGEST responses from their per-group results.
-        for index, results in multi.items():
-            failed = next((r for r in results if not isinstance(r, int)), None)
-            if failed is not None:
-                slots[index] = failed
-            else:
-                slots[index] = (
-                    b"\x00"
-                    + wire._COUNT.pack(len(results))
-                    + b"".join(wire.pack_n(n) for n in results)
-                )
-
         out = bytearray()
         for body in slots:
             out += wire._LEN.pack(len(body))
@@ -2106,13 +2086,85 @@ class QuantileServer:
         # as-is — no defensive bytes() copy on the hot path.
         return out, ticket
 
+    def _ingest_multi(self, groups, sid, seq, shedding, shed_body, routed) -> bytes:
+        """Apply one ``MULTI_INGEST``/``SEQ_MULTI_INGEST`` frame as one unit;
+        returns its response body.
+
+        ``sid``/``seq`` is a sequenced frame's exactly-once identity
+        (``sid is None`` for a plain frame).  Admission stays per distinct
+        key; every admitted group then goes through ONE
+        :meth:`QuantileService.ingest_groups` call, and the acks (the
+        key's ``n`` after each group; a duplicate group acks the key's
+        current ``n``) are packed in one go.
+        """
+        service = self.service
+        if sid is None:
+            try:
+                return self._multi_ack(service.ingest_groups(groups, prevalidated=True))
+            except Exception as exc:
+                return self._error_response(exc)
+        sessions = service.sessions
+        # One frozen key sheds the WHOLE frame, and the flag must be
+        # frame-constant BEFORE any admit: ADMIT_APPLY advances the mark
+        # immediately, so mixing per-key freeze verdicts in one frame could
+        # advance an unfrozen key's mark and then shed the frame — its
+        # retry would be wrongly deduplicated (an acked-but-never-counted
+        # value).
+        shedding = shedding or (
+            routed and any(service.migration_frozen(g_key) for g_key, _v in groups)
+        )
+        verdicts = {}
+        prev_marks = {}
+        for key, _values in groups:
+            if key not in verdicts:
+                prev_marks[key] = sessions.high_water(sid, key)
+                verdicts[key] = sessions.admit(sid, key, seq, shedding=shedding)
+        if ADMIT_SHED in verdicts.values():
+            # Shedding is tick-constant and the shed floor is per-session,
+            # so APPLY+SHED cannot mix in one frame (see
+            # SessionTable.admit); retrying the whole frame is therefore
+            # safe and simple.
+            self.shed_count += 1
+            return shed_body or wire.error_body(
+                wire.STATUS_RETRY_LATER, "ingest shed, retry later"
+            )
+        fresh = [group for group in groups if verdicts[group[0]] is ADMIT_APPLY]
+        applied = iter(())
+        if fresh:
+            appends_before = service.wal_appends
+            try:
+                applied = iter(service.ingest_groups(fresh, session=(sid, seq), prevalidated=True))
+            except Exception as exc:
+                if service.wal_appends == appends_before:
+                    # Nothing was logged, so nothing was applied (a full
+                    # disk refused the WAL append, or a key was refused):
+                    # roll every admitted mark back, or the client's retry
+                    # of this very frame would dedup into a lying ack.
+                    # Logged records replay on recovery, so after a store
+                    # failure the marks stay and the retry acks as a
+                    # duplicate.
+                    for key, verdict in verdicts.items():
+                        if verdict is ADMIT_APPLY:
+                            sessions.revert(sid, key, prev_marks[key], seq)
+                return self._error_response(exc)
+        return self._multi_ack(
+            [
+                next(applied) if verdicts[key] is ADMIT_APPLY else service.current_n(key)
+                for key, _values in groups
+            ]
+        )
+
+    @staticmethod
+    def _multi_ack(results) -> bytes:
+        """A multi-key ingest ack: status, group count, one u64 ``n`` each."""
+        return b"\x00" + wire._COUNT.pack(len(results)) + np.asarray(results, "<u8").tobytes()
+
     @staticmethod
     def _validate_batch(values) -> None:
         """Per-frame validation so errors attribute to the exact frame."""
-        if values.size == 0:
-            raise InvalidParameterError("empty ingest batch")
-        if np.isnan(values).any():
-            raise InvalidParameterError("cannot insert NaN: items must form a total order")
+        bad = _find_bad_batch((values,))
+        if bad is not None:
+            raise InvalidParameterError(bad[1])
 
     @staticmethod
     def _error_response(exc: Exception) -> bytes:

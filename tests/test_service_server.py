@@ -189,10 +189,11 @@ class TestProtocol:
         not a silently dropped connection."""
         running = harness(QuantileService(None))
 
-        def boom(key, values):
+        def boom(groups, **kwargs):
             raise RuntimeError("disk on fire")
 
-        running.service.ingest = boom
+        # Every ingest opcode reaches the store through ingest_groups.
+        running.service.ingest_groups = boom
         with QuantileClient(port=running.port) as client:
             with pytest.raises(ServiceError, match="internal error.*disk on fire") as excinfo:
                 client.ingest("k", [1.0])
