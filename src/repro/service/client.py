@@ -819,6 +819,11 @@ class QuantileClient:
           ``n`` and applies nothing, and a shed frame (``RETRY_LATER``:
           draining, overloaded, degraded or frozen for a cutover) moved no
           mark, so the retry applies it exactly once.
+        * If a group fails to apply (a spilled key whose snapshot is
+          corrupt), the other keys' groups still apply and the frame
+          answers with that group's error.  With a session, only the
+          failed keys' marks roll back, so the retry applies exactly what
+          is missing and acks the rest as already applied.
         """
         items = list(batches.items()) if hasattr(batches, "items") else list(batches)
         if self.exactly_once:

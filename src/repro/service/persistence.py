@@ -209,20 +209,23 @@ class WriteAheadLog:
             )
 
     def append(self, op: int, seq: int, key: str, payload: bytes, *, flush: bool = True) -> None:
-        """Append one record (see :meth:`append_many`)."""
-        self.append_many(((op, seq, key, payload),), flush=flush)
+        """Append one record.  ``flush=False`` defers the buffered-write
+        flush (and any fsync) to a later :meth:`commit` — the group-commit
+        writer uses this to pay one flush/fsync for a whole batch."""
+        self._check_usable()
+        self._write((self._frame(op, seq, key, payload),), flush)
 
     def append_many(self, records, *, flush: bool = True) -> None:
-        """Append ``(op, seq, key, payload)`` records in order.
+        """Append ``(op, seq, key, payload)`` records in order with one
+        flush (``flush`` as in :meth:`append`).
 
         Every record is framed before the first byte is written, so a bad
-        record (an oversized key) appends nothing.  ``flush=False`` defers
-        the buffered-write flush (and any fsync) to a later :meth:`commit`
-        — the group-commit writer uses this to pay one flush/fsync for a
-        whole batch.
+        record (an oversized key) appends nothing.
         """
         self._check_usable()
-        frames = [self._frame(*record) for record in records]
+        self._write([self._frame(*record) for record in records], flush)
+
+    def _write(self, frames, flush: bool) -> None:
         try:
             for head, body in frames:
                 self.io.write(self._file, head)
@@ -472,8 +475,7 @@ class GroupCommitWal:
     def append_many(self, records) -> Future:
         """Enqueue ``(op, seq, key, payload)`` records under one lock and
         one writer wakeup; returns the one commit ticket covering them all
-        (same contract as :meth:`append`).  The records are queued
-        together, so one commit covers them all.
+        (same contract as :meth:`append`).
         """
         with self._cond:
             self._check_usable()
@@ -534,7 +536,8 @@ class GroupCommitWal:
             started = time.perf_counter()
             error: Optional[BaseException] = None
             try:
-                self._inner.append_many(batch, flush=False)
+                for op, seq, key, payload in batch:
+                    self._inner.append(op, seq, key, payload, flush=False)
                 self._inner.commit(fsync=self.fsync)
             except BaseException as exc:  # disk full, handle revoked, ...
                 error = exc

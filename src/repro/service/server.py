@@ -94,7 +94,14 @@ from repro.service.resilience import (
 from repro.service.store import SketchStore, spill_filename
 from repro.windowed import SubscriptionHub, WindowStore
 
-__all__ = ["QuantileService", "QuantileServer", "ServerThread", "run_server", "new_event_loop"]
+__all__ = [
+    "GroupApplyError",
+    "QuantileService",
+    "QuantileServer",
+    "ServerThread",
+    "run_server",
+    "new_event_loop",
+]
 
 #: Sentinel: "use the default overload policy" (``None`` disables shedding).
 _DEFAULT_OVERLOAD = object()
@@ -117,6 +124,20 @@ def _find_bad_batch(batches) -> Optional[Tuple[int, str]]:
         if np.isnan(batch).any():
             return index, "cannot insert NaN: items must form a total order"
     return None
+
+
+class GroupApplyError(ServiceError):
+    """Groups of one :meth:`QuantileService.ingest_groups` call failed to
+    apply after the call was logged.
+
+    ``failed`` holds their indices in group order; ``error`` is the first
+    failure, which this error stands in for.  Every other group applied.
+    """
+
+    def __init__(self, failed: List[int], error: Exception) -> None:
+        super().__init__(f"group {failed[0]}: {error}")
+        self.failed = failed
+        self.error = error
 
 
 class _Migration:
@@ -628,7 +649,7 @@ class QuantileService:
         :class:`~repro.service.resilience.SessionTable`).
         """
         array = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        return self.ingest_groups(((key, array),), session=session)[0]
+        return self._ingest_one(key, array, session=session)
 
     def ingest_batches(
         self, key: str, arrays, *, prevalidated: bool = False, session=None
@@ -650,9 +671,15 @@ class QuantileService:
             array = np.ascontiguousarray(arrays[0], dtype=np.float64).reshape(-1)
         else:
             array = self.store.stage_concat(arrays)
-        return self.ingest_groups(
-            ((key, array),), session=session, prevalidated=prevalidated
-        )[0]
+        return self._ingest_one(key, array, session=session, prevalidated=prevalidated)
+
+    def _ingest_one(self, key: str, array, **kwargs) -> int:
+        """One group through :meth:`ingest_groups`, raising the apply's
+        own error rather than its :class:`GroupApplyError` wrapper."""
+        try:
+            return self.ingest_groups(((key, array),), **kwargs)[0]
+        except GroupApplyError as exc:
+            raise exc.error from None
 
     def ingest_groups(self, groups, *, session=None, prevalidated: bool = False) -> List[int]:
         """Apply ``(key, values)`` groups in order as one unit; returns
@@ -676,9 +703,15 @@ class QuantileService:
         group's key, and that spill snapshot must not claim a record that
         has not been applied yet (see :func:`~repro.service.persistence.recover`).
 
-        A group whose apply fails does not stop the others (their records
-        are already logged, so live state keeps tracking the log); the
-        first failure is raised once every group has been tried.
+        Anything raised before step 3 means nothing was logged or applied.
+        A group whose apply fails (a spilled key whose snapshot turns out
+        corrupt) does not stop the others, whose records are already
+        logged; the failed key's later groups in the call are skipped
+        rather than applied without the earlier one.  The call then raises
+        :class:`GroupApplyError` naming every failed group.  A failed
+        record keeps its applied-seq stamp: live state never holds its
+        values (the retry logs them anew), so a later snapshot of the key
+        rightly claims to cover it and recovery skips it.
         """
         if not groups:
             return []
@@ -705,15 +738,21 @@ class QuantileService:
         applied_seq = self._applied_seq
         migrations = self._migrations
         results: List[int] = []
-        error: Optional[BaseException] = None
+        failed: List[int] = []
+        failed_keys = set()
+        error: Optional[Exception] = None
         ingested = 0
-        for key, values in groups:
+        for index, (key, values) in enumerate(groups):
+            if failed_keys and key in failed_keys:
+                failed.append(index)
+                continue
             if seq is not None:
-                applied_seq[key] = seq
-                seq += 1
+                applied_seq[key] = seq + index
             try:
                 n = store.update_many(key, values)
             except Exception as exc:
+                failed.append(index)
+                failed_keys.add(key)
                 error = error or exc
                 continue
             results.append(n)
@@ -723,8 +762,8 @@ class QuantileService:
                 # view into a frame or the staging scratch is safe here.
                 self._migration_buffer(key, wire.DRAIN_INGEST, session, values)
         self.ingested_values += ingested
-        if error is not None:
-            raise error
+        if failed:
+            raise GroupApplyError(failed, error)
         return results
 
     def current_n(self, key: str) -> int:
@@ -2131,21 +2170,18 @@ class QuantileServer:
         fresh = [group for group in groups if verdicts[group[0]] is ADMIT_APPLY]
         applied = iter(())
         if fresh:
-            appends_before = service.wal_appends
             try:
                 applied = iter(service.ingest_groups(fresh, session=(sid, seq), prevalidated=True))
             except Exception as exc:
-                if service.wal_appends == appends_before:
-                    # Nothing was logged, so nothing was applied (a full
-                    # disk refused the WAL append, or a key was refused):
-                    # roll every admitted mark back, or the client's retry
-                    # of this very frame would dedup into a lying ack.
-                    # Logged records replay on recovery, so after a store
-                    # failure the marks stay and the retry acks as a
-                    # duplicate.
-                    for key, verdict in verdicts.items():
-                        if verdict is ADMIT_APPLY:
-                            sessions.revert(sid, key, prev_marks[key], seq)
+                # admit() advanced the marks before the apply.  Every key
+                # that did not land must roll its mark back, or the
+                # client's retry of this very frame would dedup into a
+                # lying ack; the pinned shed floor sheds later pipelined
+                # frames until that retry.  Only a GroupApplyError comes
+                # after anything was applied, and it names what failed.
+                failed = exc.failed if isinstance(exc, GroupApplyError) else range(len(fresh))
+                for key in {fresh[index][0] for index in failed}:
+                    sessions.revert(sid, key, prev_marks[key], seq)
                 return self._error_response(exc)
         return self._multi_ack(
             [
@@ -2169,6 +2205,8 @@ class QuantileServer:
     @staticmethod
     def _error_response(exc: Exception) -> bytes:
         """Map an exception to the response body ``_dispatch`` would send."""
+        if isinstance(exc, GroupApplyError):
+            exc = exc.error
         if isinstance(exc, KeyError):
             return wire.error_body(wire.STATUS_UNKNOWN_KEY, f"unknown key {exc.args[0]!r}")
         if isinstance(exc, DegradedError):

@@ -20,6 +20,7 @@ from repro.service import protocol as wire
 from repro.service import server as server_module
 from repro.service.client import _decode_multi_response
 from repro.service.resilience import RetryPolicy
+from repro.service.store import spill_filename
 
 SID = "multi-ingest-test"
 
@@ -180,6 +181,43 @@ class TestSeqMultiIngestExactlyOnce:
             thread.server.draining = False
             assert _send_seq_multi(client, 2, groups) == [6, 3]
 
+    def test_failed_group_reverts_its_mark_and_the_retry_applies_it(self, tmp_path, rng):
+        """A spilled key whose snapshot is corrupt fails its group after
+        the frame was logged.  The other keys' groups apply; the failed
+        key's later group is skipped and its mark rolls back, so the retry
+        applies both of its groups instead of acking them as duplicates."""
+        service = QuantileService(str(tmp_path), k=32, memory_budget=2000)
+        for i in range(5):
+            service.ingest(f"k{i}", rng.random(2500))
+        victim = service.store.spilled_keys[0]
+        path = tmp_path / "snapshots" / spill_filename(victim)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        groups = [
+            ("k4", rng.random(10)),
+            (victim, rng.random(7)),
+            ("fresh", rng.random(5)),
+            (victim, rng.random(3)),
+        ]
+        thread = ServerThread(service)
+        with _session_client(thread.port) as client:
+            with pytest.raises(ServiceError, match="spill target"):
+                _send_seq_multi(client, 1, groups)
+            assert service.sessions.high_water(SID, victim) == 0
+            assert service.sessions.high_water(SID, "fresh") == 1
+            assert (service.current_n("k4"), service.current_n("fresh")) == (2510, 5)
+            assert victim not in service.store
+            assert _send_seq_multi(client, 1, groups) == [2510, 7, 5, 10]
+            assert _send_seq_multi(client, 1, groups) == [2510, 10, 5, 10]
+        assert victim in service.quarantined_keys
+        thread.stop()  # snapshot_all, then the WAL is truncated
+        recovered = QuantileService(str(tmp_path), k=32, memory_budget=2000)
+        try:
+            assert recovered.current_n(victim) == 10
+            assert (recovered.current_n("k4"), recovered.current_n("fresh")) == (2510, 5)
+        finally:
+            recovered.close(snapshot=False)
 
     def test_migrating_keys_buffer_each_group_and_a_frozen_key_sheds_the_frame(
         self, running, rng
