@@ -17,16 +17,14 @@ Two layers:
 The ingest hot path is **pipelined and coalesced**: connections are
 ``asyncio.Protocol`` transports (no stream-reader overhead), every
 ``data_received`` tick parses *all* complete frames in the connection
-buffer as zero-copy views, ``INGEST``/``SEQ_INGEST`` batches for the
-same key are funnelled through one staging concat into a **single**
-``update_many`` (one WAL record, one amortized-compaction pass — the
-schedule the paper's cost analysis assumes), and the per-frame acks are
-computed from the cumulative counts.  Multi-key frames
-(``MULTI_INGEST``/``SEQ_MULTI_INGEST``, plain or routed) are applied
-**frame-at-a-time** through :meth:`QuantileService.ingest_groups`: one
-empty/NaN pass over the whole frame, per-key admission as before, one
-WAL enqueue carrying the unchanged per-group records, one
-``update_many`` per group, and one packed ack.  With a group-commit WAL
+buffer as zero-copy views, and all six ingest opcodes go through **one
+pipeline**: decode, admit (shed, route, freeze, exactly-once dedup),
+then stage into one run per tick, applied by a single
+:meth:`QuantileService.ingest_groups` call (one WAL enqueue, one
+``update_many`` per group).  Adjacent single-key frames of one key and
+session coalesce into one group — one WAL record, one amortized
+compaction pass, the schedule the paper's cost analysis assumes — and
+their acks come from the cumulative counts.  With a group-commit WAL
 (``group_commit=True``), WAL writes and fsyncs run on a background
 writer thread and acks are released only when the covering commit
 ticket resolves — responses stay in request order via a per-connection
@@ -36,8 +34,8 @@ Consistency notes (single event loop, no locks needed):
 
 * Frame batches are dispatched synchronously — no await between decode
   and response staging — so each batch is atomic with respect to every
-  other connection's.  Within a batch, any non-ingest opcode flushes the
-  pending ingest coalesce first, so one connection's requests always
+  other connection's.  Within a batch, any opcode but plain ingest
+  flushes the staged run first, so one connection's requests always
   observe their own program order.
 * ``snapshot_all`` is a plain synchronous method — no awaits — so the
   "write every dirty key, then truncate the WAL" sequence cannot
@@ -86,7 +84,6 @@ from repro.service.persistence import (
 )
 from repro.service.resilience import (
     ADMIT_APPLY,
-    ADMIT_DUPLICATE,
     ADMIT_SHED,
     OverloadPolicy,
     SessionTable,
@@ -130,14 +127,16 @@ class GroupApplyError(ServiceError):
     """Groups of one :meth:`QuantileService.ingest_groups` call failed to
     apply after the call was logged.
 
-    ``failed`` holds their indices in group order; ``error`` is the first
+    ``results`` holds each group's ``n`` after it, ``None`` where it
+    failed (``failed`` lists those indices); ``error`` is the first
     failure, which this error stands in for.  Every other group applied.
     """
 
-    def __init__(self, failed: List[int], error: Exception) -> None:
-        super().__init__(f"group {failed[0]}: {error}")
-        self.failed = failed
+    def __init__(self, error: Exception, results: List[Optional[int]]) -> None:
+        self.failed = [index for index, n in enumerate(results) if n is None]
+        super().__init__(f"group {self.failed[0]}: {error}")
         self.error = error
+        self.results = results
 
 
 class _Migration:
@@ -163,6 +162,52 @@ class _Migration:
         self.entries: List[bytes] = []
         self.frozen = False
         self.deadline = 0.0
+
+
+#: The ingest opcodes, each as ``(sequenced, multi_key, windowed)``.
+_INGEST_OPS = {
+    wire.OP_INGEST: (False, False, False),
+    wire.OP_SEQ_INGEST: (True, False, False),
+    wire.OP_MULTI_INGEST: (False, True, False),
+    wire.OP_SEQ_MULTI_INGEST: (True, True, False),
+    wire.OP_WINDOW_INGEST: (False, False, True),
+    wire.OP_SEQ_WINDOW_INGEST: (True, False, True),
+}
+
+
+class _Segment:
+    """A slice of a tick's staged ingest run under one session (``sid``
+    ``None`` unsequenced): one multi-key frame's admitted ``(key,
+    values)`` groups, or the ``batches`` of adjacent single-key frames of
+    one key, flushed as ONE group of ``size`` values.  ``marks`` (each
+    key's mark before the segment's admit) and ``seq`` (the highest frame
+    seq) are the rollback if a group fails; after the flush ``results``
+    holds each group's ``n``, ``None`` where it failed."""
+
+    __slots__ = ("groups", "batches", "size", "sid", "seq", "marks", "results")
+
+    def __init__(self, groups, sid, seq, marks, single) -> None:
+        self.groups = groups
+        self.batches = [groups[0][1]] if single else None
+        self.size = int(groups[0][1].size) if single else 0
+        self.sid = sid
+        self.seq = seq
+        self.marks = marks
+        self.results: List[Optional[int]] = []
+
+
+class _Run:
+    """A tick's staged ingest: ``segments`` in apply order, and ``frames``
+    waiting on them as ``(slot, segment, acks, multi)``.  A multi-key
+    frame's ``acks`` holds its duplicates' acks, ``None`` where results
+    go (or is ``None``: all results); a single-key frame's is where its
+    values end in the segment, or its duplicate ack."""
+
+    __slots__ = ("segments", "frames")
+
+    def __init__(self) -> None:
+        self.segments: List[_Segment] = []
+        self.frames: List[tuple] = []
 
 
 def new_event_loop(use_uvloop: bool = True) -> asyncio.AbstractEventLoop:
@@ -648,36 +693,18 @@ class QuantileService:
         session mark so recovery rebuilds the dedup table (see
         :class:`~repro.service.resilience.SessionTable`).
         """
-        array = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        return self._ingest_one(key, array, session=session)
+        return self.ingest_batches(key, (values,), session=session)
 
-    def ingest_batches(
-        self, key: str, arrays, *, prevalidated: bool = False, session=None
-    ) -> int:
-        """Coalesced ingest: several frames' batches, ONE record, ONE apply.
-
-        The server's per-tick coalescing funnels every ``INGEST`` frame a
-        connection delivered for ``key`` here.  The concatenation becomes
-        a single WAL record applied by a single ``update_many`` — live
-        path and replay therefore run the *same* call on the *same* bytes,
-        which keeps recovery bit-exact, and compaction cost is amortized
-        over the whole group exactly as the paper's schedule intends.
-        Per-frame acks are reconstructed by the caller from the cumulative
-        counts (``n`` grows by exactly each batch's size).
-        ``prevalidated=True`` (the server, which checks each frame so
-        errors name it) skips the empty/NaN scan here.
-        """
+    def ingest_batches(self, key: str, arrays, *, session=None) -> int:
+        """Several batches for ``key`` as ONE record and ONE apply (the
+        concatenation), returning the key's total ``n``.  Raises the
+        apply's own error, not its :class:`GroupApplyError` wrapper."""
         if len(arrays) == 1:
             array = np.ascontiguousarray(arrays[0], dtype=np.float64).reshape(-1)
         else:
             array = self.store.stage_concat(arrays)
-        return self._ingest_one(key, array, session=session, prevalidated=prevalidated)
-
-    def _ingest_one(self, key: str, array, **kwargs) -> int:
-        """One group through :meth:`ingest_groups`, raising the apply's
-        own error rather than its :class:`GroupApplyError` wrapper."""
         try:
-            return self.ingest_groups(((key, array),), **kwargs)[0]
+            return self.ingest_groups(((key, array),), session=session)[0]
         except GroupApplyError as exc:
             raise exc.error from None
 
@@ -686,14 +713,17 @@ class QuantileService:
         each group's ``n`` after it (a repeated key's acks are cumulative).
 
         The one apply path of every plain ingest (``ingest``,
-        ``ingest_batches`` and the server's multi-key frames):
+        ``ingest_batches`` and the server's staged run).  ``session`` is
+        the ``(sid, seq)`` (or ``None``) every group is logged under, or a
+        list holding each group's own.
 
         1. validate — the keys, then one empty/NaN pass over all values
-           (skipped when ``prevalidated``); a bad group rejects the call
-           before anything is logged;
+           (both skipped when ``prevalidated``: the server checks each
+           frame as it decodes it); a bad group rejects the call before
+           anything is logged;
         2. log — one degraded check, one WAL call enqueueing one
-           ``WAL_INGEST`` (or, with ``session=(sid, seq)``,
-           ``WAL_SEQ_INGEST``) record per group, in group order;
+           ``WAL_INGEST`` (or, with a session, ``WAL_SEQ_INGEST``) record
+           per group, in group order;
         3. apply — one ``store.update_many`` per group, exactly as replay
            applies one record, so spill points (and the reseeds they
            trigger) match replay's and recovery stays bit-exact.
@@ -715,9 +745,10 @@ class QuantileService:
         """
         if not groups:
             return []
-        for key, _values in groups:
-            self._check_key(key)
+        sessions = session if isinstance(session, list) else [session] * len(groups)
         if not prevalidated:
+            for key, _values in groups:
+                self._check_key(key)
             bad = _find_bad_batch([values for _key, values in groups])
             if bad is not None:
                 index, reason = bad
@@ -726,44 +757,44 @@ class QuantileService:
                 )
         seq = None
         if self.wal is not None:
-            if session is None:
-                op, head = WAL_INGEST, b""
-            else:
-                op, head = WAL_SEQ_INGEST, pack_session_header(*session)
-            seq = self._wal_append_many(
-                [(op, key, head + values.astype("<f8", copy=False).tobytes())
-                 for key, values in groups]
-            )
+            heads = {None: b""}
+            records = []
+            for (key, values), group_session in zip(groups, sessions):
+                head = heads.get(group_session)
+                if head is None:
+                    head = heads[group_session] = pack_session_header(*group_session)
+                records.append((
+                    WAL_INGEST if group_session is None else WAL_SEQ_INGEST,
+                    key,
+                    head + values.astype("<f8", copy=False).tobytes(),
+                ))
+            seq = self._wal_append_many(records)
         store = self.store
         applied_seq = self._applied_seq
         migrations = self._migrations
-        results: List[int] = []
-        failed: List[int] = []
+        results: List[Optional[int]] = [None] * len(groups)
         failed_keys = set()
         error: Optional[Exception] = None
         ingested = 0
         for index, (key, values) in enumerate(groups):
             if failed_keys and key in failed_keys:
-                failed.append(index)
                 continue
             if seq is not None:
                 applied_seq[key] = seq + index
             try:
-                n = store.update_many(key, values)
+                results[index] = store.update_many(key, values)
             except Exception as exc:
-                failed.append(index)
                 failed_keys.add(key)
                 error = error or exc
                 continue
-            results.append(n)
             ingested += values.size
             if migrations:
                 # pack_drain_entry copies the values immediately, so a
                 # view into a frame or the staging scratch is safe here.
-                self._migration_buffer(key, wire.DRAIN_INGEST, session, values)
+                self._migration_buffer(key, wire.DRAIN_INGEST, sessions[index], values)
         self.ingested_values += ingested
-        if failed:
-            raise GroupApplyError(failed, error)
+        if error is not None:
+            raise GroupApplyError(error, results)
         return results
 
     def current_n(self, key: str) -> int:
@@ -1058,10 +1089,6 @@ class QuantileService:
     # Windowed plane (see repro.windowed)
     # ------------------------------------------------------------------
 
-    def _wal_window_append(self, op: int, key: str, payload: bytes) -> None:
-        """A windowed WAL record: same log, separate applied-seq map."""
-        self._window_applied_seq[key] = self._wal_append_many(((op, key, payload),))
-
     def window_ingest(self, key: str, timestamps, values, *, session=None):
         """Apply one (timestamps, values) batch to ``key``'s rings.
 
@@ -1078,16 +1105,13 @@ class QuantileService:
         vals = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         self.windows.validate(ts, vals)
         if self.wal is not None:
-            payload = (
-                ts.astype("<f8", copy=False).tobytes()
-                + vals.astype("<f8", copy=False).tobytes()
-            )
-            if session is not None:
-                self._wal_window_append(
-                    WAL_SEQ_WINDOW_INGEST, key, pack_session_header(*session) + payload
-                )
+            if session is None:
+                op, head = WAL_WINDOW_INGEST, b""
             else:
-                self._wal_window_append(WAL_WINDOW_INGEST, key, payload)
+                op, head = WAL_SEQ_WINDOW_INGEST, pack_session_header(*session)
+            payload = head + np.concatenate((ts, vals)).astype("<f8", copy=False).tobytes()
+            # Same log as the plain plane, separate applied-seq map.
+            self._window_applied_seq[key] = self._wal_append_many(((op, key, payload),))
         accepted, events = self.windows.ingest(key, ts, vals)
         self.ingested_values += int(vals.size)
         if self._migrations:
@@ -1606,7 +1630,7 @@ class QuantileServer:
         #: True once a graceful drain began: no new connections, all
         #: ingest shed, reads still answered until the deadline.
         self.draining = False
-        #: Sequenced ingest frames shed with RETRY_LATER (observability).
+        #: Ingest frames refused RETRY_LATER at admit: tick shed, freeze, floor.
         self.shed_count = 0
         #: Connections refused at the door (limit reached or draining).
         self.rejected_connections = 0
@@ -1776,129 +1800,53 @@ class QuantileServer:
             service.topology_json(),
         )
 
-    def _route_reject(self, key: str) -> Optional[bytes]:
-        """The write-path routing guard: freeze shed or topology redirect.
-
-        Frozen-for-cutover keys shed with ``RETRY_LATER`` (the write is
-        never acked, so the client retries it — against the new owner once
-        the topology lands).  Unowned keys redirect with the installed
-        map.  ``None`` means the write may proceed.
-        """
+    def _shed_body(self, conn) -> Optional[bytes]:
+        """This tick's ``RETRY_LATER`` answer to ingest, or ``None`` when
+        ingest may proceed.  (Reads always pass; see OverloadPolicy.)"""
         service = self.service
-        if service._migrations and service.migration_frozen(key):
-            return wire.error_body(
-                wire.STATUS_RETRY_LATER,
-                f"key {key!r} is frozen for a topology cutover; retry later",
-            )
-        if service.topology is not None:
-            return self._topology_reject(key)
-        return None
-
-    def _shedding(self, conn) -> bool:
-        """Shed ingest this tick?  (Reads always pass; see OverloadPolicy.)"""
         if self.draining:
-            return True
-        if self.service.degraded:
+            reason = "draining"
+        elif service.degraded:
             # Read-only degraded mode (full/failing disk): every write
-            # path sheds with RETRY_LATER before it can touch the WAL.
-            return True
-        if self.overload is None:
-            return False
-        return self.overload.should_shed(
-            wal_queue_depth=self.service.wal_queue_depth,
+            # path sheds before it can touch the WAL.
+            reason = f"degraded ({service.degraded_reason})"
+        elif self.overload is not None and self.overload.should_shed(
+            wal_queue_depth=service.wal_queue_depth,
             buffer_bytes=conn._tick_backlog,
-        )
+        ):
+            reason = "overloaded"
+        else:
+            return None
+        return wire.error_body(wire.STATUS_RETRY_LATER, f"{reason}; ingest shed, retry later")
 
     def _process_frames(self, frames, conn):
         """Dispatch one tick's worth of frames; returns ``(payload, ticket)``.
 
         ``payload`` is every response frame, encoded and joined in request
         order; ``ticket`` (or ``None``) is the group-commit ticket the
-        write must wait for.  Consecutive single-key ingest batches
-        coalesce per ``(key, session)`` into one WAL record + one
-        ``update_many`` (per-frame acks reconstructed from cumulative
-        counts); any other opcode — a multi-key frame included, which is
-        applied whole by :meth:`_ingest_multi` — flushes the pending
-        coalesce first so a connection's own request order is always
-        observed.
+        write must wait for.
 
-        Sequenced frames (``SEQ_INGEST``/``SEQ_MULTI_INGEST``) pass the
-        session's dedup gate first: duplicates (replays of frames whose
-        mark is already durable) are acked without being applied, and
-        under overload or drain the frame is shed with ``RETRY_LATER``
-        *before* any mark advances — see ``SessionTable.admit`` for why
-        shedding must also pin a floor.
+        All six ingest opcodes share one pipeline: :meth:`_decode_ingest`
+        (every per-frame check, so one bad frame never fails another),
+        :meth:`_admit` (shed, route, freeze, dedup), then :meth:`_stage`
+        into the tick's run.  A single-key frame extends the run's last
+        group when that group holds single-key frames of the same key and
+        session: one WAL record and one ``update_many`` for a burst, acks
+        from the cumulative counts.  :meth:`_flush` applies the run with
+        ONE :meth:`QuantileService.ingest_groups` call before any frame
+        that is not plain ingest (windowed frames then apply at once), before
+        admitting a duplicate, and at tick end — so a connection's requests
+        always observe their own program order, and every frame is admitted
+        and applied within one run.
         """
         service = self.service
-        sessions = service.sessions
         slots: List[Optional[bytes]] = [None] * len(frames)
-        #: (key, sid_or_None) -> list of (values_view, resolve(...)).
-        pending: Dict[tuple, list] = {}
-        #: (key, sid) -> highest frame seq staged for that group.
-        pending_seq: Dict[tuple, int] = {}
-        #: (key, sid) -> mark BEFORE this tick's first admit for the
-        #: group; rollback target if the apply fails (see flush_pending).
-        pending_prev: Dict[tuple, int] = {}
+        run = _Run()
         appends_before = service.wal_appends
-        shedding = self._shedding(conn)
+        shed_body = self._shed_body(conn)
         #: Routing guards engage only when a topology is installed or a
         #: migration is live — standalone services skip them entirely.
         routed = service.topology is not None or bool(service._migrations)
-        shed_body = None
-        if shedding:
-            if self.draining:
-                reason = "draining"
-            elif service.degraded:
-                reason = f"degraded ({service.degraded_reason})"
-            else:
-                reason = "overloaded"
-            shed_body = wire.error_body(
-                wire.STATUS_RETRY_LATER, f"{reason}; ingest shed, retry later"
-            )
-
-        def flush_pending() -> None:
-            for group, entries in pending.items():
-                key, sid = group
-                session = None if sid is None else (sid, pending_seq[group])
-                try:
-                    n_after = service.ingest_batches(
-                        key, [v for v, _ in entries], prevalidated=True, session=session
-                    )
-                except Exception as exc:
-                    if sid is not None:
-                        # admit() advanced the marks before apply; a
-                        # failed apply (full disk poisoning the WAL)
-                        # must roll them back or the client's retry of
-                        # these very frames would dedup into a lying
-                        # ack.  The pinned floor sheds later pipelined
-                        # frames so applied seqs stay gap-free.
-                        sessions.revert(
-                            sid, key, pending_prev.get(group, 0), pending_seq[group]
-                        )
-                    body = self._error_response(exc)
-                    for _values, resolve in entries:
-                        resolve(body)
-                else:
-                    running = n_after - sum(int(v.size) for v, _ in entries)
-                    for values, resolve in entries:
-                        running += int(values.size)
-                        resolve(running)
-            pending.clear()
-            pending_seq.clear()
-            pending_prev.clear()
-
-        def stage(key: str, sid, values, resolve) -> None:
-            pending.setdefault((key, sid), []).append((values, resolve))
-
-        def stage_seq(key: str, sid: str, seq: int, values, resolve, prev: int) -> None:
-            group = (key, sid)
-            if seq > pending_seq.get(group, 0):
-                pending_seq[group] = seq
-            # First staging this batch wins: ``prev`` is the mark before
-            # that admit, i.e. the last successfully applied seq.
-            pending_prev.setdefault(group, prev)
-            pending.setdefault(group, []).append((values, resolve))
-
         for index, frame in enumerate(frames):
             if not len(frame):
                 self._count_op(0)
@@ -1906,213 +1854,34 @@ class QuantileServer:
                 continue
             op = frame[0]
             self._count_op(op)
-            if op == wire.OP_INGEST:
-                if shedding:
-                    slots[index] = shed_body
-                    self.shed_count += 1
-                    continue
-                try:
-                    key, offset = wire.unpack_key(frame, 1)
-                    values, _ = wire.unpack_values(frame, offset)
-                    self._validate_batch(values)
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                if routed:
-                    reject = self._route_reject(key)
-                    if reject is not None:
-                        slots[index] = reject
-                        continue
-
-                def resolve_single(result, index=index):
-                    slots[index] = (
-                        b"\x00" + wire.pack_n(result) if isinstance(result, int) else result
-                    )
-
-                stage(key, None, values, resolve_single)
-            elif op == wire.OP_SEQ_INGEST:
-                try:
-                    seq, offset = wire.unpack_seq(frame, 1)
-                    key, offset = wire.unpack_key(frame, offset)
-                    values, _ = wire.unpack_values(frame, offset)
-                    self._validate_batch(values)
-                    if conn.session_id is None:
-                        raise ServiceError(
-                            "sequenced ingest requires an exactly-once session "
-                            "(send HELLO first)"
-                        )
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                if routed:
-                    reject = self._topology_reject(key)
-                    if reject is not None:
-                        # Redirect BEFORE admit: the retry will carry the
-                        # same seq to the new owner, whose dedup marks
-                        # arrived with the migrated state.
-                        slots[index] = reject
-                        continue
-                sid = conn.session_id
-                frozen = routed and service.migration_frozen(key)
-                prev_mark = sessions.high_water(sid, key)
-                verdict = sessions.admit(sid, key, seq, shedding=shedding or frozen)
-                if verdict is ADMIT_SHED:
-                    self.shed_count += 1
-                    slots[index] = shed_body or wire.error_body(
-                        wire.STATUS_RETRY_LATER, "ingest shed, retry later"
-                    )
-                elif verdict is ADMIT_DUPLICATE:
-                    # Already counted (the mark is durable): ack with the
-                    # key's current n, never re-apply.  This is the
-                    # exactly-once half the WAL cannot give alone.
-                    slots[index] = b"\x00" + wire.pack_n(service.current_n(key))
+            shape = _INGEST_OPS.get(op)
+            if shape is None:
+                self._flush(run, slots)
+                if op == wire.OP_SUBSCRIBE:
+                    slots[index] = self._subscribe(frame, conn)
+                elif op == wire.OP_HELLO:
+                    slots[index] = self._hello(frame, conn)
                 else:
-
-                    def resolve_seq(result, index=index):
-                        slots[index] = (
-                            b"\x00" + wire.pack_n(result) if isinstance(result, int) else result
-                        )
-
-                    stage_seq(key, sid, seq, values, resolve_seq, prev_mark)
-            elif op == wire.OP_MULTI_INGEST or op == wire.OP_SEQ_MULTI_INGEST:
-                sequenced = op == wire.OP_SEQ_MULTI_INGEST
-                if shedding and not sequenced:
-                    slots[index] = shed_body
-                    self.shed_count += 1
-                    continue
-                try:
-                    seq, offset = wire.unpack_seq(frame, 1) if sequenced else (None, 1)
-                    groups = wire.unpack_multi_ingest(frame, offset)
-                    # One empty/NaN pass for the whole frame; a bad group
-                    # rejects it whole, before any admit or WAL record.
-                    bad = _find_bad_batch([values for _key, values in groups])
-                    if bad is not None:
-                        label = "SEQ_MULTI_INGEST" if sequenced else "MULTI_INGEST"
-                        raise ServiceError(f"{label} group {bad[0]}: {bad[1]}")
-                    if sequenced and conn.session_id is None:
-                        raise ServiceError(
-                            "sequenced ingest requires an exactly-once session "
-                            "(send HELLO first)"
-                        )
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                if routed:
-                    # One unroutable key rejects the whole frame before
-                    # anything is admitted or applied, so the client can
-                    # retry or re-route the entire batch safely.  Sequenced
-                    # frames only redirect here: their freeze shed is
-                    # decided frame-wide at admit (see _ingest_multi).
-                    check = self._topology_reject if sequenced else self._route_reject
-                    reject = None
-                    for g_key, _values in groups:
-                        reject = check(g_key)
-                        if reject is not None:
-                            break
-                    if reject is not None:
-                        slots[index] = reject
-                        continue
-                # Frames staged earlier in this tick apply first, so the
-                # connection's program order holds.
-                flush_pending()
-                sid = conn.session_id if sequenced else None
-                slots[index] = self._ingest_multi(groups, sid, seq, shedding, shed_body, routed)
-            elif op == wire.OP_WINDOW_INGEST:
-                if shedding:
-                    slots[index] = shed_body
-                    self.shed_count += 1
-                    continue
-                try:
-                    key, ts, values = wire.unpack_window_ingest(frame)
-                    service.windows.validate(ts, values)
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                if routed:
-                    reject = self._route_reject(key)
-                    if reject is not None:
-                        slots[index] = reject
-                        continue
-                # Windowed ingest applies immediately (no coalescing —
-                # batch boundaries are the lateness unit), so drain any
-                # staged plain ingest first to keep program order.
-                flush_pending()
-                try:
-                    accepted, events = service.window_ingest(key, ts, values)
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                slots[index] = b"\x00" + wire.pack_n(accepted)
-                if events:
-                    self._notify_closed(key, events)
-            elif op == wire.OP_SEQ_WINDOW_INGEST:
-                try:
-                    seq, offset = wire.unpack_seq(frame, 1)
-                    key, ts, values = wire.unpack_window_ingest(frame, offset)
-                    service.windows.validate(ts, values)
-                    if conn.session_id is None:
-                        raise ServiceError(
-                            "sequenced ingest requires an exactly-once session "
-                            "(send HELLO first)"
-                        )
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                if routed:
-                    reject = self._topology_reject(key)
-                    if reject is not None:
-                        slots[index] = reject
-                        continue
-                sid = conn.session_id
-                frozen = routed and service.migration_frozen(key)
-                prev_mark = sessions.high_water(sid, key)
-                verdict = sessions.admit(sid, key, seq, shedding=shedding or frozen)
-                if verdict is ADMIT_SHED:
-                    self.shed_count += 1
-                    slots[index] = shed_body or wire.error_body(
-                        wire.STATUS_RETRY_LATER, "ingest shed, retry later"
-                    )
-                elif verdict is ADMIT_DUPLICATE:
-                    # Ack replays with the key's lifetime accepted count —
-                    # the windowed twin of the ``current_n`` duplicate ack.
-                    slots[index] = b"\x00" + wire.pack_n(service.window_accepted(key))
-                else:
-                    flush_pending()
-                    try:
-                        accepted, events = service.window_ingest(
-                            key, ts, values, session=(sid, seq)
-                        )
-                    except Exception as exc:
-                        # Applied immediately (no staging), so the failed
-                        # apply reverts its own admit right here.
-                        sessions.revert(sid, key, prev_mark, seq)
-                        slots[index] = self._error_response(exc)
-                        continue
-                    slots[index] = b"\x00" + wire.pack_n(accepted)
-                    if events:
-                        self._notify_closed(key, events)
-            elif op == wire.OP_SUBSCRIBE:
-                flush_pending()
-                slots[index] = self._subscribe(frame, conn)
-            elif op == wire.OP_HELLO:
-                flush_pending()
-                try:
-                    flags, sid = wire.unpack_hello(frame)
-                except Exception as exc:
-                    slots[index] = self._error_response(exc)
-                    continue
-                granted = flags & wire.FLAG_EXACTLY_ONCE
-                if granted:
-                    conn.session_id = sid
-                    high_water = sessions.hello(sid)
-                else:
-                    conn.session_id = None
-                    high_water = 0
-                slots[index] = wire.pack_hello_response(granted, high_water)
+                    slots[index] = self._dispatch(frame)
+                continue
+            sequenced, multi, windowed = shape
+            try:
+                seq, groups, timestamps = self._decode_ingest(frame, conn, *shape)
+            except Exception as exc:
+                slots[index] = self._error_response(exc)
+                continue
+            if windowed:
+                self._flush(run, slots)
+            sid = conn.session_id if sequenced else None
+            refusal, marks = self._admit(run, slots, groups, sid, seq, shed_body, routed)
+            if refusal is not None:
+                slots[index] = refusal
+                continue
+            if windowed:
+                slots[index] = self._window_apply(groups[0], timestamps, sid, seq, marks)
             else:
-                flush_pending()
-                slots[index] = self._dispatch(frame)
-        flush_pending()
+                self._stage(run, index, groups, sid, seq, marks, multi)
+        self._flush(run, slots)
 
         out = bytearray()
         for body in slots:
@@ -2125,82 +1894,220 @@ class QuantileServer:
         # as-is — no defensive bytes() copy on the hot path.
         return out, ticket
 
-    def _ingest_multi(self, groups, sid, seq, shedding, shed_body, routed) -> bytes:
-        """Apply one ``MULTI_INGEST``/``SEQ_MULTI_INGEST`` frame as one unit;
-        returns its response body.
+    def _decode_ingest(self, frame, conn, sequenced, multi, windowed):
+        """Decode and check one ingest frame: ``(seq or None, groups,
+        timestamps or None)``, a single-key frame being one group.  Raises
+        when the frame itself is bad: truncated, the empty key, an empty
+        or NaN batch (one scan per frame; a multi-key frame is rejected
+        whole, naming the group), a bad windowed batch, no session."""
+        seq, offset = wire.unpack_seq(frame, 1) if sequenced else (None, 1)
+        timestamps = None
+        if multi:
+            groups = wire.unpack_multi_ingest(frame, offset)
+        elif windowed:
+            key, timestamps, values = wire.unpack_window_ingest(frame, offset)
+            self.service.windows.validate(timestamps, values)
+            groups = [(key, values)]
+        else:
+            key, offset = wire.unpack_key(frame, offset)
+            values, _ = wire.unpack_values(frame, offset)
+            groups = [(key, values)]
+        for key, _values in groups:
+            QuantileService._check_key(key)
+        bad = None if windowed else _find_bad_batch([values for _key, values in groups])
+        if bad is not None:
+            if not multi:
+                raise InvalidParameterError(bad[1])
+            raise ServiceError(f"{wire.OP_NAMES[frame[0]].upper()} group {bad[0]}: {bad[1]}")
+        if sequenced and conn.session_id is None:
+            raise ServiceError(
+                "sequenced ingest requires an exactly-once session (send HELLO first)"
+            )
+        return seq, groups, timestamps
 
-        ``sid``/``seq`` is a sequenced frame's exactly-once identity
-        (``sid is None`` for a plain frame).  Admission stays per distinct
-        key; every admitted group then goes through ONE
-        :meth:`QuantileService.ingest_groups` call, and the acks (the
-        key's ``n`` after each group; a duplicate group acks the key's
-        current ``n``) are packed in one go.
+    def _admit(self, run, slots, groups, sid, seq, shed_body, routed):
+        """Admit one decoded ingest frame; returns ``(refusal, marks)``.
+
+        ``refusal`` answers the whole frame when none of it may apply: a
+        redirect for a key this node does not own, or ``RETRY_LATER``
+        (counted once in ``shed_count``) when the tick sheds ingest or a
+        key is frozen for a cutover.  Else ``marks`` maps each key of a
+        sequenced frame to its mark before this frame, or to ``None`` for
+        a duplicate (acked, never re-applied); it is empty unsequenced.
+
+        The freeze is frame-constant, decided BEFORE any admit:
+        ``ADMIT_APPLY`` advances a mark at once, so mixed per-key verdicts
+        could advance one key's mark and then shed the frame, whose retry
+        would then be deduplicated into an ack for values never counted.
+        A frame holding a duplicate flushes the run first, so the ack
+        counts every earlier frame of the tick and the admit sees any mark
+        a failed flush rolled back.
         """
         service = self.service
-        if sid is None:
-            try:
-                return self._multi_ack(service.ingest_groups(groups, prevalidated=True))
-            except Exception as exc:
-                return self._error_response(exc)
-        sessions = service.sessions
-        # One frozen key sheds the WHOLE frame, and the flag must be
-        # frame-constant BEFORE any admit: ADMIT_APPLY advances the mark
-        # immediately, so mixing per-key freeze verdicts in one frame could
-        # advance an unfrozen key's mark and then shed the frame — its
-        # retry would be wrongly deduplicated (an acked-but-never-counted
-        # value).
-        shedding = shedding or (
-            routed and any(service.migration_frozen(g_key) for g_key, _v in groups)
-        )
-        verdicts = {}
-        prev_marks = {}
-        for key, _values in groups:
-            if key not in verdicts:
-                prev_marks[key] = sessions.high_water(sid, key)
-                verdicts[key] = sessions.admit(sid, key, seq, shedding=shedding)
-        if ADMIT_SHED in verdicts.values():
-            # Shedding is tick-constant and the shed floor is per-session,
-            # so APPLY+SHED cannot mix in one frame (see
-            # SessionTable.admit); retrying the whole frame is therefore
-            # safe and simple.
-            self.shed_count += 1
-            return shed_body or wire.error_body(
-                wire.STATUS_RETRY_LATER, "ingest shed, retry later"
+        if routed:
+            # Redirect BEFORE admit: the retry carries the same seq to the
+            # new owner, whose dedup marks arrived with the migrated state.
+            for key, _values in groups:
+                reject = self._topology_reject(key)
+                if reject is not None:
+                    return reject, None
+                if shed_body is None and service._migrations and service.migration_frozen(key):
+                    shed_body = wire.error_body(
+                        wire.STATUS_RETRY_LATER,
+                        f"key {key!r} is frozen for a topology cutover; retry later",
+                    )
+        marks: Dict[str, Optional[int]] = {}
+        if sid is not None:
+            sessions = service.sessions
+            prevs = {key: sessions.high_water(sid, key) for key, _values in groups}
+            if any(seq <= prev for prev in prevs.values()):
+                self._flush(run, slots)
+                prevs = {key: sessions.high_water(sid, key) for key in prevs}
+            for key, prev in prevs.items():
+                verdict = sessions.admit(sid, key, seq, shedding=shed_body is not None)
+                if verdict is ADMIT_SHED:
+                    # No key of the frame applied (see SessionTable.admit:
+                    # shedding is frame-constant, the floor per session).
+                    break
+                marks[key] = prev if verdict is ADMIT_APPLY else None
+            else:
+                return None, marks
+        elif shed_body is None:
+            return None, marks
+        self.shed_count += 1
+        if shed_body is None:  # the session's shed floor refused the frame
+            shed_body = wire.error_body(wire.STATUS_RETRY_LATER, "ingest shed, retry later")
+        return shed_body, None
+
+    def _stage(self, run, index, groups, sid, seq, marks, multi) -> None:
+        """Join one admitted plain frame (response slot ``index``) to the
+        tick's run; :meth:`_flush` answers it."""
+        segments = run.segments
+        if multi:
+            acks = None
+            if None in marks.values():
+                # Duplicates (the run was flushed at admit): their counts now.
+                current_n = self.service.current_n
+                acks = [None if marks[key] is not None else current_n(key) for key, _v in groups]
+                groups = [group for group, ack in zip(groups, acks) if ack is None]
+            segments.append(_Segment(groups, sid, seq, marks, False))
+            run.frames.append((index, segments[-1], acks, True))
+            return
+        ((key, values),) = groups
+        if marks.get(key, 0) is None:
+            run.frames.append((index, None, self.service.current_n(key), False))
+            return
+        last = segments[-1] if segments else None
+        if last is None or last.batches is None or last.groups[0][0] != key or last.sid != sid:
+            last = _Segment(groups, sid, seq, marks, True)
+            segments.append(last)
+        else:
+            last.batches.append(values)
+            last.size += int(values.size)
+            last.seq = seq
+        run.frames.append((index, last, last.size, False))
+
+    def _flush(self, run, slots) -> None:
+        """Apply the staged run with ONE ``ingest_groups`` call (each group
+        one record under its segment's ``(sid, highest seq)``) and answer
+        every frame staged in it.
+
+        A failure before anything was logged (degraded mode, a WAL error)
+        fails every group; a :class:`GroupApplyError` only the groups it
+        names.  Failed groups' marks roll back; their frames get the error.
+        """
+        segments, frames = run.segments, run.frames
+        if not frames:
+            return
+        run.segments, run.frames = [], []
+        # Coalesced segments share one staging scratch (a view: the WAL
+        # encode and the sketch copy it); other groups stay frame views.
+        coalesced = [s for s in segments if s.batches is not None and len(s.batches) > 1]
+        flat = self.service.store.stage_concat([b for s in coalesced for b in s.batches])
+        offset = 0
+        for segment in coalesced:
+            segment.groups = [(segment.groups[0][0], flat[offset : offset + segment.size])]
+            offset += segment.size
+        groups, sessions = [], []
+        for segment in segments:
+            groups += segment.groups
+            session = None if segment.sid is None else (segment.sid, segment.seq)
+            sessions += [session] * len(segment.groups)
+        failure = None
+        try:
+            results = self.service.ingest_groups(groups, session=sessions, prevalidated=True)
+        except Exception as exc:
+            failure = self._error_response(exc)
+            results = exc.results if isinstance(exc, GroupApplyError) else [None] * len(groups)
+        offset = 0
+        for segment in segments:
+            segment.results = results[offset : offset + len(segment.groups)]
+            offset += len(segment.groups)
+            if failure is not None:
+                failed = [key for (key, _v), n in zip(segment.groups, segment.results) if n is None]
+                self._revert(segment.sid, segment.seq, segment.marks, failed)
+        for index, segment, acks, multi in frames:
+            if segment is not None:
+                results = segment.results
+                if None in results:
+                    slots[index] = failure
+                    continue
+                if not multi:
+                    acks = results[0] - segment.size + acks
+                elif acks is None:
+                    acks = results
+                else:
+                    fill = iter(results)
+                    acks = [next(fill) if ack is None else ack for ack in acks]
+            slots[index] = b"\x00" + (  # a multi ack: group count, then one u64 each
+                wire._COUNT.pack(len(acks)) + np.asarray(acks, "<u8").tobytes()
+                if multi else wire.pack_n(acks)
             )
-        fresh = [group for group in groups if verdicts[group[0]] is ADMIT_APPLY]
-        applied = iter(())
-        if fresh:
-            try:
-                applied = iter(service.ingest_groups(fresh, session=(sid, seq), prevalidated=True))
-            except Exception as exc:
-                # admit() advanced the marks before the apply.  Every key
-                # that did not land must roll its mark back, or the
-                # client's retry of this very frame would dedup into a
-                # lying ack; the pinned shed floor sheds later pipelined
-                # frames until that retry.  Only a GroupApplyError comes
-                # after anything was applied, and it names what failed.
-                failed = exc.failed if isinstance(exc, GroupApplyError) else range(len(fresh))
-                for key in {fresh[index][0] for index in failed}:
-                    sessions.revert(sid, key, prev_marks[key], seq)
-                return self._error_response(exc)
-        return self._multi_ack(
-            [
-                next(applied) if verdicts[key] is ADMIT_APPLY else service.current_n(key)
-                for key, _values in groups
-            ]
-        )
 
-    @staticmethod
-    def _multi_ack(results) -> bytes:
-        """A multi-key ingest ack: status, group count, one u64 ``n`` each."""
-        return b"\x00" + wire._COUNT.pack(len(results)) + np.asarray(results, "<u8").tobytes()
+    def _window_apply(self, group, timestamps, sid, seq, marks) -> bytes:
+        """Apply one admitted windowed frame at once (never staged: its
+        batch boundaries are the lateness unit); returns its answer."""
+        service = self.service
+        key, values = group
+        if marks.get(key, 0) is None:
+            # The windowed twin of the ``current_n`` duplicate ack.
+            return b"\x00" + wire.pack_n(service.window_accepted(key))
+        session = None if sid is None else (sid, seq)
+        try:
+            accepted, events = service.window_ingest(key, timestamps, values, session=session)
+        except Exception as exc:
+            self._revert(sid, seq, marks, [key])
+            return self._error_response(exc)
+        if events:
+            self._notify_closed(key, events)
+        return b"\x00" + wire.pack_n(accepted)
 
-    @staticmethod
-    def _validate_batch(values) -> None:
-        """Per-frame validation so errors attribute to the exact frame."""
-        bad = _find_bad_batch((values,))
-        if bad is not None:
-            raise InvalidParameterError(bad[1])
+    def _revert(self, sid, seq, marks, keys) -> None:
+        """Roll back the marks of admitted ``keys`` whose apply failed.
+
+        Left standing, an advanced mark would dedup the client's retry of
+        these very frames into an ack for values that never landed.
+        ``revert`` also pins the shed floor, so later pipelined frames
+        shed until that retry and applied seqs stay gap-free.
+        """
+        if sid is not None:
+            for key in keys:
+                self.service.sessions.revert(sid, key, marks[key], seq)
+
+    def _hello(self, frame, conn) -> bytes:
+        """Open (or drop) the connection's exactly-once session."""
+        try:
+            flags, sid = wire.unpack_hello(frame)
+        except Exception as exc:
+            return self._error_response(exc)
+        granted = flags & wire.FLAG_EXACTLY_ONCE
+        if granted:
+            conn.session_id = sid
+            high_water = self.service.sessions.hello(sid)
+        else:
+            conn.session_id = None
+            high_water = 0
+        return wire.pack_hello_response(granted, high_water)
 
     @staticmethod
     def _error_response(exc: Exception) -> bytes:
@@ -2313,14 +2220,6 @@ class QuantileServer:
         service = self.service
         routed = service.topology is not None or bool(service._migrations)
         try:
-            if op == wire.OP_INGEST:
-                key, offset = wire.unpack_key(body, 1)
-                values, _ = wire.unpack_values(body, offset)
-                if routed:
-                    reject = self._route_reject(key)
-                    if reject is not None:
-                        return reject
-                return b"\x00" + wire.pack_n(service.ingest(key, values))
             if op == wire.OP_QUERY:
                 key, offset = wire.unpack_key(body, 1)
                 fractions, _ = wire.unpack_values(body, offset)

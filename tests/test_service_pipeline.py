@@ -12,20 +12,28 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SnapshotCorruptError
 from repro.service import (
     GroupCommitWal,
     QuantileClient,
+    QuantileServer,
     QuantileService,
     ServerThread,
     new_event_loop,
 )
 from repro.service import protocol as wire
-from repro.service.persistence import WAL_INGEST, WriteAheadLog
+from repro.service.persistence import (
+    WAL_INGEST,
+    WAL_SEQ_INGEST,
+    WAL_SEQ_WINDOW_INGEST,
+    WriteAheadLog,
+    unpack_session_header,
+)
 
 
 @pytest.fixture()
@@ -625,3 +633,258 @@ class TestOversizedFrameStillCloses:
             assert sock.recv(1) == b""
         finally:
             sock.close()
+
+
+class _TickConn:
+    """The connection state ``QuantileServer._process_frames`` reads."""
+
+    def __init__(self) -> None:
+        self.session_id = None
+        self._tick_backlog = 0
+
+
+def _tick(server, conn, bodies):
+    """Dispatch ``bodies`` as ONE tick; returns the response bodies."""
+    payload, _ticket = server._process_frames([memoryview(body) for body in bodies], conn)
+    responses, offset = [], 0
+    while offset < len(payload):
+        (length,) = wire._LEN.unpack_from(payload, offset)
+        offset += wire._LEN.size
+        responses.append(bytes(payload[offset : offset + length]))
+        offset += length
+    return responses
+
+
+def _n(body) -> int:
+    return wire.unpack_n(wire.raise_for_status(body), 0)[0]
+
+
+def _multi_acks(body):
+    payload = wire.raise_for_status(body)
+    (count,) = wire._COUNT.unpack_from(payload, 0)
+    return np.frombuffer(payload, "<u8", count, wire._COUNT.size).tolist()
+
+
+def _records(service):
+    """Every WAL record as ``(op, key, session_or_None, payload floats)``."""
+    out = []
+    for record in service.wal.replay(strict=True):
+        payload, session = record.payload, None
+        if record.op in (WAL_SEQ_INGEST, WAL_SEQ_WINDOW_INGEST):
+            sid, seq, offset = unpack_session_header(payload)
+            payload, session = payload[offset:], (sid, seq)
+        out.append((record.op, record.key, session, np.frombuffer(payload, "<f8").tolist()))
+    return out
+
+
+class TestTickPipeline:
+    """One tick driven straight through ``_process_frames``: the WAL
+    records, acks and shed accounting of the ingest pipeline."""
+
+    @pytest.fixture()
+    def tick(self, tmp_path):
+        service = QuantileService(tmp_path)
+        server = QuantileServer(service, overload=None)
+        conn = _TickConn()
+        assert _tick(server, conn, [wire.pack_hello("s1")])[0][0] == wire.STATUS_OK
+        yield service, server, lambda bodies: _tick(server, conn, bodies)
+        service.close(snapshot=False)
+
+    def test_one_key_burst_logs_one_record_with_the_last_seq(self, tick, rng):
+        service, _server, run = tick
+        batches = [rng.random(10 * (i + 1)) for i in range(8)]
+        responses = run(
+            [wire.pack_seq_ingest(seq, "k", b) for seq, b in enumerate(batches, start=1)]
+        )
+        assert [_n(r) for r in responses] == np.cumsum([b.size for b in batches]).tolist()
+        assert _records(service) == [
+            (WAL_SEQ_INGEST, "k", ("s1", 8), np.concatenate(batches).tolist())
+        ]
+
+    def test_only_adjacent_frames_of_one_key_coalesce(self, tick, rng):
+        service, _server, run = tick
+        a1, a2, b, a3 = (rng.random(size) for size in (3, 4, 5, 6))
+        responses = run(
+            [
+                wire.pack_seq_ingest(1, "A", a1),
+                wire.pack_seq_ingest(2, "A", a2),
+                wire.pack_seq_ingest(3, "B", b),
+                wire.pack_seq_ingest(4, "A", a3),
+            ]
+        )
+        assert [_n(r) for r in responses] == [3, 7, 5, 13]
+        assert _records(service) == [
+            (WAL_SEQ_INGEST, "A", ("s1", 2), np.concatenate([a1, a2]).tolist()),
+            (WAL_SEQ_INGEST, "B", ("s1", 3), b.tolist()),
+            (WAL_SEQ_INGEST, "A", ("s1", 4), a3.tolist()),
+        ]
+
+    def test_mixed_opcode_tick(self, tick, rng):
+        """Every ingest flavour in one tick: acks, a duplicate group's ack,
+        a query that sees exactly the earlier writes, and the WAL order."""
+        service, _server, run = tick
+        j = rng.random(7)
+        assert _n(run([wire.pack_seq_ingest(3, "j", j)])[0]) == 7
+        a, b, c, e = (rng.random(size) for size in (10, 20, 30, 40))
+        now = time.time()
+        ts, w = now + np.arange(5) * 1e-3, rng.random(5)
+        responses = run(
+            [
+                bytes([wire.OP_INGEST]) + wire.pack_key("k") + wire.pack_values(a),
+                wire.pack_seq_ingest(2, "k", b),
+                wire.pack_seq_multi_ingest(3, [("k", c), ("j", rng.random(9))]),
+                bytes([wire.OP_QUERY]) + wire.pack_key("k") + wire.pack_values([0.5]),
+                wire.pack_seq_window_ingest(4, "w", ts, w),
+                wire.pack_seq_ingest(5, "k", e),
+            ]
+        )
+        assert _n(responses[0]) == 10
+        assert _n(responses[1]) == 30
+        assert _multi_acks(responses[2]) == [60, 7]  # j is a duplicate
+        n, _eps, answer, _retained, _ = wire.unpack_query_result(
+            wire.raise_for_status(responses[3])
+        )
+        reference = QuantileService(None)
+        for batch in (a, b, c):
+            reference.ingest("k", batch)
+        assert n == 60
+        assert answer.tolist() == reference.query("k", [0.5])[2].tolist()
+        assert _n(responses[4]) == 5
+        assert _n(responses[5]) == 100
+        assert _records(service)[1:] == [
+            (WAL_INGEST, "k", None, a.tolist()),
+            (WAL_SEQ_INGEST, "k", ("s1", 2), b.tolist()),
+            (WAL_SEQ_INGEST, "k", ("s1", 3), c.tolist()),
+            (WAL_SEQ_WINDOW_INGEST, "w", ("s1", 4), ts.tolist() + w.tolist()),
+            (WAL_SEQ_INGEST, "k", ("s1", 5), e.tolist()),
+        ]
+        assert service.current_n("j") == 7
+
+    def test_every_frozen_ingest_frame_counts_one_shed(self, tick, rng):
+        service, server, run = tick
+        now = time.time()
+        ts = now + np.arange(3) * 1e-3
+        assert _n(run([wire.pack_seq_ingest(1, "k", rng.random(4))])[0]) == 4
+        service.migrate_begin("k")
+        service.migrate_drain("k", freeze=True)
+        before = server.shed_count
+        responses = run(
+            [
+                bytes([wire.OP_INGEST]) + wire.pack_key("k") + wire.pack_values([1.0]),
+                wire.pack_seq_ingest(2, "k", [1.0]),
+                wire.pack_multi_ingest([("k", [1.0])]),
+                wire.pack_seq_multi_ingest(3, [("k", [1.0])]),
+                wire.pack_window_ingest("k", ts, [1.0, 2.0, 3.0]),
+                wire.pack_seq_window_ingest(4, "k", ts, [1.0, 2.0, 3.0]),
+            ]
+        )
+        assert [r[0] for r in responses] == [wire.STATUS_RETRY_LATER] * 6
+        assert server.shed_count - before == 6
+        assert service.current_n("k") == 4
+
+    def test_a_bad_frame_fails_alone(self, tick, rng):
+        service, _server, run = tick
+        a, b = rng.random(3), rng.random(4)
+        responses = run(
+            [
+                wire.pack_seq_ingest(1, "k", a),
+                wire.pack_seq_ingest(2, "k", [1.0, float("nan")]),
+                bytes([wire.OP_INGEST]) + wire.pack_key("") + wire.pack_values([1.0]),
+                wire.pack_seq_ingest(3, "k", b),
+            ]
+        )
+        assert _n(responses[0]) == 3
+        assert [responses[1][0], responses[2][0]] == [wire.STATUS_BAD_REQUEST] * 2
+        assert _n(responses[3]) == 7
+        assert _records(service) == [
+            (WAL_SEQ_INGEST, "k", ("s1", 3), np.concatenate([a, b]).tolist())
+        ]
+
+    def test_failure_before_logging_reverts_every_group(self, tick, rng, monkeypatch):
+        service, _server, run = tick
+
+        def full_disk(records):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(service.wal, "append_many", full_disk)
+        responses = run(
+            [
+                wire.pack_seq_ingest(1, "k", rng.random(3)),
+                wire.pack_seq_multi_ingest(2, [("a", rng.random(2)), ("b", rng.random(2))]),
+                bytes([wire.OP_INGEST]) + wire.pack_key("p") + wire.pack_values([1.0]),
+            ]
+        )
+        assert [r[0] for r in responses] == [wire.STATUS_RETRY_LATER] * 3
+        assert service.degraded
+        assert [service.sessions.high_water("s1", key) for key in "kab"] == [0, 0, 0]
+        assert [service.current_n(key) for key in "kabp"] == [0, 0, 0, 0]
+
+    def test_failed_group_fails_only_its_frame(self, tick, rng, monkeypatch):
+        service, _server, run = tick
+        original = service.store.update_many
+
+        def update_many(key, values):
+            if key == "bad":
+                raise SnapshotCorruptError("bad.frq", "bad snapshot")
+            return original(key, values)
+
+        monkeypatch.setattr(service.store, "update_many", update_many)
+        responses = run(
+            [
+                wire.pack_seq_ingest(1, "a", rng.random(3)),
+                wire.pack_seq_multi_ingest(2, [("bad", rng.random(2)), ("c", rng.random(5))]),
+                wire.pack_seq_ingest(3, "d", rng.random(4)),
+            ]
+        )
+        assert _n(responses[0]) == 3
+        assert responses[1][0] == wire.STATUS_BAD_REQUEST
+        assert _n(responses[2]) == 4
+        marks = {key: service.sessions.high_water("s1", key) for key in ("a", "bad", "c", "d")}
+        assert marks == {"a": 1, "bad": 0, "c": 2, "d": 3}
+        assert service.current_n("c") == 5
+
+    def test_windowed_frame_after_a_failed_group_of_its_key_sheds(self, tick, rng, monkeypatch):
+        """The run flushes before the windowed frame is admitted, so the
+        failed group's rollback (and pinned shed floor) reaches it: the
+        frame sheds instead of applying under a mark that was rolled back."""
+        service, _server, run = tick
+        original = service.store.update_many
+
+        def update_many(key, values):
+            if key == "bad":
+                raise SnapshotCorruptError("bad.frq", "bad snapshot")
+            return original(key, values)
+
+        monkeypatch.setattr(service.store, "update_many", update_many)
+        ts = time.time() + np.arange(3) * 1e-3
+        responses = run(
+            [
+                wire.pack_seq_ingest(1, "bad", rng.random(2)),
+                wire.pack_seq_window_ingest(2, "bad", ts, rng.random(3)),
+            ]
+        )
+        assert [r[0] for r in responses] == [wire.STATUS_BAD_REQUEST, wire.STATUS_RETRY_LATER]
+        assert service.sessions.high_water("s1", "bad") == 0
+        assert service.window_accepted("bad") == 0
+
+    def test_shed_frame_with_a_duplicate_keeps_the_shed_floor(self, tick, rng):
+        """A shed multi-key frame whose later key is a duplicate must leave
+        the shed floor pinned: otherwise the next frame applies past the
+        shed one and the shed frame's retry is deduplicated into an ack
+        for values never counted."""
+        service, server, run = tick
+        assert _n(run([wire.pack_seq_ingest(10, "j", rng.random(2))])[0]) == 2
+        k = rng.random(3)
+        server.draining = True
+        shed = run([wire.pack_seq_multi_ingest(6, [("k", k), ("j", rng.random(2))])])
+        server.draining = False
+        assert shed[0][0] == wire.STATUS_RETRY_LATER
+        assert run([wire.pack_seq_ingest(7, "k", rng.random(4))])[0][0] == wire.STATUS_RETRY_LATER
+        retry = run(
+            [
+                wire.pack_seq_multi_ingest(6, [("k", k), ("j", rng.random(2))]),
+                wire.pack_seq_ingest(7, "k", rng.random(4)),
+            ]
+        )
+        assert _multi_acks(retry[0]) == [3, 2]
+        assert _n(retry[1]) == 7
