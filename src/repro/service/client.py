@@ -1,31 +1,26 @@
-"""Clients for the quantile service (sync sockets and asyncio).
+"""Clients for the quantile service: one operation core, two drivers.
 
-Both clients speak the framed protocol of :mod:`repro.service.protocol`
-and expose the same surface: ``ingest`` ships a batch straight into the
-server's ``update_many`` path, ``ingest_stream`` pipelines a large batch
-as a **window** of in-flight frames (no per-frame round trip — the lever
-that closes the service/engine throughput gap), ``ingest_multi`` packs
-several keys' batches into one ``MULTI_INGEST`` frame (fan-in),
-``ingest_one`` buffers scalars per key and auto-flushes full batches
-(batching is THE lever for socket throughput — one frame per value would
-spend everything on framing), ``query``/``cdf``/``rank`` read quantiles,
-CDF masses, and rank estimates, ``query_many`` packs many keys' reads
-into one ``MULTI_QUERY`` frame (per-request statuses: a missing key
-never fails the batch), ``query_stream`` pipelines windows of uniform
-query frames — the read-side mirror of ``ingest_stream``, sharing its
-windowing state machine, with vectorized encode/decode on both sides —
-``merge`` ships a locally built sketch's ``FRQ1`` payload for
-server-side union (the distributed-edge pattern), and ``stats`` /
-``snapshot`` / ``ping`` cover operations.
+Every operation is written once, in :class:`_ClientCore`, as a generator
+that does no I/O: it yields ``(callable, *args)`` commands — open a
+connection, send a frame or window, read a frame, sleep, call a public
+method — and gets each result sent (or its exception thrown) back in.
+The core holds all client logic: request encoding and decoding, HELLO
+and sequence reservation, retry with ``RETRY_LATER`` backoff, the one
+window pump behind ``ingest_stream``/``query_stream`` (reconnect and
+rewind, shed drain), the ``ingest_one`` buffers, ``subscribe``'s cursor,
+and the closed check: any operation on a closed client raises
+:class:`~repro.errors.TransportError` and opens no socket.
 
-Error handling: a non-OK response status raises
-:class:`~repro.errors.ServiceError` carrying the server's message (and a
-``status`` attribute); transport failures surface as the usual
-``ConnectionError`` family.  ``ingest_stream`` maps error acks back to
-the offending frame: the raised error carries ``batch_index`` /
-``value_offset`` / ``count`` attributes plus an ``errors`` list when
-several frames failed (frames already in flight behind a failed one are
-still processed independently by the server).
+The drivers only open connections and run commands.
+:class:`QuantileClient` uses blocking sockets (a window leaves in one
+zero-copy ``sendall``; a buffered reader drains a window of acks per
+``recv``).  :class:`AsyncQuantileClient` uses asyncio streams and maps
+their timeouts and EOFs into the sync driver's exception family, so
+both make the same retry decisions.
+
+A non-OK status raises :class:`~repro.errors.ServiceError` carrying the
+server's message and ``status``; transport failures raise the
+``ConnectionError`` family (``TimeoutError`` on a stall).
 
 Example::
 
@@ -39,10 +34,13 @@ Example::
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import socket
 import time
 from collections import deque
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,10 +58,11 @@ __all__ = [
     "AsyncQuantileClient",
 ]
 
-#: Exceptions that mean "the connection is gone" (sync client).  Note
+#: Exceptions that mean "the connection is gone".  Note
 #: :class:`~repro.errors.TransportError` subclasses ``ConnectionError``,
-#: so mid-frame EOFs land here too; ``socket.timeout`` is an ``OSError``,
-#: so a retry policy's timeout drives the same reconnect path.
+#: so mid-frame EOFs land here too; a timeout is a ``TimeoutError``, an
+#: ``OSError``, so a retry policy's timeout drives the same reconnect
+#: path.  The async driver maps its stream errors into this family.
 _TRANSPORT_ERRORS = (ConnectionError, OSError)
 
 
@@ -222,14 +221,14 @@ def _normalize_query_request(request):
 class _WindowedStream:
     """The I/O-agnostic send-window state machine of the pipelined paths.
 
-    Shared by :class:`_IngestStream` and :class:`_QueryStream` (and thus
-    by the sync and async clients): owns the in-flight frame accounting
+    Shared by :class:`_IngestStream` and :class:`_QueryStream`, which the
+    core's one window pump drives: owns the in-flight frame accounting
     and error collection so reads and writes pipeline through the same
-    discipline and the four stream entry points differ only in how bytes
-    move and what a frame means.  Drive it with :meth:`next_window` (a
-    :class:`memoryview` to send, or ``None`` when the window is full /
-    the data is exhausted), feed every received response body to
-    :meth:`ack`, and call :meth:`finish` once :attr:`done`.
+    discipline and the stream entry points differ only in what a frame
+    means.  Drive it with :meth:`next_window` (a :class:`memoryview` to
+    send, or ``None`` when the window is full / the data is exhausted),
+    feed every received response body to :meth:`ack`, and call
+    :meth:`finish` once :attr:`done`.
     """
 
     __slots__ = ("_window", "_scratch", "_outstanding", "_errors", "_position", "_total")
@@ -291,16 +290,7 @@ class _IngestStream(_WindowedStream):
     __slots__ = ("_key", "_array", "_frame_values", "_frame_index", "last_n",
                  "_start_seq", "shed", "num_frames")
 
-    def __init__(
-        self,
-        key: str,
-        values,
-        frame_values: int,
-        window: int,
-        scratch: bytearray,
-        *,
-        start_seq: Optional[int] = None,
-    ):
+    def __init__(self, key: str, values, frame_values: int, window: int, scratch: bytearray):
         array = np.ascontiguousarray(values, dtype=wire.WIRE_DTYPE).reshape(-1)
         if array.size == 0:
             raise ServiceError("empty ingest stream")
@@ -310,7 +300,8 @@ class _IngestStream(_WindowedStream):
         self._key = key
         self._frame_index = 0
         self.last_n = 0
-        self._start_seq = start_seq
+        #: Sequence of frame 0 when sequenced (set by the caller).
+        self._start_seq: Optional[int] = None
         #: Tokens of frames the server shed with RETRY_LATER (seq mode).
         self.shed: List[tuple] = []
         self.num_frames = -(-int(array.size) // int(frame_values))
@@ -389,6 +380,9 @@ class _QueryStream(_WindowedStream):
     """
 
     __slots__ = ("_key", "_kind", "_points", "_frame_requests", "_values", "_n", "_eps", "_retained")
+
+    #: Reads are never shed, so the pump never drains and rewinds them.
+    shed = ()
 
     def __init__(self, key: str, kind, points, frame_requests: int, window: int, scratch: bytearray):
         kind = wire.kind_code(kind)
@@ -485,53 +479,707 @@ def _decode_multi_response(payload) -> List[int]:
     return totals
 
 
-class _RequestEncoder:
-    """Request-body builders shared by both clients."""
-
-    @staticmethod
-    def ingest(key: str, values) -> bytes:
-        return bytes([wire.OP_INGEST]) + wire.pack_key(key) + wire.pack_values(values)
-
-    @staticmethod
-    def query(key: str, fractions) -> bytes:
-        return bytes([wire.OP_QUERY]) + wire.pack_key(key) + wire.pack_values(fractions)
-
-    @staticmethod
-    def cdf(key: str, points) -> bytes:
-        return bytes([wire.OP_CDF]) + wire.pack_key(key) + wire.pack_values(points)
-
-    @staticmethod
-    def rank(key: str, values) -> bytes:
-        return bytes([wire.OP_RANK]) + wire.pack_key(key) + wire.pack_values(values)
-
-    @staticmethod
-    def merge(key: str, payload: bytes) -> bytes:
-        return bytes([wire.OP_MERGE]) + wire.pack_key(key) + wire.pack_blob(payload)
-
-    @staticmethod
-    def stats(key: Optional[str]) -> bytes:
-        return bytes([wire.OP_STATS]) + wire.pack_key(key or "")
-
-    @staticmethod
-    def fetch(key: str) -> bytes:
-        return bytes([wire.OP_FETCH]) + wire.pack_key(key)
-
-    @staticmethod
-    def snapshot() -> bytes:
-        return bytes([wire.OP_SNAPSHOT])
-
-    @staticmethod
-    def ping() -> bytes:
-        return bytes([wire.OP_PING])
+# -- request bodies and response payloads of the single-frame calls -------
 
 
-def _merge_payload(sketch_or_bytes) -> bytes:
-    if isinstance(sketch_or_bytes, (bytes, bytearray, memoryview)):
-        return bytes(sketch_or_bytes)
-    return sketch_or_bytes.to_bytes()
+def _pack_keyed(opcode: int, key: str, tail: bytes = b"") -> bytes:
+    """``opcode key [tail]``: the classic single-key request layout."""
+    return bytes([opcode]) + wire.pack_key(key) + tail
 
 
-class QuantileClient:
+def _pack_points(opcode: int, key: str, points) -> bytes:
+    """An ``INGEST``/``QUERY``/``CDF``/``RANK`` body: a key and values."""
+    return _pack_keyed(opcode, key, wire.pack_values(points))
+
+
+def _decode_n(payload) -> int:
+    return wire.unpack_n(payload, 0)[0]
+
+
+def _decode_blob(payload) -> bytes:
+    return wire.unpack_blob(payload, 0)[0]
+
+
+def _decode_text(payload) -> str:
+    return _decode_blob(payload).decode("utf-8")
+
+
+def _decode_json(payload) -> dict:
+    return json.loads(_decode_text(payload))
+
+
+def _decode_fetch(payload) -> Tuple[int, bytes]:
+    n, offset = wire.unpack_n(payload, 0)
+    return n, wire.unpack_blob(payload, offset)[0]
+
+
+def _decode_health(payload) -> dict:
+    return json.loads(wire.unpack_health_response(payload)[1])
+
+
+def _decode_count(payload) -> int:
+    return int.from_bytes(payload[:4], "little")
+
+
+def _decode_nothing(payload) -> None:
+    return None
+
+
+def _decode_group_totals(items, payload) -> Dict[str, int]:
+    return {key: n for (key, _values), n in zip(items, _decode_multi_response(payload))}
+
+
+class _ClientCore:
+    """Every client operation, written once and free of I/O.
+
+    Operations are generators yielding ``(callable, *args)`` commands: the
+    driver's ``_open``/``_sleep``, a connection's ``send``/``read``/
+    ``exchange`` (send a frame, read the reply), or a public method.  Closing a connection never blocks, so the core calls
+    ``close()``/``untimed()`` on it directly.  A driver supplies ``_run``
+    (an operation's result: a value, or an awaitable), ``_events`` (the
+    subscription generator), ``_open`` and ``_sleep``.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        batch_size: int,
+        timeout: Optional[float],
+        retry: Optional[RetryPolicy],
+        session: Optional[str],
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.batch_size = batch_size
+        self._buffers: Dict[str, List[float]] = {}
+        #: Reusable encode scratch (zero allocations per window once warm).
+        self._tx = bytearray()
+        self._retry = retry
+        self._retry_state = retry.start() if retry is not None else None
+        if retry is not None and timeout is None:
+            timeout = retry.timeout
+        self._timeout = timeout
+        self.session_id = session if session is not None else (
+            _new_session_id() if retry is not None else None
+        )
+        #: True once the server granted the exactly-once session.
+        self.exactly_once = False
+        self._next_seq = 1
+        self._closed = False
+        self._conn = None
+
+    # -- connection and session bookkeeping ----------------------------
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise TransportError("client connection is closed")
+
+    def _connect(self):
+        """Open the connection and negotiate the exactly-once session.  An
+        old server answers HELLO with ``BAD_REQUEST``: the client then runs
+        without exactly-once (only idempotent reads retry)."""
+        self._conn = conn = yield (self._open,)
+        if self.session_id is None:
+            return
+        try:
+            try:
+                payload = wire.raise_for_status(
+                    (yield (conn.exchange, wire.encode_frame(wire.pack_hello(self.session_id))))
+                )
+            except ServiceError as exc:
+                if (
+                    isinstance(exc, _TRANSPORT_ERRORS)
+                    or getattr(exc, "status", None) != wire.STATUS_BAD_REQUEST
+                ):
+                    raise
+                self.exactly_once = False
+                return
+            granted, high_water = wire.unpack_hello_response(payload)
+        except BaseException:
+            # A connection whose HELLO never completed must not survive:
+            # reusing it would send sequenced frames into a session the
+            # server never opened.  (Reachable when the network eats the
+            # HELLO exchange without severing TCP.)
+            self._drop()
+            raise
+        self.exactly_once = bool(granted & wire.FLAG_EXACTLY_ONCE)
+        # Resuming a session: never reuse a sequence number the server
+        # has already seen (it would be silently deduplicated).
+        if high_water >= self._next_seq:
+            self._next_seq = high_water + 1
+
+    def _ensure_connected(self):
+        """Refuse a closed client, then connect lazily if needed (a
+        failed connect under a retry policy backs off and retries)."""
+        self._check_open()
+        if self._conn is None:
+            try:
+                yield from self._connect()
+            except _TRANSPORT_ERRORS as exc:
+                if self._retry is None:
+                    raise
+                yield from self._reconnect(exc)
+
+    def _drop(self) -> None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+
+    def _reconnect(self, cause: Optional[BaseException] = None):
+        """Reconnect (and re-HELLO) with backoff; spends retry budget."""
+        self._drop()
+        state = self._retry_state
+        attempt = 0
+        while True:
+            state.spend(cause)
+            yield (self._sleep, state.delay(attempt))
+            attempt += 1
+            try:
+                yield from self._connect()
+                return
+            except _TRANSPORT_ERRORS as exc:
+                cause = exc
+                if attempt > self._retry.retries:
+                    raise
+
+    def _reserve_seq(self, frames: int = 1) -> int:
+        """Claim ``frames`` consecutive sequence numbers (never reused —
+        even a failed operation's numbers may have reached the server)."""
+        seq = self._next_seq
+        self._next_seq = seq + frames
+        return seq
+
+    # -- the operation core --------------------------------------------
+
+    def _request_op(self, body: bytes, idempotent=False, decode=None, once=False):
+        """One request/response under the retry policy (``once``: one try),
+        its payload passed through ``decode`` when given.
+
+        Transport errors reconnect + resend only ``idempotent`` bodies
+        (reads, or sequenced ingest the server deduplicates);
+        ``RETRY_LATER`` always backs off + resends (a shed frame was not
+        applied).
+        """
+        if self._closed or self._conn is None:
+            yield from self._ensure_connected()
+        retry = None if once else self._retry
+        frame = wire.encode_frame(body)
+        attempt = 0
+        while True:
+            try:
+                payload = wire.raise_for_status((yield (self._conn.exchange, frame)))
+                return payload if decode is None else decode(payload)
+            except _TRANSPORT_ERRORS as exc:
+                if retry is None:
+                    raise
+                self._drop()
+                if not idempotent:
+                    raise
+                yield from self._reconnect(exc)
+            except ServiceError as exc:
+                if (
+                    retry is None
+                    or getattr(exc, "status", None) != wire.STATUS_RETRY_LATER
+                    or attempt >= retry.retries
+                ):
+                    raise
+                self._retry_state.spend(exc)
+                yield (self._sleep, self._retry_state.delay(attempt))
+                attempt += 1
+
+    def _call(self, decode, body: bytes, *, idempotent: bool = True):
+        return self._run(self._request_op(body, idempotent, decode))
+
+    def _sequenced(self, decode, pack_seq, pack_plain, *args):
+        """An ingest request: sequenced (so safely retried) once the
+        session is granted, else plain and never resent."""
+        if self._closed or self._conn is None:
+            yield from self._ensure_connected()
+        sequenced = self.exactly_once
+        if sequenced:
+            body = pack_seq(self._reserve_seq(), *args)
+        else:
+            body = pack_plain(*args)
+        return (yield from self._request_op(body, sequenced, decode))
+
+    def _pump(self, stream, resilient: bool):
+        """Drive a windowed stream to its result.  When ``resilient``,
+        transport errors reconnect, rewind to the oldest frame of unknown
+        fate, and resend (the frames are sequenced, or are reads).  A
+        ``RETRY_LATER`` ack stops new sends, drains the in-flight acks
+        (the server's shed floor sheds them all), rewinds, and backs off.
+        """
+        shed_attempt = 0
+        while not stream.done:
+            try:
+                if stream.shed:
+                    if stream.outstanding:
+                        stream.ack((yield (self._conn.read,)))
+                        continue
+                    if shed_attempt >= self._retry.retries:
+                        raise ServiceError(
+                            f"server still shedding after {shed_attempt} retries"
+                        )
+                    stream.rewind()
+                    self._retry_state.spend()
+                    yield (self._sleep, self._retry_state.delay(shed_attempt))
+                    shed_attempt += 1
+                    continue
+                window_view = stream.next_window()
+                if window_view is None:
+                    stream.ack((yield (self._conn.read,)))
+                    continue
+                try:
+                    yield (self._conn.send, window_view)
+                finally:
+                    window_view.release()  # free the scratch for reuse
+            except _TRANSPORT_ERRORS as exc:
+                if not resilient:
+                    raise
+                yield from self._reconnect(exc)
+                stream.rewind()
+        return stream.finish()
+
+    def _ingest_stream(self, key, values, frame_values, window):
+        yield from self._ensure_connected()
+        stream = _IngestStream(key, values, frame_values, window, self._tx)
+        resilient = self.exactly_once and self._retry is not None
+        if resilient:
+            stream._start_seq = self._reserve_seq(stream.num_frames)
+        return (yield from self._pump(stream, resilient))
+
+    def _query_stream(self, key, kind, points, frame_requests, window):
+        yield from self._ensure_connected()
+        stream = _QueryStream(key, kind, points, frame_requests, window, self._tx)
+        # Reads are idempotent: replay is always safe, no session needed.
+        return (yield from self._pump(stream, self._retry is not None))
+
+    def _ship(self, key: str, values: List[float]):
+        """Send a detached buffer through the public ``ingest``.  On
+        failure it is merged back, not assigned: another task may have
+        started a fresh buffer for the key during the call, and
+        overwriting it would lose those values."""
+        try:
+            yield (self.ingest, key, values)
+        except BaseException:
+            values.extend(self._buffers.pop(key, []))
+            self._buffers[key] = values
+            raise
+
+    def _ingest_one(self, key: str, value: float):
+        self._check_open()
+        buffer = self._buffers.setdefault(key, [])
+        buffer.append(float(value))
+        if len(buffer) >= self.batch_size:
+            del self._buffers[key]
+            yield from self._ship(key, buffer)
+
+    def _flush(self):
+        self._check_open()
+        for key in list(self._buffers):
+            values = self._buffers.pop(key, None)
+            if values:
+                yield from self._ship(key, values)
+
+    def _close(self):
+        if self._closed:
+            return
+        try:
+            if self._conn is not None:
+                yield from self._flush()
+        finally:
+            self._closed = True
+            self._drop()
+
+    # -- raw requests (the cluster clients build their own bodies) -----
+
+    def _request(self, body: bytes, *, idempotent: bool = False):
+        return self._run(self._request_op(body, idempotent))
+
+    def _request_once(self, body: bytes):
+        return self._run(self._request_op(body, once=True))
+
+    # -- ingestion -----------------------------------------------------
+
+    def ingest(self, key: str, values):
+        """Ship one batch; returns the key's total ``n`` on the server."""
+        return self._run(self._sequenced(
+            _decode_n, wire.pack_seq_ingest, partial(_pack_points, wire.OP_INGEST), key, values
+        ))
+
+    def ingest_stream(
+        self,
+        key: str,
+        values,
+        *,
+        frame_values: int = DEFAULT_FRAME_VALUES,
+        window: int = DEFAULT_WINDOW,
+    ):
+        """Pipelined ingest: stream ``values`` as many in-flight frames.
+
+        Up to ``window`` frames ride the wire before the first ack is
+        awaited, so throughput is bounded by bandwidth + server work, not
+        by round trips; each window is encoded into one reusable buffer
+        and sent at once, and the server coalesces each tick's frames into
+        single sketch/WAL batches.  Returns the key's total ``n``.
+
+        Error acks raise :class:`~repro.errors.ServiceError` for the
+        *first* failed frame, with ``batch_index``, ``value_offset``,
+        ``count`` and ``errors`` (every failed frame) attributes; later
+        frames are still processed, so a caller can retry exactly the
+        failed slices.  With an exactly-once session the frames are
+        sequenced: a dropped connection replays every unacknowledged frame
+        (the server deduplicates), and ``RETRY_LATER`` acks drain the
+        window, rewind to the first shed frame, back off, and resume.
+        """
+        return self._run(self._ingest_stream(key, values, frame_values, window))
+
+    def ingest_multi(self, batches):
+        """Ship several keys' batches in ONE ``MULTI_INGEST`` frame.
+
+        ``batches`` is a mapping (or ``(key, values)`` pairs); returns
+        ``{key: n_after}`` (a repeated key reports its total after its
+        *last* group).  One round trip for the lot:
+
+        * An empty or NaN batch, or an unroutable key, rejects the whole
+          frame before anything is applied.
+        * Otherwise every group applies in order, each as its own WAL
+          record, and the ack waits until all are durable.
+        * Under exactly-once the frame carries one sequence number: a
+          replay applies nothing and acks current counts, and a shed
+          frame (``RETRY_LATER``) moved no mark, so its retry applies once.
+        * A group that fails to apply (say, a corrupt spilled snapshot)
+          fails the frame with its error while the other groups apply;
+          only the failed keys' marks roll back, so a retry applies
+          exactly what is missing.
+        """
+        items = list(batches.items()) if hasattr(batches, "items") else list(batches)
+        return self._run(self._sequenced(
+            partial(_decode_group_totals, items),
+            wire.pack_seq_multi_ingest,
+            wire.pack_multi_ingest,
+            items,
+        ))
+
+    def ingest_one(self, key: str, value: float):
+        """Buffer one value; a full buffer ships as a single batch.
+
+        Same contract as :meth:`flush`: if shipping fails, the batch is
+        re-attached to the buffer so a retry cannot silently lose it.
+        """
+        return self._run(self._ingest_one(key, value))
+
+    def flush(self):
+        """Ship every buffered ``ingest_one`` value.  On a failure the
+        failing key's values are re-attached (merged with any staged
+        meanwhile) and the rest stay buffered, so the caller can retry."""
+        return self._run(self._flush())
+
+    def merge(self, key: str, sketch_or_bytes):
+        """Union a local sketch (or its ``FRQ1`` payload) into a server key."""
+        if not isinstance(sketch_or_bytes, (bytes, bytearray, memoryview)):
+            sketch_or_bytes = sketch_or_bytes.to_bytes()
+        body = _pack_keyed(wire.OP_MERGE, key, wire.pack_blob(bytes(sketch_or_bytes)))
+        return self._call(_decode_n, body, idempotent=False)
+
+    def fetch(self, key: str):
+        """``(n, FRQ1 payload)`` for ``key`` — the anti-entropy read path
+        (decode with :meth:`repro.fast.FastReqSketch.from_bytes`)."""
+        return self._call(_decode_fetch, _pack_keyed(wire.OP_FETCH, key))
+
+    # -- windowed quantiles --------------------------------------------
+
+    def ingest_windowed(self, key: str, timestamps, values):
+        """Ship timestamped values into ``key``'s window rings.
+
+        ``timestamps`` (epoch seconds) and ``values`` are parallel
+        arrays; one call is one **batch** — the server's lateness window
+        is judged per batch, so values that arrive together are admitted
+        together.  Returns the key's lifetime accepted count (finest
+        ring), which is also the duplicate-ack value under exactly-once.
+        """
+        return self._run(self._sequenced(
+            _decode_n, wire.pack_seq_window_ingest, wire.pack_window_ingest,
+            key, timestamps, values,
+        ))
+
+    def query_horizon(
+        self,
+        key: str,
+        points: Sequence[float] = (0.5, 0.9, 0.99),
+        *,
+        start: Optional[float] = None,
+        end: Optional[float] = None,
+        last=None,
+        kind: str = "quantiles",
+        resolution: float = 0.0,
+        now: Optional[float] = None,
+    ):
+        """Query the merge of every bucket overlapping a time horizon.
+
+        Bounds come either from ``start``/``end`` (epoch seconds; ``end``
+        defaults to now) or from ``last`` — a trailing duration such as
+        ``"5m"`` or ``"1h30m"`` — never both.  ``resolution`` picks the
+        ring (``0.0`` = finest); ``kind`` is ``"quantiles"`` / ``"ranks"``
+        / ``"cdf"`` as in :meth:`query_many`.  The answer is exactly what
+        a fresh ``merge_many`` over the retained buckets would give
+        (full mergeability: same a-priori error bound as one sketch over
+        the horizon's values).  Returns a :class:`QueryResult`.
+        """
+        lo, hi = _resolve_horizon(start, end, last, now)
+        body = wire.pack_window_query(key, kind, resolution, lo, hi, points)
+        return self._call(_decode_query_response, body)
+
+    def subscribe(
+        self,
+        key: str,
+        fractions: Sequence[float] = (0.5, 0.99),
+        *,
+        resolution: float = 0.0,
+        resume_from: int = 0,
+    ):
+        """Live bucket-close stream: one :class:`BucketEvent` per closed
+        window bucket, oldest first, forever (an async generator on
+        :class:`AsyncQuantileClient`).
+
+        Uses a **dedicated** push connection.  The ack replays retained
+        closed buckets from ``resume_from`` before any live push; with a
+        retry policy a dropped connection resumes from the cursor, and
+        each bucket index is yielded at most once per generator.  Close
+        the generator to unsubscribe.
+        """
+        return self._events(_Subscription(self, key, fractions, resolution, resume_from))
+
+    # -- queries -------------------------------------------------------
+
+    def query(self, key: str, fractions: Sequence[float]):
+        """Quantiles of ``key`` at ``fractions``, as a :class:`QueryResult`."""
+        return self._call(_decode_query_response, _pack_points(wire.OP_QUERY, key, fractions))
+
+    def quantile(self, key: str, q: float):
+        return self._call(
+            lambda payload: float(_decode_query_response(payload).quantiles[0]),
+            _pack_points(wire.OP_QUERY, key, [q]),
+        )
+
+    def cdf(self, key: str, split_points: Sequence[float]):
+        return self._call(_decode_query_response, _pack_points(wire.OP_CDF, key, split_points))
+
+    def rank(self, key: str, values: Sequence[float]):
+        """Estimated ranks of ``values`` (as exact float64 integers)."""
+        return self._call(_decode_query_response, _pack_points(wire.OP_RANK, key, values))
+
+    def query_many(self, requests):
+        """Ship many read requests in ONE ``MULTI_QUERY`` frame.
+
+        ``requests`` is an iterable of ``(key, points)`` (quantiles) or
+        ``(key, kind, points)`` tuples, ``kind`` one of ``"quantiles"`` /
+        ``"ranks"`` / ``"cdf"``.  Returns one entry per request, in
+        order: a :class:`QueryResult`, or a
+        :class:`~repro.errors.ServiceError` (with ``status`` and
+        ``request_index``) for requests that failed — a missing key
+        never fails its neighbours.  One round trip for the whole batch.
+        """
+        items = [_normalize_query_request(request) for request in requests]
+        return self._call(
+            partial(_decode_multi_query_list, expected=len(items)),
+            wire.pack_multi_query(items),
+        )
+
+    def query_stream(
+        self,
+        key: str,
+        points,
+        *,
+        kind: str = "quantiles",
+        frame_requests: int = DEFAULT_FRAME_REQUESTS,
+        window: int = DEFAULT_QUERY_WINDOW,
+    ):
+        """Pipelined reads: one request per row of ``points``.
+
+        The read-side mirror of :meth:`ingest_stream` (same window pump):
+        up to ``window`` ``MULTI_QUERY`` frames of ``frame_requests``
+        uniform requests ride the wire at once, encoded and decoded
+        vectorized end to end.  ``window=1`` degrades to batched round
+        trips, the shape for a single dashboard refresh.  Returns a
+        :class:`BatchQueryResult` whose ``values[i]`` answers
+        ``points[i]``; failed requests raise the first one's
+        :class:`~repro.errors.ServiceError` (``request_index``,
+        ``errors``).
+        """
+        return self._run(self._query_stream(key, kind, points, frame_requests, window))
+
+    # -- operations ----------------------------------------------------
+
+    def stats(self, key: Optional[str] = None):
+        return self._call(_decode_json, _pack_keyed(wire.OP_STATS, key or ""))
+
+    def snapshot(self):
+        """Force a full checkpoint; returns the number of keys written."""
+        return self._call(_decode_count, bytes([wire.OP_SNAPSHOT]))
+
+    def ping(self):
+        """Server liveness + version string."""
+        return self._call(_decode_text, bytes([wire.OP_PING]))
+
+    def health(self):
+        """The server's readiness: ``state`` (``ready`` / ``overloaded``
+        / ``draining``) plus operational detail (open connections, WAL
+        queue depth, shed counts)."""
+        return self._call(_decode_health, wire.pack_health())
+
+    # -- topology & live migration (the reshard control surface) -------
+
+    def topology(self):
+        """The node's installed topology as JSON (``""`` when none)."""
+        return self._call(_decode_text, wire.pack_topology())
+
+    def set_topology(self, map_json: str):
+        """Install a topology on the node; returns the installed JSON.
+        Idempotent (an older or equal map is a no-op), so safe to retry."""
+        return self._call(_decode_text, wire.pack_topology(map_json))
+
+    def migrate_keys(self):
+        """Every key the node holds state for (plain or windowed)."""
+        return self._call(wire.unpack_keys_response, wire.pack_migrate(wire.MIGRATE_KEYS))
+
+    def migrate_begin(self, key: str):
+        """Capture ``key``'s MB1 bundle and put it into forwarding state."""
+        return self._call(_decode_blob, wire.pack_migrate(wire.MIGRATE_BEGIN, key))
+
+    def migrate_drain(self, key: str, *, freeze: bool = False):
+        """``(frozen, entries)`` — collect ``key``'s forwarded writes.  Not
+        retried on transport errors: a resend could skip a buffer the lost
+        attempt already cleared, so the coordinator handles the failure."""
+        return self._call(
+            wire.unpack_drain_response,
+            wire.pack_migrate(wire.MIGRATE_DRAIN, key, freeze=freeze),
+            idempotent=False,
+        )
+
+    def migrate_commit(self, key: str):
+        """End ``key``'s migration on this (source) node.  Idempotent."""
+        return self._call(_decode_nothing, wire.pack_migrate(wire.MIGRATE_COMMIT, key))
+
+    def migrate_abort(self, key: str):
+        """Abandon ``key``'s migration; the node stays authoritative."""
+        return self._call(_decode_nothing, wire.pack_migrate(wire.MIGRATE_ABORT, key))
+
+    def migrate_push(self, key: str, bundle: bytes):
+        """Install an MB1 bundle as ``key``'s state on this (destination)
+        node; returns the resulting ``n``.  REPLACE semantics server-side
+        make a retried push idempotent, so transport retries are safe."""
+        return self._call(_decode_n, wire.pack_migrate_push(key, bundle))
+
+    def close(self):
+        """Flush buffered values and close the connection (idempotent)."""
+        return self._run(self._close())
+
+
+class _Subscription:
+    """``subscribe``'s state across reconnects: its own connection, the
+    resume cursor, and the events decoded but not yet handed out.  Events
+    are filtered as they arrive, so each bucket index is handed out at
+    most once, however often the stream reconnects."""
+
+    __slots__ = ("_client", "_request", "_next_index", "_attempt", "_conn", "_pending")
+
+    def __init__(self, client: _ClientCore, key, fractions, resolution, resume_from) -> None:
+        self._client = client
+        self._request = (key, resolution, [float(f) for f in fractions])
+        self._next_index = int(resume_from)
+        self._attempt = 0
+        self._conn = None
+        self._pending: deque = deque()
+
+    def next_event(self):
+        """Operation: the next :class:`BucketEvent`, subscribing (again,
+        from the cursor, under a retry policy) whenever there is no
+        connection."""
+        client = self._client
+        while not self._pending:
+            if self._conn is None:
+                client._check_open()
+            try:
+                if self._conn is None:
+                    yield from self._subscribe()
+                else:
+                    self._admit(_decode_bucket_event(
+                        wire.raise_for_status((yield (self._conn.read,)))
+                    ))
+            except _TRANSPORT_ERRORS as exc:
+                self.close()
+                if client._retry is None:
+                    raise
+                client._retry_state.spend(exc)
+                yield (client._sleep, client._retry_state.delay(self._attempt))
+                self._attempt += 1
+        return self._pending.popleft()
+
+    def _subscribe(self):
+        key, resolution, fractions = self._request
+        self._conn = conn = yield (self._client._open,)
+        request = wire.pack_subscribe(key, resolution, self._next_index, fractions)
+        payload = wire.raise_for_status((yield (conn.exchange, wire.encode_frame(request))))
+        _resolved, cursor, encoded_events = wire.unpack_subscribe_response(payload)
+        self._attempt = 0
+        for encoded in encoded_events:  # the catch-up replay
+            self._admit(_decode_bucket_event(encoded))
+        self._next_index = max(self._next_index, cursor)
+        # Live pushes can be arbitrarily far apart: block forever (the
+        # request timeout only covered connect + ack).
+        conn.untimed()
+
+    def _admit(self, event: BucketEvent) -> None:
+        if event.index >= self._next_index:
+            self._next_index = event.index + 1
+            self._pending.append(event)
+
+    def close(self) -> None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+
+
+# -- the blocking driver ---------------------------------------------------
+
+
+class _SocketConnection:
+    """One blocking TCP connection (the sync driver's transport)."""
+
+    __slots__ = ("_sock", "send", "read")
+
+    def __init__(self, host: str, port: int, timeout: Optional[float]) -> None:
+        sock = socket.create_connection((host, port), timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            # A large send buffer lets a whole pipeline window enter the
+            # kernel in one sendall, so the stream never stalls on acks.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 21)
+        except OSError:  # pragma: no cover - platform quirk, not fatal
+            pass
+        self._sock = sock
+        #: Zero-copy: a window view is sent straight from the scratch.
+        self.send = sock.sendall
+        #: Buffered reader: one recv drains a whole window of acks.
+        self.read = wire.FrameReader(sock).read_frame
+
+    def exchange(self, frame: bytes):
+        self._sock.sendall(frame)
+        return self.read()
+
+    def untimed(self) -> None:
+        self._sock.settimeout(None)
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:  # pragma: no cover - close never matters
+            pass
+
+
+class QuantileClient(_ClientCore):
     """Blocking client over one TCP connection.
 
     Args:
@@ -562,624 +1210,35 @@ class QuantileClient:
         retry: Optional[RetryPolicy] = None,
         session: Optional[str] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.batch_size = batch_size
-        self._buffers: Dict[str, List[float]] = {}
-        #: Reusable encode scratch (zero allocations per window once warm).
-        self._tx = bytearray()
-        self._retry = retry
-        self._retry_state = retry.start() if retry is not None else None
-        if retry is not None and timeout is None:
-            timeout = retry.timeout
-        self._timeout = timeout
-        self.session_id = session if session is not None else (
-            _new_session_id() if retry is not None else None
-        )
-        #: True once the server granted the exactly-once session.
-        self.exactly_once = False
-        self._next_seq = 1
-        self._closed = False
-        self._sock: Optional[socket.socket] = None
-        self._frames = None
-        self._open_connection()
+        super().__init__(host, port, batch_size, timeout, retry, session)
+        self._run(self._connect())
 
-    # -- connection lifecycle ------------------------------------------
+    _sleep = staticmethod(time.sleep)
 
-    def _open_connection(self) -> None:
-        sock = socket.create_connection((self.host, self.port), timeout=self._timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            # A large send buffer lets a whole pipeline window enter the
-            # kernel in one sendall, so the stream never stalls on acks.
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 21)
-        except OSError:  # pragma: no cover - platform quirk, not fatal
-            pass
-        self._sock = sock
-        #: Buffered reader: one recv drains a whole window of acks.
-        self._frames = wire.FrameReader(sock)
-        if self.session_id is not None:
-            try:
-                self._hello()
-            except BaseException:
-                # A connection whose HELLO never completed must not
-                # survive: reusing it would send sequenced frames into a
-                # session the server never opened.  (Reachable when the
-                # network eats the HELLO exchange without severing TCP.)
-                self._drop_connection()
-                raise
+    def _open(self) -> _SocketConnection:
+        return _SocketConnection(self.host, self.port, self._timeout)
 
-    def _hello(self) -> None:
-        """Negotiate the exactly-once session on a fresh connection.
-
-        An old server answers the unknown opcode with ``BAD_REQUEST``;
-        the client then runs without exactly-once (ingest retries are
-        unsafe and disabled, idempotent reads still retry).
-        """
-        self._sock.sendall(wire.encode_frame(wire.pack_hello(self.session_id)))
-        try:
-            payload = wire.raise_for_status(self._frames.read_frame())
-        except ServiceError as exc:
-            if (
-                not isinstance(exc, _TRANSPORT_ERRORS)
-                and getattr(exc, "status", None) == wire.STATUS_BAD_REQUEST
-            ):
-                self.exactly_once = False
-                return
-            raise
-        granted, high_water = wire.unpack_hello_response(payload)
-        self.exactly_once = bool(granted & wire.FLAG_EXACTLY_ONCE)
-        # Resuming a session: never reuse a sequence number the server
-        # has already seen (it would be silently deduplicated).
-        if high_water >= self._next_seq:
-            self._next_seq = high_water + 1
-
-    def _drop_connection(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close never matters
-                pass
-        self._sock = None
-        self._frames = None
-
-    def _reconnect(self, cause: Optional[BaseException] = None) -> None:
-        """Reconnect (and re-HELLO) with backoff; spends retry budget."""
-        self._drop_connection()
-        state = self._retry_state
-        attempt = 0
-        while True:
-            state.spend(cause)
-            time.sleep(state.delay(attempt))
-            attempt += 1
-            try:
-                self._open_connection()
-                return
-            except _TRANSPORT_ERRORS as exc:
-                cause = exc
-                if attempt > self._retry.retries:
-                    raise
-
-    def _reserve_seq(self, frames: int = 1) -> int:
-        """Claim ``frames`` consecutive sequence numbers (never reused —
-        even a failed operation's numbers may have reached the server)."""
-        seq = self._next_seq
-        self._next_seq = seq + frames
-        return seq
-
-    def _request_once(self, body: bytes):
-        if self._sock is None:
-            raise TransportError("client connection is closed")
-        self._sock.sendall(wire.encode_frame(body))
-        return wire.raise_for_status(self._frames.read_frame())
-
-    def _request(self, body: bytes, *, idempotent: bool = False):
-        """One request/response, with the retry policy applied.
-
-        Transport errors reconnect + resend only for ``idempotent``
-        bodies (reads, or sequenced ingest the server deduplicates);
-        ``RETRY_LATER`` answers always back off + resend — the server
-        guarantees a shed frame was not applied.
-        """
-        if self._retry is None:
-            return self._request_once(body)
-        attempt = 0
+    @staticmethod
+    def _run(op):
+        """Run a core operation to completion, blocking."""
+        value = error = None
         while True:
             try:
-                if self._sock is None:
-                    self._open_connection()
-                return self._request_once(body)
-            except _TRANSPORT_ERRORS as exc:
-                self._drop_connection()
-                if not idempotent:
-                    raise
-                self._reconnect(exc)
-            except ServiceError as exc:
-                if (
-                    getattr(exc, "status", None) != wire.STATUS_RETRY_LATER
-                    or attempt >= self._retry.retries
-                ):
-                    raise
-                self._retry_state.spend(exc)
-                time.sleep(self._retry_state.delay(attempt))
-                attempt += 1
-
-    # -- ingestion -----------------------------------------------------
-
-    def ingest(self, key: str, values) -> int:
-        """Ship one batch; returns the key's total ``n`` on the server."""
-        if self.exactly_once:
-            body = wire.pack_seq_ingest(self._reserve_seq(), key, values)
-            payload = self._request(body, idempotent=True)
-        else:
-            payload = self._request(_RequestEncoder.ingest(key, values))
-        n, _ = wire.unpack_n(payload, 0)
-        return n
-
-    def ingest_stream(
-        self,
-        key: str,
-        values,
-        *,
-        frame_values: int = DEFAULT_FRAME_VALUES,
-        window: int = DEFAULT_WINDOW,
-    ) -> int:
-        """Pipelined ingest: stream ``values`` as many in-flight frames.
-
-        Up to ``window`` frames ride the wire before the first ack is
-        awaited, so throughput is bounded by bandwidth + server work, not
-        by round trips; each window is encoded into one reusable buffer
-        and shipped with a single ``sendall``.  The server coalesces the
-        frames it receives per event-loop tick into single sketch/WAL
-        batches, so larger windows also amortize compaction.
-
-        Returns the key's total ``n`` after the last frame.  On error
-        acks, raises :class:`~repro.errors.ServiceError` for the *first*
-        offending frame with ``batch_index`` (frame number), ``value_offset``
-        (index of its first value in ``values``), ``count``, and
-        ``errors`` (every failed frame) attributes — frames after a failed
-        one are still processed by the server, so a caller can retry
-        exactly the failed slices.
-
-        With an exactly-once session (``retry=`` + negotiated ``HELLO``)
-        the frames are sequenced: a dropped connection reconnects and
-        replays every unacknowledged frame (the server deduplicates any
-        it already counted), and ``RETRY_LATER`` acks drain the window,
-        rewind to the first shed frame, back off, and resume.
-        """
-        if self.exactly_once and self._retry is not None:
-            stream = _IngestStream(key, values, frame_values, window, self._tx)
-            stream._start_seq = self._reserve_seq(stream.num_frames)
-            return self._pump_resilient(stream, shed_retries=True)
-        stream = _IngestStream(key, values, frame_values, window, self._tx)
-        while not stream.done:
-            window_view = stream.next_window()
-            if window_view is not None:
-                try:
-                    self._sock.sendall(window_view)
-                finally:
-                    window_view.release()  # free the scratch for reuse
-            else:
-                stream.ack(self._frames.read_frame())
-        return stream.finish()
-
-    def _pump_resilient(self, stream, *, shed_retries: bool):
-        """Drive a windowed stream with reconnect-and-replay.
-
-        Transport errors reconnect, rewind to the oldest frame of unknown
-        fate, and resend (safe: the frames are sequenced, or are reads).
-        With ``shed_retries`` a ``RETRY_LATER`` ack stops new sends,
-        drains the remaining in-flight acks (the server's shed floor
-        guarantees they were all shed too), rewinds, and backs off.
-        """
-        shed_attempt = 0
-        while not stream.done:
+                command = op.send(value) if error is None else op.throw(error)
+            except StopIteration as stop:
+                return stop.value
             try:
-                if shed_retries and stream.shed:
-                    if stream.outstanding:
-                        stream.ack(self._frames.read_frame())
-                        continue
-                    if shed_attempt >= self._retry.retries:
-                        raise ServiceError(
-                            f"server still shedding after {shed_attempt} retries"
-                        )
-                    stream.rewind()
-                    self._retry_state.spend()
-                    time.sleep(self._retry_state.delay(shed_attempt))
-                    shed_attempt += 1
-                    continue
-                window_view = stream.next_window()
-                if window_view is not None:
-                    try:
-                        self._sock.sendall(window_view)
-                    finally:
-                        window_view.release()
-                else:
-                    stream.ack(self._frames.read_frame())
-            except _TRANSPORT_ERRORS as exc:
-                self._reconnect(exc)
-                stream.rewind()
-        return stream.finish()
+                value = command[0](*command[1:])
+                error = None
+            except BaseException as exc:
+                value, error = None, exc
 
-    def ingest_multi(self, batches) -> Dict[str, int]:
-        """Ship several keys' batches in ONE ``MULTI_INGEST`` frame.
-
-        ``batches`` is a mapping (or ``(key, values)`` pairs); returns
-        ``{key: n_after}`` (for a repeated key, the total after its *last*
-        group — the server acks each group with the key's cumulative ``n``).
-        The contract, one round trip for the lot:
-
-        * An empty or NaN batch, or an unroutable key, rejects the whole
-          frame (``BAD_REQUEST`` naming the group, or the redirect) before
-          anything is applied.
-        * Otherwise every group is applied in order, each as its own WAL
-          record, and the ack is released once they are all durable.
-        * With an exactly-once session the frame carries one sequence
-          number: a replay acks each already-applied key with its current
-          ``n`` and applies nothing, and a shed frame (``RETRY_LATER``:
-          draining, overloaded, degraded or frozen for a cutover) moved no
-          mark, so the retry applies it exactly once.
-        * If a group fails to apply (a spilled key whose snapshot is
-          corrupt), the other keys' groups still apply and the frame
-          answers with that group's error.  With a session, only the
-          failed keys' marks roll back, so the retry applies exactly what
-          is missing and acks the rest as already applied.
-        """
-        items = list(batches.items()) if hasattr(batches, "items") else list(batches)
-        if self.exactly_once:
-            body = wire.pack_seq_multi_ingest(self._reserve_seq(), items)
-            payload = self._request(body, idempotent=True)
-        else:
-            payload = self._request(wire.pack_multi_ingest(items))
-        totals = _decode_multi_response(payload)
-        return {key: n for (key, _values), n in zip(items, totals)}
-
-    def ingest_one(self, key: str, value: float) -> None:
-        """Buffer one value; a full buffer ships as a single batch.
-
-        Same contract as :meth:`flush`: if shipping fails, the batch is
-        re-attached to the buffer so a retry cannot silently lose it.
-        """
-        buffer = self._buffers.setdefault(key, [])
-        buffer.append(float(value))
-        if len(buffer) >= self.batch_size:
-            del self._buffers[key]
-            try:
-                self.ingest(key, buffer)
-            except BaseException:
-                self._buffers[key] = buffer
-                raise
-
-    def flush(self) -> None:
-        """Ship every buffered ``ingest_one`` value.
-
-        Each key's buffer is detached only once its batch is accepted; on
-        a failure the failing key's values are re-attached and the rest
-        stay buffered, so nothing is silently lost and the caller can
-        retry.
-        """
-        for key in list(self._buffers):
-            values = self._buffers.pop(key)
-            if not values:
-                continue
-            try:
-                self.ingest(key, values)
-            except BaseException:
-                self._buffers[key] = values
-                raise
-
-    def merge(self, key: str, sketch_or_bytes) -> int:
-        """Union a local sketch (or its ``FRQ1`` payload) into a server key."""
-        payload = self._request(_RequestEncoder.merge(key, _merge_payload(sketch_or_bytes)))
-        n, _ = wire.unpack_n(payload, 0)
-        return n
-
-    def fetch(self, key: str) -> Tuple[int, bytes]:
-        """``(n, FRQ1 payload)`` for ``key`` — the anti-entropy read path.
-
-        The payload decodes with
-        :meth:`repro.fast.FastReqSketch.from_bytes` and embeds unchanged
-        in a :meth:`merge` call against any compatible service.
-        """
-        payload = self._request(_RequestEncoder.fetch(key), idempotent=True)
-        n, offset = wire.unpack_n(payload, 0)
-        blob, _ = wire.unpack_blob(payload, offset)
-        return n, bytes(blob)
-
-    # -- windowed quantiles --------------------------------------------
-
-    def ingest_windowed(self, key: str, timestamps, values) -> int:
-        """Ship timestamped values into ``key``'s window rings.
-
-        ``timestamps`` (epoch seconds) and ``values`` are parallel
-        arrays; one call is one **batch** — the server's lateness window
-        is judged per batch, so values that arrive together are admitted
-        together.  Returns the key's lifetime accepted count (finest
-        ring), which is also the duplicate-ack value under exactly-once.
-        """
-        if self.exactly_once:
-            body = wire.pack_seq_window_ingest(self._reserve_seq(), key, timestamps, values)
-            payload = self._request(body, idempotent=True)
-        else:
-            payload = self._request(wire.pack_window_ingest(key, timestamps, values))
-        n, _ = wire.unpack_n(payload, 0)
-        return n
-
-    def query_horizon(
-        self,
-        key: str,
-        points: Sequence[float] = (0.5, 0.9, 0.99),
-        *,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        last=None,
-        kind: str = "quantiles",
-        resolution: float = 0.0,
-        now: Optional[float] = None,
-    ) -> QueryResult:
-        """Query the merge of every bucket overlapping a time horizon.
-
-        Bounds come either from ``start``/``end`` (epoch seconds; ``end``
-        defaults to now) or from ``last`` — a trailing duration such as
-        ``"5m"`` or ``"1h30m"`` — never both.  ``resolution`` picks the
-        ring (``0.0`` = finest); ``kind`` is ``"quantiles"`` / ``"ranks"``
-        / ``"cdf"`` as in :meth:`query_many`.  The answer is exactly what
-        a fresh ``merge_many`` over the retained buckets would give
-        (full mergeability: same a-priori error bound as one sketch over
-        the horizon's values).
-        """
-        lo, hi = _resolve_horizon(start, end, last, now)
-        payload = self._request(
-            wire.pack_window_query(key, kind, resolution, lo, hi, points),
-            idempotent=True,
-        )
-        return _decode_query_response(payload)
-
-    def subscribe(
-        self,
-        key: str,
-        fractions: Sequence[float] = (0.5, 0.99),
-        *,
-        resolution: float = 0.0,
-        resume_from: int = 0,
-    ):
-        """Live bucket-close stream: yields one :class:`BucketEvent` per
-        closed window bucket, oldest first, forever.
-
-        Opens a **dedicated** connection (after the SUBSCRIBE ack the
-        server turns it into a push stream).  The ack replays retained
-        closed buckets from ``resume_from`` before any live push, and the
-        client tracks the next expected index across reconnects — with a
-        retry policy a dropped connection resumes from the cursor and
-        duplicate replays are filtered, so each bucket index is yielded
-        at most once per generator.  Close the generator to unsubscribe.
-        """
-        fractions = [float(f) for f in fractions]
-        next_index = int(resume_from)
-        attempt = 0
-        while True:
-            sock = None
-            try:
-                sock = socket.create_connection((self.host, self.port), timeout=self._timeout)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                frames = wire.FrameReader(sock)
-                sock.sendall(
-                    wire.encode_frame(
-                        wire.pack_subscribe(key, resolution, next_index, fractions)
-                    )
-                )
-                payload = wire.raise_for_status(frames.read_frame())
-                _resolved, cursor, encoded_events = wire.unpack_subscribe_response(payload)
-                attempt = 0
-                for encoded in encoded_events:
-                    event = _decode_bucket_event(encoded)
-                    if event.index < next_index:
-                        continue
-                    next_index = event.index + 1
-                    yield event
-                next_index = max(next_index, cursor)
-                # Live pushes can be arbitrarily far apart: block forever
-                # (the request timeout only covered connect + ack).
-                sock.settimeout(None)
-                while True:
-                    payload = wire.raise_for_status(frames.read_frame())
-                    event = _decode_bucket_event(payload)
-                    if event.index < next_index:
-                        continue
-                    next_index = event.index + 1
-                    yield event
-            except _TRANSPORT_ERRORS as exc:
-                if self._retry is None:
-                    raise
-                self._retry_state.spend(exc)
-                time.sleep(self._retry_state.delay(attempt))
-                attempt += 1
-            finally:
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:  # pragma: no cover - close never matters
-                        pass
-
-    # -- queries -------------------------------------------------------
-
-    def query(self, key: str, fractions: Sequence[float]) -> QueryResult:
-        return _decode_query_response(
-            self._request(_RequestEncoder.query(key, fractions), idempotent=True)
-        )
-
-    def quantile(self, key: str, q: float) -> float:
-        return float(self.query(key, [q]).quantiles[0])
-
-    def cdf(self, key: str, split_points: Sequence[float]) -> QueryResult:
-        return _decode_query_response(
-            self._request(_RequestEncoder.cdf(key, split_points), idempotent=True)
-        )
-
-    def rank(self, key: str, values: Sequence[float]) -> QueryResult:
-        """Estimated ranks of ``values`` (as exact float64 integers)."""
-        return _decode_query_response(
-            self._request(_RequestEncoder.rank(key, values), idempotent=True)
-        )
-
-    def query_many(self, requests) -> List[object]:
-        """Ship many read requests in ONE ``MULTI_QUERY`` frame.
-
-        ``requests`` is an iterable of ``(key, points)`` (quantiles) or
-        ``(key, kind, points)`` tuples, ``kind`` one of ``"quantiles"`` /
-        ``"ranks"`` / ``"cdf"``.  Returns one entry per request, in
-        order: a :class:`QueryResult`, or a
-        :class:`~repro.errors.ServiceError` (with ``status`` and
-        ``request_index``) for requests that failed — a missing key
-        never fails its neighbours.  One round trip for the whole batch.
-        """
-        items = [_normalize_query_request(request) for request in requests]
-        payload = self._request(wire.pack_multi_query(items), idempotent=True)
-        return _decode_multi_query_list(payload, expected=len(items))
-
-    def query_stream(
-        self,
-        key: str,
-        points,
-        *,
-        kind: str = "quantiles",
-        frame_requests: int = DEFAULT_FRAME_REQUESTS,
-        window: int = DEFAULT_QUERY_WINDOW,
-    ) -> BatchQueryResult:
-        """Pipelined reads: one request per row of ``points``.
-
-        The read-side mirror of :meth:`ingest_stream` (same windowing
-        machinery): up to ``window`` ``MULTI_QUERY`` frames of
-        ``frame_requests`` uniform requests ride the wire before the
-        first response is awaited, so read throughput is bounded by
-        bandwidth + server work, not round trips.  Frames encode and
-        decode vectorized end to end (no per-request loop on either
-        side).  With ``window=1`` this degrades to batched round trips —
-        one frame at a time — which is the right shape for a single
-        dashboard refresh.
-
-        Returns a :class:`BatchQueryResult` whose ``values[i]`` answers
-        ``points[i]``.  Per-request error responses raise
-        :class:`~repro.errors.ServiceError` for the first failed request
-        with ``request_index`` and an ``errors`` list carrying the rest.
-        """
-        stream = _QueryStream(key, kind, points, frame_requests, window, self._tx)
-        if self._retry is not None:
-            # Reads are idempotent: reconnect-and-replay is always safe,
-            # no session needed.
-            return self._pump_resilient(stream, shed_retries=False)
-        while not stream.done:
-            window_view = stream.next_window()
-            if window_view is not None:
-                try:
-                    self._sock.sendall(window_view)
-                finally:
-                    window_view.release()  # free the scratch for reuse
-            else:
-                stream.ack(self._frames.read_frame())
-        return stream.finish()
-
-    # -- operations ----------------------------------------------------
-
-    def stats(self, key: Optional[str] = None) -> dict:
-        import json
-
-        blob, _ = wire.unpack_blob(
-            self._request(_RequestEncoder.stats(key), idempotent=True), 0
-        )
-        return json.loads(blob.decode("utf-8"))
-
-    def snapshot(self) -> int:
-        """Force a full checkpoint; returns the number of keys written."""
-        payload = self._request(_RequestEncoder.snapshot(), idempotent=True)
-        return int.from_bytes(payload[:4], "little")
-
-    def ping(self) -> str:
-        """Server liveness + version string."""
-        blob, _ = wire.unpack_blob(self._request(_RequestEncoder.ping(), idempotent=True), 0)
-        return blob.decode("utf-8")
-
-    def health(self) -> dict:
-        """The server's readiness: ``state`` (``ready`` / ``overloaded``
-        / ``draining``) plus operational detail (open connections, WAL
-        queue depth, shed counts)."""
-        import json
-
-        payload = self._request(wire.pack_health(), idempotent=True)
-        _state, blob = wire.unpack_health_response(payload)
-        return json.loads(blob.decode("utf-8"))
-
-    # -- topology & live migration (the reshard control surface) -------
-
-    def topology(self) -> str:
-        """The node's installed topology as JSON (``""`` when none)."""
-        blob, _ = wire.unpack_blob(
-            self._request(wire.pack_topology(), idempotent=True), 0
-        )
-        return blob.decode("utf-8")
-
-    def set_topology(self, map_json: str) -> str:
-        """Install a topology on the node; returns the installed JSON.
-
-        Idempotent (re-installing the same or an older map than the one
-        already installed is a no-op server-side), so it is safe to retry.
-        """
-        blob, _ = wire.unpack_blob(
-            self._request(wire.pack_topology(map_json), idempotent=True), 0
-        )
-        return blob.decode("utf-8")
-
-    def migrate_keys(self) -> List[str]:
-        """Every key the node holds state for (plain or windowed)."""
-        payload = self._request(wire.pack_migrate(wire.MIGRATE_KEYS), idempotent=True)
-        return wire.unpack_keys_response(payload)
-
-    def migrate_begin(self, key: str) -> bytes:
-        """Capture ``key``'s MB1 bundle and put it into forwarding state."""
-        payload = self._request(
-            wire.pack_migrate(wire.MIGRATE_BEGIN, key), idempotent=True
-        )
-        blob, _ = wire.unpack_blob(payload, 0)
-        return bytes(blob)
-
-    def migrate_drain(self, key: str, *, freeze: bool = False):
-        """``(frozen, entries)`` — collect ``key``'s forwarded writes.
-
-        Not retried on transport errors: a resend after an indeterminate
-        outcome could silently skip a buffer the first attempt already
-        cleared; the coordinator handles the failure explicitly.
-        """
-        payload = self._request(
-            wire.pack_migrate(wire.MIGRATE_DRAIN, key, freeze=freeze)
-        )
-        return wire.unpack_drain_response(payload)
-
-    def migrate_commit(self, key: str) -> None:
-        """End ``key``'s migration on this (source) node.  Idempotent."""
-        self._request(wire.pack_migrate(wire.MIGRATE_COMMIT, key), idempotent=True)
-
-    def migrate_abort(self, key: str) -> None:
-        """Abandon ``key``'s migration; the node stays authoritative."""
-        self._request(wire.pack_migrate(wire.MIGRATE_ABORT, key), idempotent=True)
-
-    def migrate_push(self, key: str, bundle: bytes) -> int:
-        """Install an MB1 bundle as ``key``'s state on this (destination)
-        node; returns the resulting ``n``.  REPLACE semantics server-side
-        make a retried push idempotent, so transport retries are safe."""
-        payload = self._request(wire.pack_migrate_push(key, bundle), idempotent=True)
-        n, _ = wire.unpack_n(payload, 0)
-        return n
-
-    def close(self) -> None:
-        """Flush buffered values and close the socket (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+    def _events(self, subscription):
         try:
-            if self._sock is not None:
-                self.flush()
+            while True:
+                yield self._run(subscription.next_event())
         finally:
-            self._drop_connection()
+            subscription.close()
 
     def __enter__(self) -> "QuantileClient":
         return self
@@ -1191,11 +1250,81 @@ class QuantileClient:
         self.close()
 
 
-class AsyncQuantileClient:
+# -- the asyncio driver ----------------------------------------------------
+
+
+async def _timed(awaitable, timeout: Optional[float]):
+    """Await with an optional timeout.  Raises the builtin ``TimeoutError``
+    (an ``OSError``): before Python 3.11 ``asyncio.TimeoutError`` was a
+    separate class that would escape the core's transport handling."""
+    if timeout is None:
+        return await awaitable
+    try:
+        return await asyncio.wait_for(awaitable, timeout)
+    except asyncio.TimeoutError as exc:
+        raise TimeoutError(f"no progress within {timeout}s") from exc
+
+
+class _StreamConnection:
+    """One asyncio stream connection (the async driver's transport).  Reads
+    apply the frame cap and the timeout and report EOF as the sync reader
+    does: ``ConnectionError`` between frames, ``TransportError`` inside."""
+
+    __slots__ = ("_reader", "_writer", "_timeout")
+
+    def __init__(self, reader, writer, timeout: Optional[float]) -> None:
+        self._reader = reader
+        self._writer = writer
+        self._timeout = timeout
+
+    async def send(self, data) -> None:
+        # bytes(): the transport may buffer past this call, and a view
+        # aliases the client's reusable scratch.
+        self._writer.write(bytes(data))
+        await self._writer.drain()
+
+    async def read(self) -> bytes:
+        return await _timed(self._read_frame(), self._timeout)
+
+    async def exchange(self, frame: bytes) -> bytes:
+        await self.send(frame)
+        return await self.read()
+
+    async def _read_frame(self) -> bytes:
+        header = b""
+        try:
+            header = await self._reader.readexactly(4)
+            length = int.from_bytes(header, "little")
+            if length > wire.MAX_FRAME:
+                raise ServiceError(f"peer announced a {length}-byte frame (cap {wire.MAX_FRAME})")
+            return await self._reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            if not header and not exc.partial:
+                raise ConnectionError("connection closed") from exc
+            raise TransportError("connection closed inside a frame") from exc
+
+    def untimed(self) -> None:
+        self._timeout = None
+
+    def close(self) -> None:
+        try:
+            self._writer.close()
+        except Exception:  # pragma: no cover - teardown best-effort
+            pass
+
+    async def wait_closed(self) -> None:
+        try:
+            await self._writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            pass
+
+
+class AsyncQuantileClient(_ClientCore):
     """Asyncio client over one TCP connection (same surface, ``await``-ed).
 
-    Construct then ``await connect()``, or use it as an async context
-    manager::
+    Construct then ``await connect()`` (or connect on first use), or use
+    it as an async context manager; a retry policy's timeout bounds
+    connects and reads::
 
         async with AsyncQuantileClient(port=7379) as client:
             await client.ingest("key", values)
@@ -1211,531 +1340,52 @@ class AsyncQuantileClient:
         retry: Optional[RetryPolicy] = None,
         session: Optional[str] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.batch_size = batch_size
-        self._buffers: Dict[str, List[float]] = {}
-        self._reader = None
-        self._writer = None
-        self._retry = retry
-        self._retry_state = retry.start() if retry is not None else None
-        self.session_id = session if session is not None else (
-            _new_session_id() if retry is not None else None
-        )
-        self.exactly_once = False
-        self._next_seq = 1
-        self._closed = False
+        super().__init__(host, port, batch_size, None, retry, session)
 
-    #: Exceptions that mean "the connection is gone" (async client): the
-    #: sync family plus the stream reader's mid-frame EOFs
-    #: (``IncompleteReadError`` subclasses ``EOFError``).  A wait_for
-    #: timeout raises ``TimeoutError``, an ``OSError`` since 3.10.
-    _ASYNC_TRANSPORT_ERRORS = (ConnectionError, OSError, EOFError)
+    _sleep = staticmethod(asyncio.sleep)
+
+    async def _open(self) -> _StreamConnection:
+        reader, writer = await _timed(
+            asyncio.open_connection(self.host, self.port), self._timeout
+        )
+        return _StreamConnection(reader, writer, self._timeout)
+
+    @staticmethod
+    async def _run(op):
+        """Run a core operation to completion on the event loop."""
+        value = error = None
+        while True:
+            try:
+                command = op.send(value) if error is None else op.throw(error)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                value = await command[0](*command[1:])
+                error = None
+            except BaseException as exc:
+                value, error = None, exc
+
+    async def _events(self, subscription):
+        try:
+            while True:
+                yield await self._run(subscription.next_event())
+        finally:
+            subscription.close()
 
     async def connect(self) -> "AsyncQuantileClient":
-        import asyncio
-
-        self._reader, self._writer = await asyncio.open_connection(self.host, self.port)
-        if self.session_id is not None:
-            try:
-                await self._hello()
-            except BaseException:
-                # Same rule as the sync client: a connection whose HELLO
-                # never completed must not survive to carry sequenced
-                # frames into a session the server never opened.
-                self._drop_connection()
-                raise
+        self._check_open()
+        if self._conn is None:
+            await self._run(self._connect())
         return self
-
-    async def _hello(self) -> None:
-        """Negotiate the exactly-once session (old servers answer the
-        unknown opcode with ``BAD_REQUEST``; we degrade gracefully)."""
-        self._writer.write(wire.encode_frame(wire.pack_hello(self.session_id)))
-        await self._writer.drain()
-        try:
-            payload = wire.raise_for_status(await self._read_frame())
-        except ServiceError as exc:
-            if (
-                not isinstance(exc, self._ASYNC_TRANSPORT_ERRORS)
-                and getattr(exc, "status", None) == wire.STATUS_BAD_REQUEST
-            ):
-                self.exactly_once = False
-                return
-            raise
-        granted, high_water = wire.unpack_hello_response(payload)
-        self.exactly_once = bool(granted & wire.FLAG_EXACTLY_ONCE)
-        if high_water >= self._next_seq:
-            self._next_seq = high_water + 1
-
-    def _drop_connection(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
-        self._writer = None
-        self._reader = None
-
-    async def _reconnect(self, cause: Optional[BaseException] = None) -> None:
-        """Reconnect (and re-HELLO) with backoff; spends retry budget."""
-        import asyncio
-
-        self._drop_connection()
-        state = self._retry_state
-        attempt = 0
-        while True:
-            state.spend(cause)
-            await asyncio.sleep(state.delay(attempt))
-            attempt += 1
-            try:
-                await self.connect()
-                return
-            except self._ASYNC_TRANSPORT_ERRORS as exc:
-                cause = exc
-                if attempt > self._retry.retries:
-                    raise
-
-    def _reserve_seq(self, frames: int = 1) -> int:
-        seq = self._next_seq
-        self._next_seq = seq + frames
-        return seq
-
-    async def _read_frame(self) -> bytes:
-        """One frame body off the stream (shared by requests and acks).
-
-        With a retry policy carrying a timeout, a stalled read times out
-        (and the caller's retry path reconnects) instead of hanging.
-        """
-        import asyncio
-
-        if self._retry is not None and self._retry.timeout is not None:
-            return await asyncio.wait_for(self._read_frame_raw(), self._retry.timeout)
-        return await self._read_frame_raw()
-
-    async def _read_frame_raw(self) -> bytes:
-        header = await self._reader.readexactly(4)
-        length = int.from_bytes(header, "little")
-        if length > wire.MAX_FRAME:
-            raise ServiceError(f"peer announced a {length}-byte frame (cap {wire.MAX_FRAME})")
-        return await self._reader.readexactly(length)
-
-    async def _request_once(self, body: bytes) -> bytes:
-        if self._writer is None:
-            await self.connect()
-        self._writer.write(wire.encode_frame(body))
-        await self._writer.drain()
-        return wire.raise_for_status(await self._read_frame())
-
-    async def _request(self, body: bytes, *, idempotent: bool = False) -> bytes:
-        """One request/response with the retry policy applied (same
-        contract as :meth:`QuantileClient._request`)."""
-        import asyncio
-
-        if self._retry is None:
-            return await self._request_once(body)
-        attempt = 0
-        while True:
-            try:
-                return await self._request_once(body)
-            except self._ASYNC_TRANSPORT_ERRORS as exc:
-                self._drop_connection()
-                if not idempotent:
-                    raise
-                await self._reconnect(exc)
-            except ServiceError as exc:
-                if (
-                    getattr(exc, "status", None) != wire.STATUS_RETRY_LATER
-                    or attempt >= self._retry.retries
-                ):
-                    raise
-                self._retry_state.spend(exc)
-                await asyncio.sleep(self._retry_state.delay(attempt))
-                attempt += 1
-
-    async def ingest(self, key: str, values) -> int:
-        if self.exactly_once:
-            body = wire.pack_seq_ingest(self._reserve_seq(), key, values)
-            payload = await self._request(body, idempotent=True)
-        else:
-            payload = await self._request(_RequestEncoder.ingest(key, values))
-        n, _ = wire.unpack_n(payload, 0)
-        return n
-
-    async def ingest_stream(
-        self,
-        key: str,
-        values,
-        *,
-        frame_values: int = DEFAULT_FRAME_VALUES,
-        window: int = DEFAULT_WINDOW,
-    ) -> int:
-        """Pipelined ingest (same contract as
-        :meth:`QuantileClient.ingest_stream`): up to ``window`` frames in
-        flight, one buffer build + one write per window, error acks mapped
-        back to the offending frame via ``batch_index``/``value_offset``.
-        The windowing/attribution state machine is shared with the sync
-        client (:class:`_IngestStream`); only the I/O differs.  With an
-        exactly-once session, dropped connections replay unacknowledged
-        frames and ``RETRY_LATER`` acks rewind + back off, exactly as in
-        the sync client."""
-        if self._writer is None:
-            await self.connect()
-        stream = _IngestStream(key, values, frame_values, window, bytearray())
-        if self.exactly_once and self._retry is not None:
-            stream._start_seq = self._reserve_seq(stream.num_frames)
-            return await self._pump_resilient(stream, shed_retries=True)
-        while not stream.done:
-            window_view = stream.next_window()
-            if window_view is not None:
-                try:
-                    # bytes(): the transport may buffer past this tick,
-                    # and the view aliases the reusable scratch.
-                    self._writer.write(bytes(window_view))
-                finally:
-                    window_view.release()
-                await self._writer.drain()
-            else:
-                stream.ack(await self._read_frame())
-        return stream.finish()
-
-    async def _pump_resilient(self, stream, *, shed_retries: bool):
-        """Async twin of :meth:`QuantileClient._pump_resilient`."""
-        import asyncio
-
-        shed_attempt = 0
-        while not stream.done:
-            try:
-                if shed_retries and stream.shed:
-                    if stream.outstanding:
-                        stream.ack(await self._read_frame())
-                        continue
-                    if shed_attempt >= self._retry.retries:
-                        raise ServiceError(
-                            f"server still shedding after {shed_attempt} retries"
-                        )
-                    stream.rewind()
-                    self._retry_state.spend()
-                    await asyncio.sleep(self._retry_state.delay(shed_attempt))
-                    shed_attempt += 1
-                    continue
-                window_view = stream.next_window()
-                if window_view is not None:
-                    try:
-                        self._writer.write(bytes(window_view))
-                    finally:
-                        window_view.release()
-                    await self._writer.drain()
-                else:
-                    stream.ack(await self._read_frame())
-            except self._ASYNC_TRANSPORT_ERRORS as exc:
-                await self._reconnect(exc)
-                stream.rewind()
-        return stream.finish()
-
-    async def ingest_multi(self, batches) -> Dict[str, int]:
-        """One ``MULTI_INGEST`` frame for several keys' batches (see
-        :meth:`QuantileClient.ingest_multi`)."""
-        items = list(batches.items()) if hasattr(batches, "items") else list(batches)
-        if self.exactly_once:
-            body = wire.pack_seq_multi_ingest(self._reserve_seq(), items)
-            payload = await self._request(body, idempotent=True)
-        else:
-            payload = await self._request(wire.pack_multi_ingest(items))
-        totals = _decode_multi_response(payload)
-        return {key: n for (key, _values), n in zip(items, totals)}
-
-    async def ingest_one(self, key: str, value: float) -> None:
-        """Buffer one value (same keep-on-failure contract as
-        :meth:`QuantileClient.ingest_one`).
-
-        On failure the batch is *merged* back, not assigned: another task
-        may have started a fresh buffer for the key while ``ingest`` was
-        awaiting, and overwriting it would lose those values.
-        """
-        buffer = self._buffers.setdefault(key, [])
-        buffer.append(float(value))
-        if len(buffer) >= self.batch_size:
-            del self._buffers[key]
-            try:
-                await self.ingest(key, buffer)
-            except BaseException:
-                buffer.extend(self._buffers.pop(key, []))
-                self._buffers[key] = buffer
-                raise
-
-    async def flush(self) -> None:
-        """Ship every buffered value (same keep-on-failure contract as
-        :meth:`QuantileClient.flush`; values staged by other tasks during
-        the await are merged, not overwritten)."""
-        for key in list(self._buffers):
-            values = self._buffers.pop(key)
-            if not values:
-                continue
-            try:
-                await self.ingest(key, values)
-            except BaseException:
-                values.extend(self._buffers.pop(key, []))
-                self._buffers[key] = values
-                raise
-
-    async def merge(self, key: str, sketch_or_bytes) -> int:
-        payload = await self._request(
-            _RequestEncoder.merge(key, _merge_payload(sketch_or_bytes))
-        )
-        n, _ = wire.unpack_n(payload, 0)
-        return n
-
-    async def fetch(self, key: str) -> Tuple[int, bytes]:
-        """``(n, FRQ1 payload)`` for ``key`` (see
-        :meth:`QuantileClient.fetch`)."""
-        payload = await self._request(_RequestEncoder.fetch(key), idempotent=True)
-        n, offset = wire.unpack_n(payload, 0)
-        blob, _ = wire.unpack_blob(payload, offset)
-        return n, bytes(blob)
-
-    async def ingest_windowed(self, key: str, timestamps, values) -> int:
-        """Timestamped ingest into ``key``'s window rings (see
-        :meth:`QuantileClient.ingest_windowed`)."""
-        if self.exactly_once:
-            body = wire.pack_seq_window_ingest(self._reserve_seq(), key, timestamps, values)
-            payload = await self._request(body, idempotent=True)
-        else:
-            payload = await self._request(wire.pack_window_ingest(key, timestamps, values))
-        n, _ = wire.unpack_n(payload, 0)
-        return n
-
-    async def query_horizon(
-        self,
-        key: str,
-        points: Sequence[float] = (0.5, 0.9, 0.99),
-        *,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        last=None,
-        kind: str = "quantiles",
-        resolution: float = 0.0,
-        now: Optional[float] = None,
-    ) -> QueryResult:
-        """Merge-on-query over a time horizon (see
-        :meth:`QuantileClient.query_horizon`)."""
-        lo, hi = _resolve_horizon(start, end, last, now)
-        payload = await self._request(
-            wire.pack_window_query(key, kind, resolution, lo, hi, points),
-            idempotent=True,
-        )
-        return _decode_query_response(payload)
-
-    async def subscribe(
-        self,
-        key: str,
-        fractions: Sequence[float] = (0.5, 0.99),
-        *,
-        resolution: float = 0.0,
-        resume_from: int = 0,
-    ):
-        """Async bucket-close stream (same contract as
-        :meth:`QuantileClient.subscribe`): a dedicated push connection,
-        catch-up replay before live events, at-most-once per index across
-        reconnects."""
-        import asyncio
-
-        fractions = [float(f) for f in fractions]
-        next_index = int(resume_from)
-        attempt = 0
-        while True:
-            writer = None
-            try:
-                reader, writer = await asyncio.open_connection(self.host, self.port)
-                writer.write(
-                    wire.encode_frame(
-                        wire.pack_subscribe(key, resolution, next_index, fractions)
-                    )
-                )
-                await writer.drain()
-                header = await reader.readexactly(4)
-                payload = wire.raise_for_status(
-                    await reader.readexactly(int.from_bytes(header, "little"))
-                )
-                _resolved, cursor, encoded_events = wire.unpack_subscribe_response(payload)
-                attempt = 0
-                for encoded in encoded_events:
-                    event = _decode_bucket_event(encoded)
-                    if event.index < next_index:
-                        continue
-                    next_index = event.index + 1
-                    yield event
-                next_index = max(next_index, cursor)
-                while True:
-                    header = await reader.readexactly(4)
-                    payload = wire.raise_for_status(
-                        await reader.readexactly(int.from_bytes(header, "little"))
-                    )
-                    event = _decode_bucket_event(payload)
-                    if event.index < next_index:
-                        continue
-                    next_index = event.index + 1
-                    yield event
-            except self._ASYNC_TRANSPORT_ERRORS as exc:
-                if self._retry is None:
-                    raise
-                self._retry_state.spend(exc)
-                await asyncio.sleep(self._retry_state.delay(attempt))
-                attempt += 1
-            finally:
-                if writer is not None:
-                    writer.close()
-
-    async def query(self, key: str, fractions: Sequence[float]) -> QueryResult:
-        return _decode_query_response(
-            await self._request(_RequestEncoder.query(key, fractions), idempotent=True)
-        )
-
-    async def quantile(self, key: str, q: float) -> float:
-        return float((await self.query(key, [q])).quantiles[0])
-
-    async def cdf(self, key: str, split_points: Sequence[float]) -> QueryResult:
-        return _decode_query_response(
-            await self._request(_RequestEncoder.cdf(key, split_points), idempotent=True)
-        )
-
-    async def rank(self, key: str, values: Sequence[float]) -> QueryResult:
-        """Estimated ranks of ``values`` (as exact float64 integers)."""
-        return _decode_query_response(
-            await self._request(_RequestEncoder.rank(key, values), idempotent=True)
-        )
-
-    async def query_many(self, requests) -> List[object]:
-        """One ``MULTI_QUERY`` frame for many read requests (see
-        :meth:`QuantileClient.query_many`)."""
-        items = [_normalize_query_request(request) for request in requests]
-        payload = await self._request(wire.pack_multi_query(items), idempotent=True)
-        return _decode_multi_query_list(payload, expected=len(items))
-
-    async def query_stream(
-        self,
-        key: str,
-        points,
-        *,
-        kind: str = "quantiles",
-        frame_requests: int = DEFAULT_FRAME_REQUESTS,
-        window: int = DEFAULT_QUERY_WINDOW,
-    ) -> BatchQueryResult:
-        """Pipelined reads (same contract as
-        :meth:`QuantileClient.query_stream`); the windowing state machine
-        is shared with the sync client and ``ingest_stream``."""
-        if self._writer is None:
-            await self.connect()
-        stream = _QueryStream(key, kind, points, frame_requests, window, bytearray())
-        if self._retry is not None:
-            return await self._pump_resilient(stream, shed_retries=False)
-        while not stream.done:
-            window_view = stream.next_window()
-            if window_view is not None:
-                try:
-                    # bytes(): the transport may buffer past this tick,
-                    # and the view aliases the reusable scratch.
-                    self._writer.write(bytes(window_view))
-                finally:
-                    window_view.release()
-                await self._writer.drain()
-            else:
-                stream.ack(await self._read_frame())
-        return stream.finish()
-
-    async def stats(self, key: Optional[str] = None) -> dict:
-        import json
-
-        blob, _ = wire.unpack_blob(
-            await self._request(_RequestEncoder.stats(key), idempotent=True), 0
-        )
-        return json.loads(blob.decode("utf-8"))
-
-    async def snapshot(self) -> int:
-        payload = await self._request(_RequestEncoder.snapshot(), idempotent=True)
-        return int.from_bytes(payload[:4], "little")
-
-    async def ping(self) -> str:
-        blob, _ = wire.unpack_blob(
-            await self._request(_RequestEncoder.ping(), idempotent=True), 0
-        )
-        return blob.decode("utf-8")
-
-    async def health(self) -> dict:
-        """The server's readiness state + operational detail (see
-        :meth:`QuantileClient.health`)."""
-        import json
-
-        payload = await self._request(wire.pack_health(), idempotent=True)
-        _state, blob = wire.unpack_health_response(payload)
-        return json.loads(blob.decode("utf-8"))
-
-    # -- topology & live migration (async twin of QuantileClient) ------
-
-    async def topology(self) -> str:
-        blob, _ = wire.unpack_blob(
-            await self._request(wire.pack_topology(), idempotent=True), 0
-        )
-        return blob.decode("utf-8")
-
-    async def set_topology(self, map_json: str) -> str:
-        blob, _ = wire.unpack_blob(
-            await self._request(wire.pack_topology(map_json), idempotent=True), 0
-        )
-        return blob.decode("utf-8")
-
-    async def migrate_keys(self) -> List[str]:
-        payload = await self._request(
-            wire.pack_migrate(wire.MIGRATE_KEYS), idempotent=True
-        )
-        return wire.unpack_keys_response(payload)
-
-    async def migrate_begin(self, key: str) -> bytes:
-        payload = await self._request(
-            wire.pack_migrate(wire.MIGRATE_BEGIN, key), idempotent=True
-        )
-        blob, _ = wire.unpack_blob(payload, 0)
-        return bytes(blob)
-
-    async def migrate_drain(self, key: str, *, freeze: bool = False):
-        payload = await self._request(
-            wire.pack_migrate(wire.MIGRATE_DRAIN, key, freeze=freeze)
-        )
-        return wire.unpack_drain_response(payload)
-
-    async def migrate_commit(self, key: str) -> None:
-        await self._request(
-            wire.pack_migrate(wire.MIGRATE_COMMIT, key), idempotent=True
-        )
-
-    async def migrate_abort(self, key: str) -> None:
-        await self._request(
-            wire.pack_migrate(wire.MIGRATE_ABORT, key), idempotent=True
-        )
-
-    async def migrate_push(self, key: str, bundle: bytes) -> int:
-        payload = await self._request(
-            wire.pack_migrate_push(key, bundle), idempotent=True
-        )
-        n, _ = wire.unpack_n(payload, 0)
-        return n
 
     async def close(self) -> None:
         """Flush buffered values and close the connection (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._writer is not None:
-            try:
-                await self.flush()
-            finally:
-                writer = self._writer
-                self._writer = None
-                self._reader = None
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                    pass
+        conn = self._conn
+        try:
+            await self._run(self._close())
+        finally:
+            if conn is not None:
+                await conn.wait_closed()
 
     async def __aenter__(self) -> "AsyncQuantileClient":
         return await self.connect()

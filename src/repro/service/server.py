@@ -1791,13 +1791,19 @@ class QuantileServer:
         ``key`` under the installed map, else ``None``.  The body carries
         the map itself so the client refreshes and re-routes in one round
         trip."""
+        message = self._unowned(key)
+        if message is None:
+            return None
+        return wire.wrong_topology_body(message, self.service.topology_json())
+
+    def _unowned(self, key: str) -> Optional[str]:
+        """Why this node may not serve ``key``, or ``None`` if it owns it."""
         service = self.service
         if service.owns_key(key):
             return None
-        return wire.wrong_topology_body(
+        return (
             f"node {service.node_id!r} does not own key {key!r} under "
-            f"topology v{service.topology.version}",
-            service.topology_json(),
+            f"topology v{service.topology.version}"
         )
 
     def _shed_body(self, conn) -> Optional[bytes]:
@@ -2242,7 +2248,7 @@ class QuantileServer:
                     return reject
                 return wire.pack_query_result(*service.rank(key, values))
             if op == wire.OP_MULTI_QUERY:
-                return self._multi_query(body)
+                return self._multi_query(body, routed)
             if op == wire.OP_WINDOW_QUERY:
                 key, kind, resolution, start, end, points = wire.unpack_window_query(body)
                 reject = self._topology_reject(key) if routed else None
@@ -2386,7 +2392,7 @@ class QuantileServer:
             + wire.pack_blob(json.dumps(detail).encode("utf-8"))
         )
 
-    def _multi_query(self, body) -> bytes:
+    def _multi_query(self, body, routed: bool) -> bytes:
         """Answer one ``MULTI_QUERY`` frame (vectorized when uniform).
 
         A uniform frame (single key/kind/count — the dashboard shape) is
@@ -2396,11 +2402,20 @@ class QuantileServer:
         answers are bit-identical and whose errors attribute to the exact
         request via per-record statuses (one missing key never fails the
         rest of the batch).
+
+        On a ``routed`` node ownership is checked once per distinct key,
+        as ``QUERY`` checks it: a uniform frame for a key this node does
+        not own gets the ``WRONG_TOPOLOGY`` redirect, and in a mixed
+        frame each unowned key's records get a ``WRONG_TOPOLOGY`` error
+        while the owned keys still answer.
         """
         service = self.service
         uniform = wire.try_uniform_multi_query(body)
         if uniform is not None:
             key, kind, points = uniform
+            reject = self._topology_reject(key) if routed else None
+            if reject is not None:
+                return reject
             if wire.query_response_bound(points.shape[0], points.shape[1]) > wire.MAX_FRAME:
                 # A request frame under MAX_FRAME can imply a response
                 # over it (an OK record outweighs its request record).
@@ -2430,7 +2445,18 @@ class QuantileServer:
             )
         parts = [b"\x00", wire._COUNT.pack(len(requests))]
         cache: Dict[str, object] = {}
+        refusals: Dict[str, Optional[bytes]] = {}  # per distinct key
         for key, kind, points in requests:
+            if routed:
+                if key not in refusals:
+                    message = self._unowned(key)
+                    refusals[key] = None if message is None else (
+                        bytes([wire.STATUS_WRONG_TOPOLOGY])
+                        + wire.pack_blob(message.encode("utf-8")[: wire.ERROR_MESSAGE_CAP])
+                    )
+                if refusals[key] is not None:
+                    parts.append(refusals[key])
+                    continue
             try:
                 result = service.query_points(key, kind, points, cache)
             except Exception as exc:

@@ -281,6 +281,36 @@ class TestTopologyOverTheWire:
                 client.ingest(key, _values(5))
             assert ClusterMap.from_json(excinfo.value.map_json) == ring
 
+    def test_multi_query_checks_ownership_like_query(self, pair):
+        threads, ring = pair
+        owned = next(f"k{i}" for i in range(100) if ring.primary(f"k{i}").node_id == "a")
+        unowned = next(f"k{i}" for i in range(100) if ring.primary(f"k{i}").node_id == "b")
+        long_unowned = next(
+            key for key in (f"{'x' * 600}{i}" for i in range(100))
+            if ring.primary(key).node_id == "b"
+        )
+        with QuantileClient("127.0.0.1", threads["a"].port, retry=_policy()) as client:
+            for key in (owned, unowned, long_unowned):
+                client.ingest(key, _values(50))
+            client.set_topology(ring.to_json())
+            with pytest.raises(WrongTopologyError):
+                client.query(unowned, [0.5])
+            # A uniform frame (one key) is redirected whole, map included.
+            with pytest.raises(WrongTopologyError) as excinfo:
+                client.query_many([(unowned, [0.5]), (unowned, [0.9])])
+            assert ClusterMap.from_json(excinfo.value.map_json) == ring
+            # A mixed frame: the unowned keys' records fail, the rest answer.
+            answers = client.query_many(
+                [(unowned, [0.5]), (owned, [0.5]), (long_unowned, "ranks", [0.0])]
+            )
+            assert answers[1].n == 50
+            for index in (0, 2):
+                assert isinstance(answers[index], ServiceError)
+                assert answers[index].status == wire.STATUS_WRONG_TOPOLOGY
+                assert answers[index].request_index == index
+                assert "does not own" in str(answers[index])
+            assert len(str(answers[2]).encode("utf-8")) <= wire.ERROR_MESSAGE_CAP
+
     def test_frozen_key_sheds_unacked(self, pair):
         threads, _ring = pair
         with QuantileClient(
