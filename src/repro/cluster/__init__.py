@@ -7,7 +7,12 @@ This package turns a fleet of single-node quantile services
   consistent-hash ring with virtual nodes and replication factor R.
 * :mod:`repro.cluster.client` — :class:`ClusterClient` /
   :class:`AsyncClusterClient`: replicated exactly-once writes, reads
-  that fail over across replicas, hinted handoff for down nodes.
+  that fail over across replicas, hinted handoff for down nodes.  Both
+  are thin drivers over one I/O-free replication core and expose the
+  same operations; the write fan-out is the one step they run
+  differently (ring order vs. ``asyncio.gather``), under one rule:
+  every replica of an attempt is tried before a ``WRONG_TOPOLOGY``
+  redirect re-routes the replicas not yet written.
 * :mod:`repro.cluster.handoff` — :class:`HintQueue`, the bounded buffer
   of writes a down replica missed.
 * :mod:`repro.cluster.repair` — :func:`repair`, the anti-entropy pass

@@ -30,14 +30,33 @@ fleet of quantile-service nodes through a :class:`~repro.cluster.ring.ClusterMap
   hints carry older sequence numbers, and the server's high-water dedup
   requires per-key sequence order), then resumes live traffic.
 
+One core, two drivers.  Every operation is written once, in
+:class:`_ClusterCore`, as a generator that does no I/O (the shape of the
+single-node :class:`~repro.service.client._ClientCore`): it yields
+``(callable, *args)`` commands — a per-node client's method, the
+driver's ``_node`` (open a node client) or ``_fan_out`` — and gets each
+result sent (or its exception thrown) back in.  A driver supplies the
+trampoline that runs the commands (its per-node client's own), per-node
+client construction, and ``_fan_out``, the one step the drivers do
+differently: it runs one write attempt's per-replica requests and
+returns each one's result or exception — in ring order on
+:class:`ClusterClient`, concurrently with ``asyncio.gather`` on
+:class:`AsyncClusterClient` (write latency is then the slowest replica,
+not the sum).  The fan-out rule is the same for both: every replica of
+the attempt is tried and its outcome booked (ack, hint, or mark-down);
+then, if a replica answered ``WRONG_TOPOLOGY``, the client adopts the
+newer map and re-routes only the replicas not yet written.
+
 The clients are single-operator objects (one thread / one task); they
-hold one socket per node and no locks.
+hold one socket per node.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +72,7 @@ from repro.service import protocol as wire
 from repro.service.client import (
     AsyncQuantileClient,
     QuantileClient,
-    QueryResult,
+    _decode_n,
     _new_session_id,
     _resolve_horizon,
 )
@@ -155,20 +174,15 @@ class _Replica:
         }
 
 
-class ClusterClient:
-    """Blocking cluster client: replicated writes, failover reads.
+class _ClusterCore:
+    """Every cluster-client operation, written once and free of I/O.
 
-    Args:
-        cluster_map: The topology (a :class:`~repro.cluster.ring.ClusterMap`,
-            or a path to a topology JSON file).
-        retry: Per-node retry policy (defaults to ``RetryPolicy()``).
-            Required in spirit: exactly-once sessions — which hinted
-            handoff depends on — are only negotiated with a policy.
-        probe_interval: Seconds between reconnect probes at a down node.
-        max_hints, max_hint_values: Bounds of each node's hint queue.
-
-    Counters (observability): :attr:`write_acks`, :attr:`read_failovers`,
-    :attr:`hinted_writes`, :attr:`nodes_marked_down`.
+    Operations are generators yielding ``(callable, *args)`` commands: a
+    live per-node client's method (a value on the sync driver, an
+    awaitable on the async one), the driver's ``_node`` (open and
+    connect a node client for a replica) or ``_fan_out`` (run a list of
+    per-replica commands, returning each result or exception in order).
+    A driver supplies those two and ``_run``, the trampoline.
     """
 
     def __init__(
@@ -201,7 +215,7 @@ class ClusterClient:
         self.topology_refreshes = 0
         self._closed = False
 
-    # -- per-node connection management --------------------------------
+    # -- client state (no I/O) -----------------------------------------
 
     def _replica(self, node: ClusterNode) -> _Replica:
         return self._replicas[node.node_id]
@@ -236,13 +250,32 @@ class ClusterClient:
         self.topology_refreshes += 1
         return True
 
-    def _connect(self, rep: _Replica) -> None:
-        client = QuantileClient(
-            rep.node.host,
-            rep.node.port,
-            retry=self._retry,
-            session=rep.session_id,
-        )
+    def _push_hint(self, rep: _Replica, hint: Hint) -> None:
+        rep.hints.push(hint)
+        self.hinted_writes += 1
+
+    def hint_depths(self) -> Dict[str, int]:
+        """Queued-hint depth per node (this client's handoff backlog)."""
+        return {rep.node.node_id: len(rep.hints) for rep in self._replicas.values()}
+
+    def stats(self) -> dict:
+        """Cluster-client view: topology + per-replica state + counters."""
+        return {
+            "topology_version": self.map.version,
+            "replication": self.map.replication,
+            "nodes": [rep.stats() for rep in self._replicas.values()],
+            "keys_seen": len(self.keys_seen),
+            "write_acks": self.write_acks,
+            "read_failovers": self.read_failovers,
+            "hinted_writes": self.hinted_writes,
+            "nodes_marked_down": self.nodes_marked_down,
+            "topology_refreshes": self.topology_refreshes,
+        }
+
+    # -- per-node connection management --------------------------------
+
+    def _connect(self, rep: _Replica):
+        client = yield (self._node, rep)
         # HELLO just ran: the client's counter now sits at the server's
         # high-water + 1, so a zero high-water reads back as 1 here.
         amnesia = client.exactly_once and client._next_seq == 1 and rep.next_seq > 1
@@ -254,14 +287,18 @@ class ClusterClient:
         if amnesia:
             rep.note_amnesia()
 
-    def _mark_down(self, rep: _Replica, exc: Optional[BaseException] = None) -> None:
+    def _drop(self, rep: _Replica):
+        """Close a replica's node client, keeping its sequence counter."""
         rep.sync_seq_from_client()
-        if rep.client is not None:
+        client, rep.client = rep.client, None
+        if client is not None:
             try:
-                rep.client.close()
+                yield (client.close,)
             except Exception:
                 pass
-            rep.client = None
+
+    def _mark_down(self, rep: _Replica):
+        yield from self._drop(rep)
         now = time.monotonic()
         if rep.down_since is None:
             rep.down_since = now
@@ -269,23 +306,30 @@ class ClusterClient:
         rep.next_probe = now + self.probe_interval
         rep.failures += 1
 
-    def _ensure_live(self, rep: _Replica, *, force: bool = False) -> bool:
+    def _ensure_live(self, rep: _Replica, *, force: bool = False):
         """Connect (or probe-reconnect) a replica; replay hints first."""
         if rep.client is None:
             now = time.monotonic()
             if not force and rep.down_since is not None and now < rep.next_probe:
                 return False
             try:
-                self._connect(rep)
-            except _REPLICA_ERRORS as exc:
-                self._mark_down(rep, exc)
+                yield from self._connect(rep)
+            except _REPLICA_ERRORS:
+                yield from self._mark_down(rep)
                 return False
-        if len(rep.hints) and not self._replay_hints(rep):
+            except ServiceError as exc:
+                # Refused at the door (draining, connection limit): down
+                # until the next probe, like an unreachable node.
+                if not _is_failover_status(exc):
+                    raise
+                yield from self._mark_down(rep)
+                return False
+        if len(rep.hints) and not (yield from self._replay_hints(rep)):
             return False
         rep.down_since = None
         return True
 
-    def _replay_hints(self, rep: _Replica) -> bool:
+    def _replay_hints(self, rep: _Replica):
         """Ship every buffered hint, oldest first, before live traffic.
 
         Bodies are replayed verbatim — same session, same sequence
@@ -294,11 +338,11 @@ class ClusterClient:
         """
         for hint in rep.hints.drain():
             try:
-                rep.client._request(hint.body, idempotent=True)
+                yield (rep.client._call, _decode_n, hint.body)
                 rep.acked = True
-            except _REPLICA_ERRORS as exc:
+            except _REPLICA_ERRORS:
                 rep.hints.requeue(hint)
-                self._mark_down(rep, exc)
+                yield from self._mark_down(rep)
                 return False
             except WrongTopologyError as exc:
                 # The node no longer owns this hint's key, so the frame
@@ -317,7 +361,92 @@ class ClusterClient:
 
     # -- writes --------------------------------------------------------
 
-    def ingest(self, key: str, values) -> int:
+    def _write(self, plain: str, pack_seq, key: str, *args):
+        """The replicated write behind :meth:`ingest` and
+        :meth:`ingest_windowed`: ``pack_seq(seq, key, *args)`` encodes a
+        replica's sequenced frame; ``plain`` names the node-client method
+        used against a server without exactly-once."""
+        count = len(args[-1])
+        self.keys_seen.add(key)
+        best_n = -1
+        last_error: Optional[BaseException] = None
+        # Nodes already written (acked or hinted) this operation: a
+        # WRONG_TOPOLOGY re-route must not send them a second frame —
+        # the retry carries a fresh sequence number, so a duplicate
+        # would double-count instead of deduplicating.
+        done = set()
+        for attempt in range(_TOPOLOGY_ATTEMPTS):
+            plan = []
+            for node in self.map.replicas(key):
+                if node.node_id in done:
+                    continue
+                rep = self._replica(node)
+                if not (yield from self._ensure_live(rep)):
+                    self._push_hint(rep, Hint(key, count, pack_seq(rep.reserve_seq(), key, *args)))
+                    done.add(node.node_id)
+                elif rep.client.exactly_once:
+                    body = pack_seq(rep.reserve_seq(), key, *args)
+                    plan.append((rep, body, (rep.client._call, _decode_n, body)))
+                else:
+                    # Old server without exactly-once: best effort, no
+                    # safe replay — never hinted.
+                    plan.append((rep, None, (getattr(rep.client, plain), key, *args)))
+            results = yield (self._fan_out, [command for _rep, _body, command in plan])
+            wrong = unexpected = None
+            for (rep, body, _command), result in zip(plan, results):
+                if not isinstance(result, BaseException):
+                    best_n = max(best_n, result)
+                    rep.acked = rep.acked or body is not None
+                    done.add(rep.node.node_id)
+                elif isinstance(result, WrongTopologyError):
+                    wrong = last_error = result
+                elif isinstance(result, _REPLICA_ERRORS) or (
+                    body is not None and _is_failover_status(result)
+                ):
+                    # Down, or shedding past the retry budget: the frame
+                    # was NOT applied — hint it.
+                    if isinstance(result, _REPLICA_ERRORS):
+                        yield from self._mark_down(rep)
+                    if body is not None:
+                        self._push_hint(rep, Hint(key, count, body))
+                    done.add(rep.node.node_id)
+                    last_error = result
+                elif unexpected is None:
+                    unexpected = result
+            if unexpected is not None:
+                raise unexpected
+            if wrong is None:
+                break
+            # The rejecting node shipped the newer map in the error:
+            # adopt it and re-route to the new owners.  The rejected
+            # frame was not applied (that is what the status means),
+            # and every pre-cutover ack moved with the migration
+            # bundle, so the re-send cannot lose or double anything.
+            if attempt < _TOPOLOGY_ATTEMPTS - 1 and self.adopt_topology(wrong.map_json):
+                continue
+            if best_n >= 0:
+                # W=1 already satisfied; an unadoptable redirect from a
+                # straggler replica does not unwind the ack.
+                break
+            raise wrong
+        if best_n < 0:
+            raise ClusterError(
+                f"no live replica acknowledged {plain} of {count} values "
+                f"for key {key!r} (replicas: "
+                f"{[node.node_id for node in self.map.replicas(key)]})"
+            ) from last_error
+        self.write_acks += 1
+        return best_n
+
+    def _ingest_stream(self, key: str, values, frame_values: int):
+        n = 0
+        for start in range(0, len(values), frame_values):
+            n = yield from self._write(
+                "ingest", wire.pack_seq_ingest, key, values[start : start + frame_values]
+            )
+        return n
+
+    def ingest(self, key: str, values):
         """Write one batch to every replica of ``key``.
 
         Live replicas get a sequenced exactly-once frame; down replicas
@@ -328,101 +457,16 @@ class ClusterClient:
         the caller must treat the write as failed).
         """
         values = np.ascontiguousarray(values, dtype=wire.WIRE_DTYPE)
-        self.keys_seen.add(key)
-        best_n = -1
-        last_error: Optional[BaseException] = None
-        # Nodes already written (acked or hinted) this operation: a
-        # WRONG_TOPOLOGY re-route must not send them a second frame —
-        # the retry carries a fresh sequence number, so a duplicate
-        # would double-count instead of deduplicating.
-        done = set()
-        for attempt in range(_TOPOLOGY_ATTEMPTS):
-            try:
-                for node in self.map.replicas(key):
-                    if node.node_id in done:
-                        continue
-                    rep = self._replica(node)
-                    if not self._ensure_live(rep):
-                        self._hint(rep, key, values)
-                        done.add(node.node_id)
-                        continue
-                    body = self._seq_body(rep, key, values)
-                    try:
-                        if body is None:
-                            # Old server without exactly-once: best effort,
-                            # no safe replay — never hinted.
-                            n = rep.client.ingest(key, values)
-                        else:
-                            payload = rep.client._request(body, idempotent=True)
-                            n, _ = wire.unpack_n(payload, 0)
-                            rep.acked = True
-                    except _REPLICA_ERRORS as exc:
-                        self._mark_down(rep, exc)
-                        if body is not None:
-                            self._push_hint(rep, Hint(key, len(values), body))
-                        done.add(node.node_id)
-                        last_error = exc
-                        continue
-                    except WrongTopologyError:
-                        raise
-                    except ServiceError as exc:
-                        if _is_failover_status(exc) and body is not None:
-                            # Shedding past the retry budget: treat like a
-                            # down node — the frame was NOT applied; hint it.
-                            self._push_hint(rep, Hint(key, len(values), body))
-                            done.add(node.node_id)
-                            last_error = exc
-                            continue
-                        raise
-                    best_n = max(best_n, n)
-                    done.add(node.node_id)
-                break
-            except WrongTopologyError as exc:
-                # The rejecting node shipped the newer map in the error:
-                # adopt it and re-route to the new owners.  The rejected
-                # frame was not applied (that is what the status means),
-                # and every pre-cutover ack moved with the migration
-                # bundle, so the re-send cannot lose or double anything.
-                last_error = exc
-                if attempt < _TOPOLOGY_ATTEMPTS - 1 and self.adopt_topology(exc.map_json):
-                    continue
-                if best_n >= 0:
-                    # W=1 already satisfied; an unadoptable redirect from
-                    # a straggler replica does not unwind the ack.
-                    break
-                raise
-        if best_n < 0:
-            raise ClusterError(
-                f"no live replica acknowledged ingest of {len(values)} values "
-                f"for key {key!r} (replicas: "
-                f"{[node.node_id for node in self.map.replicas(key)]})"
-            ) from last_error
-        self.write_acks += 1
-        return best_n
+        return self._run(self._write("ingest", wire.pack_seq_ingest, key, values))
 
-    def ingest_stream(self, key: str, values, *, frame_values: int = 8192) -> int:
+    def ingest_stream(self, key: str, values, *, frame_values: int = 8192):
         """Stream a large batch as ``frame_values``-sized replicated
         frames — the mid-stream-failure-safe shape: a node dying at
         frame k hints frames k.. while the live replicas keep acking."""
         values = np.ascontiguousarray(values, dtype=wire.WIRE_DTYPE)
-        n = 0
-        for start in range(0, len(values), frame_values):
-            n = self.ingest(key, values[start : start + frame_values])
-        return n
+        return self._run(self._ingest_stream(key, values, frame_values))
 
-    def _seq_body(self, rep: _Replica, key: str, values) -> Optional[bytes]:
-        if rep.client is not None and not rep.client.exactly_once:
-            return None
-        return wire.pack_seq_ingest(rep.reserve_seq(), key, values)
-
-    def _hint(self, rep: _Replica, key: str, values) -> None:
-        """Buffer a write for a replica that is down right now."""
-        body = wire.pack_seq_ingest(rep.reserve_seq(), key, values)
-        self._push_hint(rep, Hint(key, len(values), body))
-
-    # -- windowed writes/reads -----------------------------------------
-
-    def ingest_windowed(self, key: str, timestamps, values) -> int:
+    def ingest_windowed(self, key: str, timestamps, values):
         """Replicated timestamped write into every replica's window rings.
 
         Same contract as :meth:`ingest` — sequenced exactly-once frames
@@ -432,137 +476,57 @@ class ClusterClient:
         """
         ts = np.ascontiguousarray(timestamps, dtype=wire.WIRE_DTYPE)
         values = np.ascontiguousarray(values, dtype=wire.WIRE_DTYPE)
-        self.keys_seen.add(key)
-        best_n = -1
-        last_error: Optional[BaseException] = None
-        done = set()
-        for attempt in range(_TOPOLOGY_ATTEMPTS):
-            try:
-                for node in self.map.replicas(key):
-                    if node.node_id in done:
-                        continue
-                    rep = self._replica(node)
-                    if not self._ensure_live(rep):
-                        body = wire.pack_seq_window_ingest(rep.reserve_seq(), key, ts, values)
-                        self._push_hint(rep, Hint(key, len(values), body))
-                        done.add(node.node_id)
-                        continue
-                    if rep.client.exactly_once:
-                        body = wire.pack_seq_window_ingest(rep.reserve_seq(), key, ts, values)
-                    else:
-                        body = None
-                    try:
-                        if body is None:
-                            # Old server without exactly-once: best effort,
-                            # no safe replay — never hinted.
-                            n = rep.client.ingest_windowed(key, ts, values)
-                        else:
-                            payload = rep.client._request(body, idempotent=True)
-                            n, _ = wire.unpack_n(payload, 0)
-                            rep.acked = True
-                    except _REPLICA_ERRORS as exc:
-                        self._mark_down(rep, exc)
-                        if body is not None:
-                            self._push_hint(rep, Hint(key, len(values), body))
-                        done.add(node.node_id)
-                        last_error = exc
-                        continue
-                    except WrongTopologyError:
-                        raise
-                    except ServiceError as exc:
-                        if _is_failover_status(exc) and body is not None:
-                            self._push_hint(rep, Hint(key, len(values), body))
-                            done.add(node.node_id)
-                            last_error = exc
-                            continue
-                        raise
-                    best_n = max(best_n, n)
-                    done.add(node.node_id)
-                break
-            except WrongTopologyError as exc:
-                last_error = exc
-                if attempt < _TOPOLOGY_ATTEMPTS - 1 and self.adopt_topology(exc.map_json):
-                    continue
-                if best_n >= 0:
-                    break
-                raise
-        if best_n < 0:
-            raise ClusterError(
-                f"no live replica acknowledged windowed ingest of {len(values)} "
-                f"values for key {key!r}"
-            ) from last_error
-        self.write_acks += 1
-        return best_n
-
-    def query_horizon(
-        self,
-        key: str,
-        points: Sequence[float] = (0.5, 0.9, 0.99),
-        *,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        last=None,
-        kind: str = "quantiles",
-        resolution: float = 0.0,
-        now: Optional[float] = None,
-    ) -> QueryResult:
-        """Windowed horizon read with replica failover.
-
-        A ``last=`` horizon is anchored **once** here, so every replica
-        tried during failover answers the same wall-clock window.
-        """
-        lo, hi = _resolve_horizon(start, end, last, now)
-        return self._read(
-            key, "query_horizon", points,
-            start=lo, end=hi, kind=kind, resolution=resolution,
+        return self._run(
+            self._write("ingest_windowed", wire.pack_seq_window_ingest, key, ts, values)
         )
 
-    def _push_hint(self, rep: _Replica, hint: Hint) -> None:
-        rep.hints.push(hint)
-        self.hinted_writes += 1
+    def _flush_hints(self, force: bool):
+        pending: Dict[str, int] = {}
+        # A list: a replay can adopt a map that adds replica slots.
+        for rep in list(self._replicas.values()):
+            if len(rep.hints):
+                yield from self._ensure_live(rep, force=force)
+            if len(rep.hints):
+                pending[rep.node.node_id] = len(rep.hints)
+        return pending
 
-    def flush_hints(self, *, force: bool = True) -> Dict[str, int]:
+    def flush_hints(self, *, force: bool = True):
         """Try to revive every down node and replay its hints now.
 
         Returns ``{node_id: pending_hints_after}`` for nodes that still
         hold hints (empty dict = fully drained).
         """
-        pending: Dict[str, int] = {}
-        for rep in self._replicas.values():
-            if len(rep.hints):
-                self._ensure_live(rep, force=force)
-            if len(rep.hints):
-                pending[rep.node.node_id] = len(rep.hints)
-        return pending
+        return self._run(self._flush_hints(force))
 
     # -- reads ---------------------------------------------------------
 
     def _read(self, key: str, op: str, *args, **kwargs):
-        """Run a read op against the key's replicas with failover,
-        chasing ``WRONG_TOPOLOGY`` redirects to the current owners."""
+        """Run node-client method ``op`` against the key's replicas with
+        failover, chasing ``WRONG_TOPOLOGY`` redirects to the current
+        owners."""
         for attempt in range(_TOPOLOGY_ATTEMPTS):
             try:
-                return self._read_once(key, op, *args, **kwargs)
+                return (yield from self._read_once(key, op, args, kwargs))
             except WrongTopologyError as exc:
                 if attempt == _TOPOLOGY_ATTEMPTS - 1 or not self.adopt_topology(exc.map_json):
                     raise
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _read_once(self, key: str, op: str, *args, **kwargs):
+    def _read_once(self, key: str, op: str, args, kwargs):
         """One failover pass over the key's replicas under the current map."""
         last_error: Optional[BaseException] = None
         unknown: Optional[ServiceError] = None
         for node in self.map.replicas(key):
             rep = self._replica(node)
-            if not self._ensure_live(rep):
+            if not (yield from self._ensure_live(rep)):
                 # Skipping a down replica is a failover too: whatever
                 # answers will be a later replica in preference order.
                 self.read_failovers += 1
                 continue
             try:
-                return getattr(rep.client, op)(key, *args, **kwargs)
+                return (yield (partial(getattr(rep.client, op), **kwargs), key, *args))
             except _REPLICA_ERRORS as exc:
-                self._mark_down(rep, exc)
+                yield from self._mark_down(rep)
                 self.read_failovers += 1
                 last_error = exc
             except ServiceError as exc:
@@ -584,386 +548,23 @@ class ClusterClient:
             f"({[node.node_id for node in self.map.replicas(key)]})"
         ) from (last_error or unknown)
 
-    def query(self, key: str, fractions: Sequence[float]) -> QueryResult:
-        return self._read(key, "query", fractions)
+    def query(self, key: str, fractions: Sequence[float]):
+        return self._run(self._read(key, "query", fractions))
 
-    def quantile(self, key: str, q: float) -> float:
-        return float(self.query(key, [q]).quantiles[0])
+    def quantile(self, key: str, q: float):
+        return self._run(self._read(key, "quantile", q))
 
-    def cdf(self, key: str, split_points: Sequence[float]) -> QueryResult:
-        return self._read(key, "cdf", split_points)
+    def cdf(self, key: str, split_points: Sequence[float]):
+        return self._run(self._read(key, "cdf", split_points))
 
-    def rank(self, key: str, values: Sequence[float]) -> QueryResult:
-        return self._read(key, "rank", values)
+    def rank(self, key: str, values: Sequence[float]):
+        return self._run(self._read(key, "rank", values))
 
-    def fetch(self, key: str) -> Tuple[int, bytes]:
+    def fetch(self, key: str):
         """``(n, FRQ1 payload)`` from the first replica that answers."""
-        return self._read(key, "fetch")
+        return self._run(self._read(key, "fetch"))
 
-    # -- cluster introspection -----------------------------------------
-
-    def key_counts(self, key: str) -> Dict[str, Optional[int]]:
-        """Per-replica ``n`` for ``key`` — the divergence detector.
-
-        ``0`` for a replica that never saw the key, ``None`` for one
-        that is unreachable right now.
-        """
-        counts: Dict[str, Optional[int]] = {}
-        for node in self.map.replicas(key):
-            rep = self._replica(node)
-            if not self._ensure_live(rep, force=True):
-                counts[node.node_id] = None
-                continue
-            try:
-                counts[node.node_id] = int(rep.client.stats(key)["n"])
-            except _REPLICA_ERRORS as exc:
-                self._mark_down(rep, exc)
-                counts[node.node_id] = None
-            except ServiceError as exc:
-                if getattr(exc, "status", None) == wire.STATUS_UNKNOWN_KEY:
-                    counts[node.node_id] = 0
-                else:
-                    raise
-        return counts
-
-    def health(self) -> Dict[str, Optional[dict]]:
-        """Per-node ``HEALTH`` detail (``None`` for unreachable nodes)."""
-        out: Dict[str, Optional[dict]] = {}
-        for rep in self._replicas.values():
-            if not self._ensure_live(rep, force=True):
-                out[rep.node.node_id] = None
-                continue
-            try:
-                out[rep.node.node_id] = rep.client.health()
-            except _REPLICA_ERRORS as exc:
-                self._mark_down(rep, exc)
-                out[rep.node.node_id] = None
-        return out
-
-    def hint_depths(self) -> Dict[str, int]:
-        """Queued-hint depth per node (this client's handoff backlog)."""
-        return {rep.node.node_id: len(rep.hints) for rep in self._replicas.values()}
-
-    def stats(self) -> dict:
-        """Cluster-client view: topology + per-replica state + counters."""
-        return {
-            "topology_version": self.map.version,
-            "replication": self.map.replication,
-            "nodes": [rep.stats() for rep in self._replicas.values()],
-            "keys_seen": len(self.keys_seen),
-            "write_acks": self.write_acks,
-            "read_failovers": self.read_failovers,
-            "hinted_writes": self.hinted_writes,
-            "nodes_marked_down": self.nodes_marked_down,
-            "topology_refreshes": self.topology_refreshes,
-        }
-
-    def node_client(self, node_id: str) -> Optional[QuantileClient]:
-        """The live per-node client (repair uses this; ``None`` if down)."""
-        rep = self._replicas[node_id]
-        self._ensure_live(rep, force=True)
-        return rep.client
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for rep in self._replicas.values():
-            rep.sync_seq_from_client()
-            if rep.client is not None:
-                try:
-                    rep.client.close()
-                except Exception:
-                    pass
-                rep.client = None
-
-    def __enter__(self) -> "ClusterClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class AsyncClusterClient:
-    """Asyncio cluster client: same contract, concurrent write fan-out.
-
-    Writes build each replica's sequenced frame synchronously (sequence
-    reservation must be racefree within the task) and then await every
-    replica concurrently, so the write latency is the *slowest* replica,
-    not the sum.  Reads fail over sequentially in ring order, like the
-    sync client.
-    """
-
-    def __init__(
-        self,
-        cluster_map,
-        *,
-        retry: Optional[RetryPolicy] = None,
-        probe_interval: float = 0.5,
-        max_hints: int = DEFAULT_MAX_HINTS,
-        max_hint_values: int = DEFAULT_MAX_VALUES,
-    ) -> None:
-        if not isinstance(cluster_map, ClusterMap):
-            cluster_map = ClusterMap.load(cluster_map)
-        self.map = cluster_map
-        self._retry = retry if retry is not None else RetryPolicy()
-        self.probe_interval = probe_interval
-        self._max_hints = max_hints
-        self._max_hint_values = max_hint_values
-        self._replicas: Dict[str, _Replica] = {
-            node.node_id: _Replica(node, max_hints=max_hints, max_values=max_hint_values)
-            for node in cluster_map.nodes
-        }
-        self.keys_seen = set()
-        self.write_acks = 0
-        self.read_failovers = 0
-        self.hinted_writes = 0
-        self.nodes_marked_down = 0
-        self.topology_refreshes = 0
-        self._closed = False
-
-    def _replica(self, node: ClusterNode) -> _Replica:
-        return self._replicas[node.node_id]
-
-    # Same contract as ClusterClient.adopt_topology (pure client state,
-    # no I/O, so the sync implementation is shared verbatim).
-    adopt_topology = ClusterClient.adopt_topology
-    hint_depths = ClusterClient.hint_depths
-
-    async def _connect(self, rep: _Replica) -> None:
-        client = AsyncQuantileClient(
-            rep.node.host,
-            rep.node.port,
-            retry=self._retry,
-            session=rep.session_id,
-        )
-        await client.connect()
-        amnesia = client.exactly_once and client._next_seq == 1 and rep.next_seq > 1
-        client._next_seq = max(client._next_seq, rep.next_seq)
-        rep.client = client
-        rep.next_seq = client._next_seq
-        if amnesia:
-            rep.note_amnesia()
-
-    async def _mark_down(self, rep: _Replica, exc: Optional[BaseException] = None) -> None:
-        rep.sync_seq_from_client()
-        if rep.client is not None:
-            try:
-                await rep.client.close()
-            except Exception:
-                pass
-            rep.client = None
-        now = time.monotonic()
-        if rep.down_since is None:
-            rep.down_since = now
-            self.nodes_marked_down += 1
-        rep.next_probe = now + self.probe_interval
-        rep.failures += 1
-
-    async def _ensure_live(self, rep: _Replica, *, force: bool = False) -> bool:
-        if rep.client is None:
-            now = time.monotonic()
-            if not force and rep.down_since is not None and now < rep.next_probe:
-                return False
-            try:
-                await self._connect(rep)
-            except _REPLICA_ERRORS as exc:
-                await self._mark_down(rep, exc)
-                return False
-        if len(rep.hints) and not await self._replay_hints(rep):
-            return False
-        rep.down_since = None
-        return True
-
-    async def _replay_hints(self, rep: _Replica) -> bool:
-        for hint in rep.hints.drain():
-            try:
-                await rep.client._request(hint.body, idempotent=True)
-                rep.acked = True
-            except _REPLICA_ERRORS as exc:
-                rep.hints.requeue(hint)
-                await self._mark_down(rep, exc)
-                return False
-            except WrongTopologyError as exc:
-                # Un-owned key: drop the hint (see ClusterClient note).
-                self.adopt_topology(exc.map_json)
-                continue
-            except ServiceError as exc:
-                if _is_failover_status(exc):
-                    rep.hints.requeue(hint)
-                    return False
-                raise
-        return True
-
-    async def ingest(self, key: str, values) -> int:
-        """Replicated write; see :meth:`ClusterClient.ingest`."""
-        import asyncio
-
-        values = np.ascontiguousarray(values, dtype=wire.WIRE_DTYPE)
-        self.keys_seen.add(key)
-
-        async def write_one(rep: _Replica, body: Optional[bytes]):
-            try:
-                if body is None:
-                    return await rep.client.ingest(key, values)
-                payload = await rep.client._request(body, idempotent=True)
-                n, _ = wire.unpack_n(payload, 0)
-                rep.acked = True
-                return n
-            except _REPLICA_ERRORS as exc:
-                await self._mark_down(rep, exc)
-                if body is not None:
-                    self._push_hint(rep, Hint(key, len(values), body))
-                return exc
-            except WrongTopologyError as exc:
-                # Surfaced as a value so gather() completes the whole
-                # fan-out; the caller adopts the map and re-routes.
-                return exc
-            except ServiceError as exc:
-                if _is_failover_status(exc) and body is not None:
-                    self._push_hint(rep, Hint(key, len(values), body))
-                    return exc
-                raise
-
-        best_n = -1
-        last_error: Optional[BaseException] = None
-        done = set()
-        for attempt in range(_TOPOLOGY_ATTEMPTS):
-            plan: List[Tuple[_Replica, Optional[bytes]]] = []
-            for node in self.map.replicas(key):
-                if node.node_id in done:
-                    continue
-                rep = self._replica(node)
-                if not await self._ensure_live(rep):
-                    self._hint(rep, key, values)
-                    done.add(node.node_id)
-                    continue
-                plan.append((rep, self._seq_body(rep, key, values)))
-            results = await asyncio.gather(*(write_one(rep, body) for rep, body in plan))
-            wrong: Optional[WrongTopologyError] = None
-            for (rep, _body), res in zip(plan, results):
-                if isinstance(res, int):
-                    best_n = max(best_n, res)
-                    done.add(rep.node.node_id)
-                elif isinstance(res, WrongTopologyError):
-                    wrong = res
-                    last_error = res
-                else:
-                    # Marked down (hinted) or shed (hinted) inside
-                    # write_one — handled, don't re-send on re-route.
-                    done.add(rep.node.node_id)
-                    if isinstance(res, BaseException):
-                        last_error = res
-            if wrong is None:
-                break
-            if attempt < _TOPOLOGY_ATTEMPTS - 1 and self.adopt_topology(wrong.map_json):
-                continue
-            if best_n >= 0:
-                break
-            raise wrong
-        if best_n < 0:
-            raise ClusterError(
-                f"no live replica acknowledged ingest of {len(values)} values "
-                f"for key {key!r}"
-            ) from last_error
-        self.write_acks += 1
-        return best_n
-
-    async def ingest_stream(self, key: str, values, *, frame_values: int = 8192) -> int:
-        values = np.ascontiguousarray(values, dtype=wire.WIRE_DTYPE)
-        n = 0
-        for start in range(0, len(values), frame_values):
-            n = await self.ingest(key, values[start : start + frame_values])
-        return n
-
-    def _seq_body(self, rep: _Replica, key: str, values) -> Optional[bytes]:
-        if rep.client is not None and not rep.client.exactly_once:
-            return None
-        return wire.pack_seq_ingest(rep.reserve_seq(), key, values)
-
-    def _hint(self, rep: _Replica, key: str, values) -> None:
-        body = wire.pack_seq_ingest(rep.reserve_seq(), key, values)
-        self._push_hint(rep, Hint(key, len(values), body))
-
-    async def ingest_windowed(self, key: str, timestamps, values) -> int:
-        """Replicated timestamped write (see
-        :meth:`ClusterClient.ingest_windowed`); replicas are awaited
-        concurrently like :meth:`ingest`."""
-        import asyncio
-
-        ts = np.ascontiguousarray(timestamps, dtype=wire.WIRE_DTYPE)
-        values = np.ascontiguousarray(values, dtype=wire.WIRE_DTYPE)
-        self.keys_seen.add(key)
-
-        async def write_one(rep: _Replica, body: Optional[bytes]):
-            try:
-                if body is None:
-                    return await rep.client.ingest_windowed(key, ts, values)
-                payload = await rep.client._request(body, idempotent=True)
-                n, _ = wire.unpack_n(payload, 0)
-                rep.acked = True
-                return n
-            except _REPLICA_ERRORS as exc:
-                await self._mark_down(rep, exc)
-                if body is not None:
-                    self._push_hint(rep, Hint(key, len(values), body))
-                return exc
-            except WrongTopologyError as exc:
-                return exc
-            except ServiceError as exc:
-                if _is_failover_status(exc) and body is not None:
-                    self._push_hint(rep, Hint(key, len(values), body))
-                    return exc
-                raise
-
-        best_n = -1
-        last_error: Optional[BaseException] = None
-        done = set()
-        for attempt in range(_TOPOLOGY_ATTEMPTS):
-            plan: List[Tuple[_Replica, Optional[bytes]]] = []
-            for node in self.map.replicas(key):
-                if node.node_id in done:
-                    continue
-                rep = self._replica(node)
-                if not await self._ensure_live(rep):
-                    body = wire.pack_seq_window_ingest(rep.reserve_seq(), key, ts, values)
-                    self._push_hint(rep, Hint(key, len(values), body))
-                    done.add(node.node_id)
-                    continue
-                if rep.client.exactly_once:
-                    body = wire.pack_seq_window_ingest(rep.reserve_seq(), key, ts, values)
-                else:
-                    body = None
-                plan.append((rep, body))
-            results = await asyncio.gather(*(write_one(rep, body) for rep, body in plan))
-            wrong: Optional[WrongTopologyError] = None
-            for (rep, _body), res in zip(plan, results):
-                if isinstance(res, int):
-                    best_n = max(best_n, res)
-                    done.add(rep.node.node_id)
-                elif isinstance(res, WrongTopologyError):
-                    wrong = res
-                    last_error = res
-                else:
-                    done.add(rep.node.node_id)
-                    if isinstance(res, BaseException):
-                        last_error = res
-            if wrong is None:
-                break
-            if attempt < _TOPOLOGY_ATTEMPTS - 1 and self.adopt_topology(wrong.map_json):
-                continue
-            if best_n >= 0:
-                break
-            raise wrong
-        if best_n < 0:
-            raise ClusterError(
-                f"no live replica acknowledged windowed ingest of {len(values)} "
-                f"values for key {key!r}"
-            ) from last_error
-        self.write_acks += 1
-        return best_n
-
-    async def query_horizon(
+    def query_horizon(
         self,
         key: str,
         points: Sequence[float] = (0.5, 0.9, 0.99),
@@ -974,126 +575,144 @@ class AsyncClusterClient:
         kind: str = "quantiles",
         resolution: float = 0.0,
         now: Optional[float] = None,
-    ) -> QueryResult:
-        """Windowed horizon read with failover (see
-        :meth:`ClusterClient.query_horizon`)."""
+    ):
+        """Windowed horizon read with replica failover.
+
+        A ``last=`` horizon is anchored **once** here, so every replica
+        tried during failover answers the same wall-clock window.
+        """
         lo, hi = _resolve_horizon(start, end, last, now)
-        return await self._read(
+        return self._run(self._read(
             key, "query_horizon", points,
             start=lo, end=hi, kind=kind, resolution=resolution,
-        )
+        ))
 
-    def _push_hint(self, rep: _Replica, hint: Hint) -> None:
-        rep.hints.push(hint)
-        self.hinted_writes += 1
+    # -- cluster introspection -----------------------------------------
 
-    async def flush_hints(self, *, force: bool = True) -> Dict[str, int]:
-        pending: Dict[str, int] = {}
-        for rep in self._replicas.values():
-            if len(rep.hints):
-                await self._ensure_live(rep, force=force)
-            if len(rep.hints):
-                pending[rep.node.node_id] = len(rep.hints)
-        return pending
-
-    async def _read(self, key: str, op: str, *args, **kwargs):
-        for attempt in range(_TOPOLOGY_ATTEMPTS):
-            try:
-                return await self._read_once(key, op, *args, **kwargs)
-            except WrongTopologyError as exc:
-                if attempt == _TOPOLOGY_ATTEMPTS - 1 or not self.adopt_topology(exc.map_json):
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _read_once(self, key: str, op: str, *args, **kwargs):
-        last_error: Optional[BaseException] = None
-        unknown: Optional[ServiceError] = None
-        for node in self.map.replicas(key):
-            rep = self._replica(node)
-            if not await self._ensure_live(rep):
-                self.read_failovers += 1
-                continue
-            try:
-                return await getattr(rep.client, op)(key, *args, **kwargs)
-            except _REPLICA_ERRORS as exc:
-                await self._mark_down(rep, exc)
-                self.read_failovers += 1
-                last_error = exc
-            except ServiceError as exc:
-                status = getattr(exc, "status", None)
-                if status == wire.STATUS_RETRY_LATER:
-                    self.read_failovers += 1
-                    last_error = exc
-                    continue
-                if status == wire.STATUS_UNKNOWN_KEY:
-                    unknown = exc
-                    continue
-                raise
-        if unknown is not None and last_error is None:
-            raise unknown
-        raise ClusterError(
-            f"every replica of key {key!r} failed the read"
-        ) from (last_error or unknown)
-
-    async def query(self, key: str, fractions: Sequence[float]) -> QueryResult:
-        return await self._read(key, "query", fractions)
-
-    async def quantile(self, key: str, q: float) -> float:
-        return float((await self.query(key, [q])).quantiles[0])
-
-    async def cdf(self, key: str, split_points: Sequence[float]) -> QueryResult:
-        return await self._read(key, "cdf", split_points)
-
-    async def rank(self, key: str, values: Sequence[float]) -> QueryResult:
-        return await self._read(key, "rank", values)
-
-    async def fetch(self, key: str) -> Tuple[int, bytes]:
-        return await self._read(key, "fetch")
-
-    async def key_counts(self, key: str) -> Dict[str, Optional[int]]:
+    def _key_counts(self, key: str):
         counts: Dict[str, Optional[int]] = {}
         for node in self.map.replicas(key):
             rep = self._replica(node)
-            if not await self._ensure_live(rep, force=True):
-                counts[node.node_id] = None
+            counts[node.node_id] = None
+            if not (yield from self._ensure_live(rep, force=True)):
                 continue
             try:
-                counts[node.node_id] = int((await rep.client.stats(key))["n"])
-            except _REPLICA_ERRORS as exc:
-                await self._mark_down(rep, exc)
-                counts[node.node_id] = None
+                counts[node.node_id] = int((yield (rep.client.stats, key))["n"])
+            except _REPLICA_ERRORS:
+                yield from self._mark_down(rep)
             except ServiceError as exc:
-                if getattr(exc, "status", None) == wire.STATUS_UNKNOWN_KEY:
-                    counts[node.node_id] = 0
-                else:
+                if getattr(exc, "status", None) != wire.STATUS_UNKNOWN_KEY:
                     raise
+                counts[node.node_id] = 0
         return counts
 
-    def stats(self) -> dict:
-        return {
-            "topology_version": self.map.version,
-            "replication": self.map.replication,
-            "nodes": [rep.stats() for rep in self._replicas.values()],
-            "keys_seen": len(self.keys_seen),
-            "write_acks": self.write_acks,
-            "read_failovers": self.read_failovers,
-            "hinted_writes": self.hinted_writes,
-            "nodes_marked_down": self.nodes_marked_down,
-            "topology_refreshes": self.topology_refreshes,
-        }
+    def key_counts(self, key: str):
+        """Per-replica ``n`` for ``key`` — the divergence detector.
 
-    async def close(self) -> None:
+        ``0`` for a replica that never saw the key, ``None`` for one
+        that is unreachable right now.
+        """
+        return self._run(self._key_counts(key))
+
+    def _health(self):
+        out: Dict[str, Optional[dict]] = {}
+        for rep in list(self._replicas.values()):
+            out[rep.node.node_id] = None
+            if not (yield from self._ensure_live(rep, force=True)):
+                continue
+            try:
+                out[rep.node.node_id] = yield (rep.client.health,)
+            except _REPLICA_ERRORS:
+                yield from self._mark_down(rep)
+        return out
+
+    def health(self):
+        """Per-node ``HEALTH`` detail (``None`` for unreachable nodes)."""
+        return self._run(self._health())
+
+    def _node_client(self, node_id: str):
+        rep = self._replicas[node_id]
+        yield from self._ensure_live(rep, force=True)
+        return rep.client
+
+    def node_client(self, node_id: str):
+        """The live per-node client (repair uses this; ``None`` if down)."""
+        return self._run(self._node_client(node_id))
+
+    def _close(self):
         if self._closed:
             return
         self._closed = True
         for rep in self._replicas.values():
-            rep.sync_seq_from_client()
-            if rep.client is not None:
-                try:
-                    await rep.client.close()
-                except Exception:
-                    pass
-                rep.client = None
+            yield from self._drop(rep)
+
+    def close(self):
+        """Close every node connection (idempotent)."""
+        return self._run(self._close())
+
+
+class ClusterClient(_ClusterCore):
+    """Blocking cluster client: replicated writes, failover reads.
+
+    Args:
+        cluster_map: The topology (a :class:`~repro.cluster.ring.ClusterMap`,
+            or a path to a topology JSON file).
+        retry: Per-node retry policy (defaults to ``RetryPolicy()``).
+            Required in spirit: exactly-once sessions — which hinted
+            handoff depends on — are only negotiated with a policy.
+        probe_interval: Seconds between reconnect probes at a down node.
+        max_hints, max_hint_values: Bounds of each node's hint queue.
+
+    Counters (observability): :attr:`write_acks`, :attr:`read_failovers`,
+    :attr:`hinted_writes`, :attr:`nodes_marked_down`.
+    """
+
+    _run = staticmethod(QuantileClient._run)
+
+    def _node(self, rep: _Replica) -> QuantileClient:
+        return QuantileClient(
+            rep.node.host, rep.node.port, retry=self._retry, session=rep.session_id
+        )
+
+    @staticmethod
+    def _fan_out(commands):
+        """Run each replica's write in ring order; collect results and
+        exceptions alike so every replica is tried."""
+        results = []
+        for command in commands:
+            try:
+                results.append(command[0](*command[1:]))
+            except Exception as exc:
+                results.append(exc)
+        return results
+
+    def __enter__(self) -> "ClusterClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class AsyncClusterClient(_ClusterCore):
+    """Asyncio cluster client: the same operations and arguments as
+    :class:`ClusterClient`, ``await``-ed, with the write fan-out awaited
+    concurrently (latency is the *slowest* replica, not the sum).  Each
+    replica's sequenced frame is built before the fan-out, so sequence
+    reservation stays race-free; reads fail over in ring order."""
+
+    _run = staticmethod(AsyncQuantileClient._drive)
+
+    async def _node(self, rep: _Replica) -> AsyncQuantileClient:
+        client = AsyncQuantileClient(
+            rep.node.host, rep.node.port, retry=self._retry, session=rep.session_id
+        )
+        return await client.connect()
+
+    @staticmethod
+    async def _fan_out(commands):
+        return await asyncio.gather(
+            *(command[0](*command[1:]) for command in commands), return_exceptions=True
+        )
 
     async def __aenter__(self) -> "AsyncClusterClient":
         return self

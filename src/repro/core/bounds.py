@@ -34,13 +34,20 @@ def a_priori_eps(k: int, n: int, delta: float = 0.05) -> float:
     return eps_for_streaming_k(k, n, delta)
 
 
-def rank_interval(estimate: int, eps: float, n: int) -> Tuple[int, int]:
+def rank_interval(estimate: int, eps: float, n: int, *, hra: bool = False) -> Tuple[int, int]:
     """Confidence interval for the true rank given the (1 +/- eps) guarantee.
 
     From ``|estimate - R| <= eps * R`` it follows that
     ``R in [estimate / (1 + eps), estimate / (1 - eps)]`` (upper end clamped
     to ``n``; for ``eps >= 1`` the upper end is ``n``).
+
+    A high-rank-accuracy sketch (``hra=True``) mirrors the order, so its
+    guarantee is relative to ``n - R``: the interval is taken for the
+    mirrored rank ``n - estimate`` and mapped back, within ``[0, n]``.
     """
+    if hra:
+        lower, upper = rank_interval(n - estimate, eps, n)
+        return max(0, n - upper), min(n, n - lower)
     if estimate < 0:
         raise InvalidParameterError(f"rank estimate must be >= 0, got {estimate}")
     if eps <= 0:

@@ -43,6 +43,7 @@ import math
 import random
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.bounds import rank_interval
 from repro.core.compactor import COIN_MODES, RelativeCompactor
 from repro.core.estimator import WeightedCoreset
 from repro.core.params import (
@@ -664,13 +665,7 @@ class ReqSketch:
         return eps_for_streaming_k(self._k, n, delta)
 
     def rank_bounds(self, item: Any, *, delta: Optional[float] = None) -> Tuple[int, int]:
-        """(lower, upper) bounds on the true rank, from the (1 +/- eps) bound.
-
-        If ``|est - R| <= eps * R`` then ``R`` lies in
-        ``[est / (1 + eps), est / (1 - eps)]``.
-        """
-        est = self.rank(item)
-        eps = self.error_bound(delta=delta)
-        lower = int(math.floor(est / (1.0 + eps)))
-        upper = self._n if eps >= 1.0 else int(math.ceil(est / (1.0 - eps)))
-        return max(0, lower), min(self._n, upper)
+        """(lower, upper) bounds on the true rank, from the (1 +/- eps) bound
+        (relative to ``n - R`` under HRA; see
+        :func:`~repro.core.bounds.rank_interval`)."""
+        return rank_interval(self.rank(item), self.error_bound(delta=delta), self._n, hra=self.hra)

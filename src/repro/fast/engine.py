@@ -65,6 +65,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bounds import rank_interval
 from repro.core.params import eps_for_streaming_k
 from repro.core.req import ReqSketch
 from repro.core.schedule import CompactionSchedule
@@ -801,9 +802,7 @@ class FastReqSketch:
         return eps
 
     def rank_bounds(self, item: float, *, delta: float = 0.05) -> Tuple[int, int]:
-        """(lower, upper) bounds on the true rank, from the (1 +/- eps) bound."""
-        est = self.rank(item)
-        eps = self.error_bound(delta=delta)
-        lower = int(math.floor(est / (1.0 + eps)))
-        upper = self.n if eps >= 1.0 else int(math.ceil(est / (1.0 - eps)))
-        return max(0, lower), min(self.n, upper)
+        """(lower, upper) bounds on the true rank, from the (1 +/- eps) bound
+        (relative to ``n - R`` under HRA; see
+        :func:`~repro.core.bounds.rank_interval`)."""
+        return rank_interval(self.rank(item), self.error_bound(delta=delta), self.n, hra=self.hra)

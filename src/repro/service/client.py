@@ -16,7 +16,10 @@ The drivers only open connections and run commands.
 zero-copy ``sendall``; a buffered reader drains a window of acks per
 ``recv``).  :class:`AsyncQuantileClient` uses asyncio streams and maps
 their timeouts and EOFs into the sync driver's exception family, so
-both make the same retry decisions.
+both make the same retry decisions.  Tasks sharing one
+:class:`AsyncQuantileClient` take turns, one operation at a time, and an
+exchange abandoned midway (a timeout, a cancellation) drops the
+connection: a reply is never read as the answer to a later request.
 
 A non-OK status raises :class:`~repro.errors.ServiceError` carrying the
 server's message and ``status``; transport failures raise the
@@ -671,10 +674,10 @@ class _ClientCore:
                 payload = wire.raise_for_status((yield (self._conn.exchange, frame)))
                 return payload if decode is None else decode(payload)
             except _TRANSPORT_ERRORS as exc:
-                if retry is None:
-                    raise
+                # The reply may still arrive (a timeout): drop the
+                # connection so it can never answer a later request.
                 self._drop()
-                if not idempotent:
+                if retry is None or not idempotent:
                     raise
                 yield from self._reconnect(exc)
             except ServiceError as exc:
@@ -736,6 +739,7 @@ class _ClientCore:
                     window_view.release()  # free the scratch for reuse
             except _TRANSPORT_ERRORS as exc:
                 if not resilient:
+                    self._drop()  # in-flight acks must not answer a later request
                     raise
                 yield from self._reconnect(exc)
                 stream.rewind()
@@ -1341,6 +1345,8 @@ class AsyncQuantileClient(_ClientCore):
         session: Optional[str] = None,
     ) -> None:
         super().__init__(host, port, batch_size, None, retry, session)
+        self._lock = asyncio.Lock()
+        self._holder = None
 
     _sleep = staticmethod(asyncio.sleep)
 
@@ -1351,7 +1357,7 @@ class AsyncQuantileClient(_ClientCore):
         return _StreamConnection(reader, writer, self._timeout)
 
     @staticmethod
-    async def _run(op):
+    async def _drive(op):
         """Run a core operation to completion on the event loop."""
         value = error = None
         while True:
@@ -1365,10 +1371,31 @@ class AsyncQuantileClient(_ClientCore):
             except BaseException as exc:
                 value, error = None, exc
 
+    async def _run(self, op):
+        """Run a core operation with the connection to itself: tasks
+        sharing the client take turns, so no task reads another's reply.
+        A command that calls back into a public method (``flush`` ships
+        through ``ingest``) runs inside the turn its task already holds.
+        A cancelled operation may leave a reply in flight, so it drops
+        the connection."""
+        task = asyncio.current_task()
+        if self._holder is task:
+            return await self._drive(op)
+        async with self._lock:
+            self._holder = task
+            try:
+                return await self._drive(op)
+            except asyncio.CancelledError:
+                self._drop()
+                raise
+            finally:
+                self._holder = None
+
     async def _events(self, subscription):
+        # The subscription owns its own connection: no turn needed.
         try:
             while True:
-                yield await self._run(subscription.next_event())
+                yield await self._drive(subscription.next_event())
         finally:
             subscription.close()
 

@@ -254,6 +254,24 @@ class SessionTable:
         entry.marks[key] = seq
         return ADMIT_APPLY
 
+    def release_redirected(self, sid: str, seq: int) -> None:
+        """Lift the shed floor when the frame it waits for was redirected.
+
+        A frame shed while its key was frozen for a cutover pins the
+        floor at its ``seq``; its retry is then answered
+        ``WRONG_TOPOLOGY`` before :meth:`admit` runs, so the floor would
+        otherwise never clear and shed every later frame of the session.
+        Releasing it keeps applies gap-free: a redirected frame never
+        applies on this node, and each mark is per ``(session, key)`` —
+        the redirected key's later frames are redirected too, and no
+        other key's mark can pass over a frame of the redirected key.
+        The client resends in sequence order, so the session is left
+        exactly as if the frame had been redirected without being shed.
+        """
+        entry = self._sessions.get(sid)
+        if entry is not None and entry.shed_floor == seq:
+            entry.shed_floor = None
+
     def revert(self, sid: str, key: str, mark: int, failed_seq: int) -> None:
         """Roll the mark back after an admitted frame FAILED to apply.
 

@@ -1956,6 +1956,8 @@ class QuantileServer:
             for key, _values in groups:
                 reject = self._topology_reject(key)
                 if reject is not None:
+                    if sid is not None:
+                        service.sessions.release_redirected(sid, seq)
                     return reject, None
                 if shed_body is None and service._migrations and service.migration_frozen(key):
                     shed_body = wire.error_body(

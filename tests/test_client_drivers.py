@@ -356,3 +356,101 @@ class TestUntrustedPeers:
             listener.close()
         assert type(excinfo.value) is TimeoutError
         assert len(hellos) >= 2  # the stalled read reconnected first
+
+
+# ----------------------------------------------------------------------
+# One answer per request
+# ----------------------------------------------------------------------
+
+
+class TestOneAnswerPerRequest:
+    """Each request reads its own reply: tasks sharing one
+    ``AsyncQuantileClient`` take turns on its connection, and an exchange
+    abandoned midway drops the connection, so no reply is left behind to
+    be read as a later request's."""
+
+    def test_gathered_operations_each_get_their_own_answer(self):
+        async def scenario(port):
+            async with AsyncQuantileClient(port=port, retry=_policy(), batch_size=3) as client:
+                await client.ingest("a", [1.0])
+                await client.ingest("b", _values(100))
+                for value in (1.0, 2.0):
+                    await client.ingest_one("c", value)
+                answers = await asyncio.gather(
+                    client.query("a", [0.5]),
+                    client.query("b", [0.5]),
+                    client.ingest_stream("d", _values(50), frame_values=10, window=2),
+                    client.ingest_one("c", 3.0),  # ships through ingest
+                    client.flush(),
+                    client.query("a", [0.5]),
+                    client.stats("b"),
+                )
+                after = await client.query("a", [0.5])
+                return answers, after, (await client.stats("c"))["n"]
+
+        with ServerThread(QuantileService(None)) as running:
+            answers, after, c_count = asyncio.run(scenario(running.port))
+        assert [answers[0].n, answers[1].n, answers[2], answers[5].n] == [1, 100, 50, 1]
+        assert answers[6]["n"] == 100
+        assert after.n == 1
+        assert c_count == 3
+
+    def test_cancelled_exchange_leaves_no_stale_answer(self):
+        """A request cancelled while its response is in flight must not
+        leave that response to answer the next request."""
+
+        async def scenario(port):
+            client = AsyncQuantileClient(port=port)
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(client.ping(), 0.1)
+                await asyncio.sleep(0.4)  # the slow answer has arrived by now
+                return await client.ping()
+            finally:
+                await client.close()
+
+        listener = _slow_first_answer()
+        try:
+            answer = asyncio.run(scenario(listener.getsockname()[1]))
+        finally:
+            listener.close()
+        assert answer == "pong-2"
+
+    def test_timed_out_exchange_leaves_no_stale_answer(self):
+        """The same for a read timeout without a retry policy (blocking
+        driver: its socket timeout)."""
+        listener = _slow_first_answer()
+        try:
+            client = QuantileClient(port=listener.getsockname()[1], timeout=0.1)
+            with pytest.raises(TimeoutError):
+                client.ping()
+            threading.Event().wait(0.4)  # the slow answer has arrived by now
+            answer = client.ping()
+            client.close()
+        finally:
+            listener.close()
+        assert answer == "pong-2"
+
+
+def _slow_first_answer():
+    """A fake server answering every request ``pong-<i>`` (``i`` counted
+    across connections), the first one after 0.3 s."""
+    requests = []
+
+    def handler(conn):
+        with conn:
+            while True:
+                try:
+                    wire.read_frame_sync(conn)
+                except (ConnectionError, ServiceError, OSError):
+                    return
+                requests.append(1)
+                if len(requests) == 1:
+                    threading.Event().wait(0.3)
+                text = f"pong-{len(requests)}".encode()
+                try:
+                    conn.sendall(wire.encode_frame(bytes([wire.STATUS_OK]) + wire.pack_blob(text)))
+                except OSError:
+                    return
+
+    return _serve(handler)

@@ -888,3 +888,35 @@ class TestTickPipeline:
         )
         assert _multi_acks(retry[0]) == [3, 2]
         assert _n(retry[1]) == 7
+
+    def test_redirected_retry_of_a_shed_frame_releases_the_shed_floor(self, tmp_path, rng):
+        """A frame shed during a cutover freeze pins the session's shed
+        floor; its retry, arriving after the commit, is redirected before
+        admit.  The redirect must release the floor, or every later frame
+        of the session sheds on this node for good."""
+        from repro.cluster import ClusterMap
+
+        one = ClusterMap([("a", "127.0.0.1", 1)], replication=1)
+        two = one.with_node(("b", "127.0.0.1", 2))
+        keys = [f"key-{index}" for index in range(64)]
+        moved = next(key for key in keys if two.primary(key).node_id == "b")
+        kept = next(key for key in keys if two.primary(key).node_id == "a")
+        service = QuantileService(tmp_path, node_id="a")
+        service.install_topology(one.to_json())
+        server = QuantileServer(service, overload=None)
+        conn = _TickConn()
+        try:
+            assert _tick(server, conn, [wire.pack_hello("s1")])[0][0] == wire.STATUS_OK
+            assert _n(_tick(server, conn, [wire.pack_seq_ingest(1, moved, rng.random(3))])[0]) == 3
+            service.migrate_begin(moved)
+            service.migrate_drain(moved, freeze=True)
+            shed = _tick(server, conn, [wire.pack_seq_ingest(2, moved, rng.random(2))])
+            assert shed[0][0] == wire.STATUS_RETRY_LATER
+            service.install_topology(two.to_json())
+            service.migrate_commit(moved)
+            retry = _tick(server, conn, [wire.pack_seq_ingest(2, moved, rng.random(2))])
+            assert retry[0][0] == wire.STATUS_WRONG_TOPOLOGY
+            assert _n(_tick(server, conn, [wire.pack_seq_ingest(3, kept, rng.random(4))])[0]) == 4
+            assert service.sessions.high_water("s1", kept) == 3
+        finally:
+            service.close(snapshot=False)

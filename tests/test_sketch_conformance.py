@@ -7,6 +7,7 @@ harness relies on when treating sketches interchangeably.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -128,3 +129,60 @@ class TestConformance:
         true_median = sorted(data)[N // 2]
         estimate = sketch.quantile(0.5)
         assert abs(estimate - true_median) / true_median < 0.5
+
+
+# ----------------------------------------------------------------------
+# rank_bounds soundness on both REQ engines
+# ----------------------------------------------------------------------
+
+
+def _rank_bounds_probes(engine, hra):
+    """``(true_rank, (lower, upper), estimate, eps, n)`` at ranks spaced
+    geometrically over the low half of a lognormal stream."""
+    import numpy as np
+
+    from repro.fast import FastReqSketch
+
+    if engine == "fast":
+        sketch, n = FastReqSketch(32, hra=hra, seed=11), 200_000
+    else:
+        sketch, n = ReqSketch(16, hra=hra, seed=11), 50_000
+    values = np.random.default_rng(7).lognormal(size=n)
+    sketch.update_many(values)
+    ordered = np.sort(values)
+    eps = sketch.error_bound()
+    probes = []
+    for rank in np.unique(np.geomspace(1, n // 2, 200).astype(int)):
+        item = float(ordered[rank - 1])
+        true = int(np.searchsorted(ordered, item, "right"))
+        probes.append((true, sketch.rank_bounds(item), sketch.rank(item), eps, n))
+    return probes
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+class TestRankBounds:
+    def test_hra_low_ranks_fall_inside_the_bounds(self, engine):
+        """An HRA sketch's error is relative to ``n - R``: an interval
+        relative to ``R`` misses most low ranks."""
+        outside = [
+            (true, bounds)
+            for true, bounds, _est, _eps, _n in _rank_bounds_probes(engine, hra=True)
+            if not bounds[0] <= true <= bounds[1]
+        ]
+        assert outside == []
+
+    def test_lra_bounds_unchanged(self, engine):
+        for true, bounds, est, eps, n in _rank_bounds_probes(engine, hra=False):
+            assert bounds == (
+                max(0, math.floor(est / (1.0 + eps))),
+                min(n, math.ceil(est / (1.0 - eps))),
+            )
+            assert bounds[0] <= true <= bounds[1]
+
+
+def test_rank_interval_mirrors_under_hra():
+    from repro.core import rank_interval
+
+    assert rank_interval(900, 0.1, 1000) == (818, 1000)
+    assert rank_interval(100, 0.1, 1000, hra=True) == (0, 182)
+    assert rank_interval(900, 0.1, 1000, hra=True) == (888, 910)
