@@ -142,15 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--fsync",
         action="store_true",
-        help="fsync WAL commits and snapshots (power-loss durability; with "
-        "group commit the fsync is amortized across each commit batch)",
-    )
-    serve_parser.add_argument(
-        "--no-group-commit",
-        action="store_true",
-        help="write + fsync the WAL synchronously per request instead of "
-        "batching appends on the background group-commit writer "
-        "(lower single-request latency, much lower ingest throughput)",
+        help="fsync WAL commits and snapshots (power-loss durability; the "
+        "WAL group-commits, so one fsync covers each commit batch)",
     )
     serve_parser.add_argument(
         "--no-uvloop",
@@ -548,7 +541,6 @@ def _cmd_serve(args) -> int:
         hot_shards=args.hot_shards,
         snapshot_interval=args.snapshot_interval or None,
         fsync=args.fsync,
-        group_commit=not args.no_group_commit,
         use_uvloop=not args.no_uvloop,
         max_connections=args.max_connections,
         drain_timeout=args.drain_timeout,

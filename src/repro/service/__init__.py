@@ -18,9 +18,10 @@ Layers (bottom up):
 * :mod:`repro.service.persistence` — per-key ``FRQ1`` snapshots plus an
   append-only CRC-guarded batch WAL; replay-on-recovery reconstructs
   every key after a crash (bit-exact for WAL-replayed keys, thanks to
-  deterministic per-key seeds).  :class:`GroupCommitWal` moves appends
-  and fsyncs onto a background writer with group commit — acks gate on
-  commit tickets, so durability costs latency instead of throughput.
+  deterministic per-key seeds).  The one log, :class:`WriteAheadLog`,
+  writes and fsyncs on a background writer with group commit — the
+  server's acks gate on commit tickets, so durability costs latency
+  instead of throughput, and in-process callers simply wait on theirs.
 * :class:`QuantileService` / :class:`QuantileServer`
   (:mod:`repro.service.server`) — the durable core and its asyncio TCP
   front speaking the length-prefixed binary protocol of
@@ -103,7 +104,7 @@ from repro.service.faultdisk import (
     SeededDiskFaults,
 )
 from repro.service.faultproxy import FaultProxy, ScriptedFaults, SeededFaults
-from repro.service.persistence import GroupCommitWal, SnapshotStore, WriteAheadLog
+from repro.service.persistence import SnapshotStore, WriteAheadLog
 from repro.service.resilience import OverloadPolicy, RetryPolicy, SessionTable
 from repro.service.scrub import Scrubber, verify_wal_file
 from repro.service.server import (
@@ -121,7 +122,6 @@ __all__ = [
     "DiskIo",
     "FaultProxy",
     "FaultyDisk",
-    "GroupCommitWal",
     "OverloadPolicy",
     "QuantileClient",
     "QuantileServer",

@@ -1,7 +1,7 @@
 """Deterministic disk-fault injection for the storage plane.
 
 The persistence layer (:class:`~repro.service.persistence.WriteAheadLog`,
-:class:`~repro.service.persistence.GroupCommitWal`,
+whose group-commit writer thread does all of the log's I/O, and
 :class:`~repro.service.persistence.SnapshotStore`) performs every byte of
 file I/O through an **io layer** — by default the pass-through
 :class:`DiskIo` below.  :class:`FaultyDisk` is the chaos double: it

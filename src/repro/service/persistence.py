@@ -9,18 +9,18 @@ Two complementary mechanisms, both built on the ``FRQ1`` wire format of
   WAL record folded into it, and the sketch's ``FRQ1`` payload.  Snapshot
   files are written atomically (temp file + rename) so a crash mid-write
   leaves the previous snapshot intact.
-* **An append-only batch WAL** (:class:`WriteAheadLog`) — every ingest
+* **One append-only batch WAL** (:class:`WriteAheadLog`) — every ingest
   batch (raw float64 values) and merge (an ``FRQ1`` donor payload) is
-  appended with a monotonically increasing sequence number and a CRC32
-  before it is applied to the store.  Each record is self-delimiting, so
-  replay after a crash walks the log and stops cleanly at a torn tail —
-  and opening the log truncates that tail away, so records appended after
-  a restart are never shadowed behind unreadable bytes.
-  :class:`GroupCommitWal` wraps the same log with a background writer
-  thread and **group commit**: appends enqueue and return a commit
-  ticket, the writer drains the queue and pays one flush/fsync per
-  batch, and acknowledgements gate on the ticket — identical replay
-  semantics, amortized durability cost.
+  logged with a monotonically increasing sequence number and a CRC32.
+  Appends enqueue and return a **commit ticket**; a background writer
+  thread drains the queue and pays one flush/fsync per batch (group
+  commit).  Acknowledgements gate on the ticket, and a caller that needs
+  a definite answer before it applies (the in-process service) simply
+  waits on it.  Each record is self-delimiting, so replay after a crash
+  walks the log and stops cleanly at a torn tail — and opening the log
+  truncates that tail away, so records appended after a restart are
+  never shadowed behind unreadable bytes.  A failed write poisons the
+  log: one failure rule for every caller.
 
 **Recovery** (:func:`recover`) registers every snapshot, then replays WAL
 records whose sequence number exceeds the owning key's snapshot sequence.
@@ -59,7 +59,6 @@ from repro.service.store import spill_filename
 __all__ = [
     "WalRecord",
     "WriteAheadLog",
-    "GroupCommitWal",
     "SnapshotStore",
     "recover",
     "WAL_INGEST",
@@ -68,6 +67,7 @@ __all__ = [
     "WAL_WINDOW_INGEST",
     "WAL_SEQ_WINDOW_INGEST",
     "WAL_MIGRATE_SET",
+    "check_key_size",
     "pack_session_header",
     "unpack_session_header",
 ]
@@ -118,6 +118,21 @@ _SESSION_HEAD = struct.Struct("<H")
 _SESSION_SEQ = struct.Struct("<Q")
 
 
+#: Keys of at most this many characters fit the u16 length field however
+#: they encode (UTF-8 spends at most 4 bytes per character), so only a
+#: longer key pays for an encode to check its size.
+_SHORT_KEY_CHARS = 0xFFFF // 4
+
+
+def check_key_size(key: str) -> None:
+    """Refuse a key whose UTF-8 form overflows the u16 length field of a
+    WAL record or snapshot (raises :class:`~repro.errors.ServiceError`)."""
+    if len(key) > _SHORT_KEY_CHARS:
+        size = len(key.encode("utf-8"))
+        if size > 0xFFFF:
+            raise ServiceError(f"key of {size} UTF-8 bytes exceeds the 65535-byte cap")
+
+
 def pack_session_header(sid: str, seq: int) -> bytes:
     """The ``WAL_SEQ_INGEST`` payload prefix for ``(sid, seq)``."""
     raw = sid.encode("utf-8")
@@ -157,13 +172,30 @@ class WalRecord(NamedTuple):
 
 
 class WriteAheadLog:
-    """An append-only, CRC-guarded record log.
+    """The service's write-ahead log: an append-only, CRC-guarded record
+    log with an off-loop writer and **group commit**.
 
     Records are framed ``<u32 body_len><u32 crc32(body)><body>`` with the
-    body ``<u8 op><u64 seq><u16 key_len><key><payload>``.  Appends are
-    buffered-write + ``flush()`` by default (data reaches the OS; survives
-    a process crash).  Pass ``fsync=True`` for per-append ``os.fsync``
-    (survives power loss, at a large throughput cost).
+    body ``<u8 op><u64 seq><u16 key_len><key><payload>``.
+
+    :meth:`append_many` enqueues records and returns a **commit ticket**
+    (a :class:`concurrent.futures.Future`) at once — no file I/O on the
+    caller's thread.  A writer thread drains the whole queue, writes every
+    queued record, then pays **one** flush (and one ``os.fsync`` when
+    ``fsync=True``) for the batch before resolving the tickets.  A caller
+    that acknowledges writes releases the ack only once the ticket
+    resolves — acknowledged means replayable — while the flush/fsync cost
+    is amortized across every record that arrived during the previous
+    commit.  A caller that must not go on before its records are durable
+    passes ``wait=True`` and waits on the ticket (:meth:`append` is one
+    record plus that wait).  The writer thread starts with the first
+    append that does not wait, so a log opened only to replay (or to
+    audit) starts none.
+
+    Records hit the file in append order (single FIFO queue).  A crash
+    loses at most the queued-but-uncommitted suffix — records whose
+    tickets never resolved and whose writes were therefore never
+    acknowledged.
 
     Opening the log **self-heals a torn tail**: a crash mid-append can
     leave a partial record at the end of the file, and because replay
@@ -173,90 +205,222 @@ class WriteAheadLog:
     prefix (:attr:`healed_bytes` reports how much was dropped) before the
     append handle opens, keeping "appended" equivalent to "replayable".
 
-    A failed write **poisons** the log, exactly like the group-commit
-    writer: the failure may have left a partial record mid-file, and
-    appending past it would shadow acknowledged records behind bytes
-    replay cannot cross.  All further appends raise; recovery heals the
-    torn tail at next open (the partial record was never acknowledged,
-    so truncating it loses nothing).
+    A failed write or flush **poisons** the log: the failure may have
+    left a partial record mid-file, and appending past it would shadow
+    acknowledged records behind bytes replay cannot cross (the torn-tail
+    healer only heals a *tail*).  The failed batch's ticket carries the
+    error, everything still queued fails with it, and every later append
+    raises; recovery heals the torn tail at next open (the partial record
+    was never acknowledged, so truncating it loses nothing).
+
+    Thread model: appends come from one thread (the asyncio event loop,
+    or the in-process caller).  At most one commit runs at a time, on the
+    writer thread or on a waiting caller's, and it owns the file until it
+    ends.  :meth:`barrier` blocks until everything queued is durable —
+    checkpoints call it (through :meth:`truncate`) so no covered record
+    can land after the truncate.
 
     ``io`` routes every byte of file I/O (defaults to the real-disk
     pass-through); chaos tests inject a
     :class:`~repro.service.faultdisk.FaultyDisk` here.
     """
 
-    def __init__(self, path, *, fsync: bool = False, io=None) -> None:
+    def __init__(self, path, *, fsync: bool = False, max_queue: int = 65536, io=None) -> None:
         self.path = Path(path)
         self.fsync = fsync
+        self.max_queue = max_queue
         self.io = DEFAULT_IO if io is None else io
         self.path.parent.mkdir(parents=True, exist_ok=True)
         #: Torn-tail bytes truncated away when this handle opened (0 = clean).
         self.healed_bytes = self._heal_torn_tail()
         self._file = open(self.path, "ab")
-        #: First write failure; once set the log is poisoned.
+        self._cond = threading.Condition()
+        self._queue: deque = deque()
+        self._open_ticket: Optional[Future] = None
+        self._committing = False
+        self._closed = False
+        self._crashed = False
+        self._thread: Optional[threading.Thread] = None
+        #: First write failure; once set the log is poisoned (see _commit).
         self._failed: Optional[BaseException] = None
+        self.commit_count = 0
+        self.committed_records = 0
+        self.max_commit_batch = 0
+        self.last_commit_batch = 0
+        self.last_commit_seconds = 0.0
+        self.total_commit_seconds = 0.0
 
     @property
     def failed(self) -> Optional[BaseException]:
-        return self._failed
+        """The poisoning write failure, or ``None`` while healthy."""
+        with self._cond:
+            return self._failed
+
+    # -- the append path -------------------------------------------------
+
+    def append(self, op: int, seq: int, key: str, payload: bytes) -> None:
+        """Append one record and wait until it is committed; raises the
+        commit's error if it failed."""
+        self.append_many(((op, seq, key, payload),), wait=True)
+
+    def append_many(self, records, *, wait: bool = False) -> Future:
+        """Enqueue ``(op, seq, key, payload)`` records under one lock and
+        one writer wakeup; returns the one commit ticket covering them all.
+
+        The ticket resolves (``result() is None``) once the records — and
+        every record queued with them — are flushed (and fsynced when
+        configured).  It carries the write error if the commit failed.
+        Payloads must be owned buffers: they are written after this call
+        returns, so a view into a reusable scratch would tear.  A record
+        whose key overflows the u16 length field is refused here, before
+        anything is queued.
+
+        ``wait=True`` returns only once the ticket resolved, raising the
+        commit's error.  When no commit is in flight, such a caller leads
+        the commit itself on its own thread: handing the batch to the
+        writer and waiting to be woken would only add two thread switches,
+        and either way one commit runs at a time.
+        """
+        for _op, _seq, key, _payload in records:
+            check_key_size(key)
+        batch = None
+        with self._cond:
+            self._check_usable()
+            if len(self._queue) >= self.max_queue:
+                # Backpressure: the producer (event loop) outran the disk.
+                # Block briefly rather than growing without bound; the
+                # writer drains whole queues per wakeup, so this clears in
+                # one commit.  A multi-record batch may overshoot the cap
+                # by its own length.
+                while (
+                    len(self._queue) >= self.max_queue
+                    and not self._closed
+                    and not self._crashed
+                    and self._failed is None
+                ):
+                    self._cond.wait(0.05)
+                # The wait can end because the log died, not because the
+                # queue drained — enqueueing then would strand the record
+                # (and its ticket) forever.
+                self._check_usable()
+            ticket = self._open_ticket
+            if ticket is None:
+                ticket = self._open_ticket = Future()
+            self._queue.extend(records)
+            if wait and not self._committing:
+                batch, ticket = self._take_batch()
+            else:
+                if self._thread is None:
+                    self._thread = threading.Thread(
+                        target=self._run, name="wal-group-commit", daemon=True
+                    )
+                    self._thread.start()
+                self._cond.notify_all()
+        if batch is not None:
+            self._commit(batch, ticket)
+        if wait:
+            ticket.result()
+        return ticket
 
     def _check_usable(self) -> None:
+        """Raise (under the lock) when the log cannot accept appends."""
         if self._failed is not None:
             raise ServiceError(
                 f"write-ahead log failed and is poisoned: {self._failed} — "
                 "appending past a failed write could leave a torn record "
                 "mid-file that shadows later records from replay"
             )
+        if self._closed or self._crashed:
+            raise ServiceError("write-ahead log is closed")
 
-    def append(self, op: int, seq: int, key: str, payload: bytes, *, flush: bool = True) -> None:
-        """Append one record.  ``flush=False`` defers the buffered-write
-        flush (and any fsync) to a later :meth:`commit` — the group-commit
-        writer uses this to pay one flush/fsync for a whole batch."""
-        self._check_usable()
-        self._write((self._frame(op, seq, key, payload),), flush)
+    @property
+    def queue_depth(self) -> int:
+        return len(self._queue)
 
-    def append_many(self, records, *, flush: bool = True) -> None:
-        """Append ``(op, seq, key, payload)`` records in order with one
-        flush (``flush`` as in :meth:`append`).
+    def _take_batch(self) -> Tuple[list, Future]:
+        """Claim everything queued, and its ticket, for one commit (call
+        under the lock)."""
+        batch, ticket = list(self._queue), self._open_ticket
+        self._queue.clear()
+        self._open_ticket = None
+        self._committing = True
+        self._cond.notify_all()
+        return batch, ticket
 
-        Every record is framed before the first byte is written, so a bad
-        record (an oversized key) appends nothing.
-        """
-        self._check_usable()
-        self._write([self._frame(*record) for record in records], flush)
+    def _run(self) -> None:
+        """The writer thread: commit whatever is queued while no other
+        commit is in flight, until the log closes, crashes or is poisoned."""
+        while True:
+            with self._cond:
+                while not self._crashed and (
+                    self._committing or not (self._queue or self._closed)
+                ):
+                    self._cond.wait()
+                if self._crashed or not self._queue:  # crashed, or closed and drained
+                    return
+                batch, ticket = self._take_batch()
+            if not self._commit(batch, ticket):
+                return
 
-    def _write(self, frames, flush: bool) -> None:
+    def _commit(self, batch, ticket: Future) -> bool:
+        """Write and flush one claimed batch, then resolve its ticket;
+        returns ``False`` when the commit failed and poisoned the log."""
+        started = time.perf_counter()
+        error: Optional[BaseException] = None
         try:
-            for head, body in frames:
+            for record in batch:
+                head, body = self._frame(*record)
                 self.io.write(self._file, head)
                 self.io.write(self._file, body)
-            if flush:
-                self.io.flush(self._file)
-                if self.fsync:
-                    self.io.fsync(self._file)
-        except Exception as exc:
-            self._failed = exc
-            raise
+            self.io.flush(self._file)
+            if self.fsync:
+                self.io.fsync(self._file)
+        except BaseException as exc:  # disk full, handle revoked, ...
+            error = exc
+        elapsed = time.perf_counter() - started
+        with self._cond:
+            self._committing = False
+            if error is None:
+                self.commit_count += 1
+                self.committed_records += len(batch)
+                self.last_commit_batch = len(batch)
+                self.max_commit_batch = max(self.max_commit_batch, len(batch))
+                self.last_commit_seconds = elapsed
+                self.total_commit_seconds += elapsed
+            else:
+                # POISON the log (see the class docstring): refuse all
+                # further appends, fail everything still queued, and
+                # leave the file for recovery to heal at next open.
+                self._failed = error
+                _log.error(
+                    "WAL group commit failed, log poisoned: path=%s "
+                    "batch=%d error=%s",
+                    self.path,
+                    len(batch),
+                    error,
+                )
+                abandoned_ticket = self._open_ticket
+                self._open_ticket = None
+                self._queue.clear()
+            self._cond.notify_all()
+        if error is None:
+            ticket.set_result(None)
+            return True
+        ticket.set_exception(error)
+        if abandoned_ticket is not None:
+            abandoned_ticket.set_exception(
+                ServiceError(f"write-ahead log poisoned by earlier failure: {error}")
+            )
+        return False
 
     @staticmethod
     def _frame(op: int, seq: int, key: str, payload: bytes) -> Tuple[bytes, bytes]:
         """``(record head, body)`` bytes for one record."""
         raw_key = key.encode("utf-8")
-        if len(raw_key) > 0xFFFF:
-            raise ServiceError(f"key of {len(raw_key)} UTF-8 bytes exceeds the 65535-byte cap")
         body = _BODY_HEAD.pack(op, seq, len(raw_key)) + raw_key + payload
         return _RECORD_HEAD.pack(len(body), zlib.crc32(body)), body
 
-    def commit(self, *, fsync: Optional[bool] = None) -> None:
-        """Flush buffered appends to the OS (and optionally the platter)."""
-        self._check_usable()
-        try:
-            self.io.flush(self._file)
-            if self.fsync if fsync is None else fsync:
-                self.io.fsync(self._file)
-        except Exception as exc:
-            self._failed = exc
-            raise
+    # -- replay and recovery ---------------------------------------------
 
     def replay(self, *, strict: bool = False) -> Iterator[WalRecord]:
         """Yield every intact record in order.
@@ -358,251 +522,28 @@ class WriteAheadLog:
             handle.truncate(valid)
         return torn
 
-    def truncate(self) -> None:
-        """Drop every record (call only when all are covered by snapshots)."""
-        self._check_usable()
-        self._file.close()
-        self._file = open(self.path, "wb")
-        self.io.flush(self._file)
-        if self.fsync:
-            self.io.fsync(self._file)
-
-    @property
-    def size_bytes(self) -> int:
-        return self.path.stat().st_size if self.path.exists() else 0
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class GroupCommitWal:
-    """A :class:`WriteAheadLog` with an off-loop writer and group commit.
-
-    :meth:`append` enqueues the record and returns a **commit ticket** (a
-    :class:`concurrent.futures.Future`) immediately — no file I/O on the
-    caller's thread.  A dedicated writer thread drains the whole queue,
-    writes every queued record, then pays **one** flush (and one
-    ``os.fsync`` when ``fsync=True``) for the batch before resolving the
-    tickets.  Callers that acknowledge writes (the server) release the ack
-    only once the ticket resolves, so the durability contract is identical
-    to the synchronous log — acknowledged means replayable — while the
-    fsync cost is amortized across every record that arrived during the
-    previous commit.
-
-    Records hit the file in append order (single FIFO queue), so replay
-    and torn-tail healing are exactly :class:`WriteAheadLog`'s.  A crash
-    loses at most the queued-but-uncommitted suffix — records whose
-    tickets never resolved and whose writes were therefore never
-    acknowledged.
-
-    Thread model: appends come from one thread (the asyncio event loop);
-    the writer thread owns the file between barriers.  :meth:`barrier`
-    blocks until everything queued is durable — checkpoints call it before
-    truncating so no covered record can land after the truncate.
-    """
-
-    def __init__(self, path, *, fsync: bool = False, max_queue: int = 65536, io=None) -> None:
-        # The inner log never fsyncs per append; this class owns commits.
-        self._inner = WriteAheadLog(path, fsync=False, io=io)
-        self.fsync = fsync
-        self.max_queue = max_queue
-        self._cond = threading.Condition()
-        self._queue: deque = deque()
-        self._open_ticket: Optional[Future] = None
-        self._committing = False
-        self._closed = False
-        self._crashed = False
-        #: First commit failure; once set the log is poisoned (see _run).
-        self._failed: Optional[BaseException] = None
-        self.commit_count = 0
-        self.committed_records = 0
-        self.max_commit_batch = 0
-        self.last_commit_batch = 0
-        self.last_commit_seconds = 0.0
-        self.total_commit_seconds = 0.0
-        self._thread = threading.Thread(
-            target=self._run, name="wal-group-commit", daemon=True
-        )
-        self._thread.start()
-
-    # -- WriteAheadLog surface (recovery + introspection) --------------
-
-    @property
-    def path(self) -> Path:
-        return self._inner.path
-
-    @property
-    def healed_bytes(self) -> int:
-        return self._inner.healed_bytes
-
-    @property
-    def io(self):
-        return self._inner.io
-
-    @property
-    def failed(self) -> Optional[BaseException]:
-        """The poisoning commit failure, or ``None`` while healthy."""
-        with self._cond:
-            return self._failed
-
-    @property
-    def size_bytes(self) -> int:
-        return self._inner.size_bytes
-
-    def replay(self, *, strict: bool = False) -> Iterator[WalRecord]:
-        return self._inner.replay(strict=strict)
-
-    # -- the off-loop append path --------------------------------------
-
-    def append(self, op: int, seq: int, key: str, payload: bytes) -> Future:
-        """Enqueue one record; returns its commit ticket.
-
-        The ticket resolves (``result() is None``) once the record — and
-        every record queued with it — is flushed (and fsynced when
-        configured).  It carries the write error if the commit failed.
-        ``payload`` must be an owned buffer: it is written after this call
-        returns, so a view into a reusable scratch would tear.
-        """
-        return self.append_many(((op, seq, key, payload),))
-
-    def append_many(self, records) -> Future:
-        """Enqueue ``(op, seq, key, payload)`` records under one lock and
-        one writer wakeup; returns the one commit ticket covering them all
-        (same contract as :meth:`append`).
-        """
-        with self._cond:
-            self._check_usable()
-            if len(self._queue) >= self.max_queue:
-                # Backpressure: the producer (event loop) outran the disk.
-                # Block briefly rather than growing without bound; the
-                # writer drains whole queues per wakeup, so this clears in
-                # one commit.  A multi-record batch may overshoot the cap
-                # by its own length.
-                while (
-                    len(self._queue) >= self.max_queue
-                    and not self._closed
-                    and not self._crashed
-                    and self._failed is None
-                ):
-                    self._cond.wait(0.05)
-                # The wait can end because the log died, not because the
-                # queue drained — enqueueing then would strand the record
-                # (and its ticket) forever.
-                self._check_usable()
-            ticket = self._open_ticket
-            if ticket is None:
-                ticket = self._open_ticket = Future()
-            self._queue.extend(records)
-            self._cond.notify_all()
-        return ticket
-
-    def _check_usable(self) -> None:
-        """Raise (under the lock) when the log cannot accept appends."""
-        if self._failed is not None:
-            raise ServiceError(
-                f"write-ahead log failed and is poisoned: {self._failed} — "
-                "appending past a failed commit could leave a torn record "
-                "mid-file that shadows later records from replay"
-            )
-        if self._closed or self._crashed:
-            raise ServiceError("write-ahead log is closed")
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not (self._closed or self._crashed):
-                    self._cond.wait()
-                if self._crashed:
-                    return
-                if not self._queue:  # closed and drained
-                    return
-                batch = list(self._queue)
-                self._queue.clear()
-                ticket = self._open_ticket
-                self._open_ticket = None
-                self._committing = True
-                self._cond.notify_all()
-            started = time.perf_counter()
-            error: Optional[BaseException] = None
-            try:
-                for op, seq, key, payload in batch:
-                    self._inner.append(op, seq, key, payload, flush=False)
-                self._inner.commit(fsync=self.fsync)
-            except BaseException as exc:  # disk full, handle revoked, ...
-                error = exc
-            elapsed = time.perf_counter() - started
-            with self._cond:
-                self._committing = False
-                if error is None:
-                    self.commit_count += 1
-                    self.committed_records += len(batch)
-                    self.last_commit_batch = len(batch)
-                    self.max_commit_batch = max(self.max_commit_batch, len(batch))
-                    self.last_commit_seconds = elapsed
-                    self.total_commit_seconds += elapsed
-                else:
-                    # POISON the log.  The failed write may have left a
-                    # partial record mid-file; appending (and committing)
-                    # anything after it would put acknowledged records
-                    # behind bytes replay cannot cross — the torn-tail
-                    # healer only heals a *tail*.  Refuse all further
-                    # appends, fail everything still queued, and leave
-                    # the file for recovery to heal at next open.
-                    self._failed = error
-                    _log.error(
-                        "WAL group commit failed, log poisoned: path=%s "
-                        "batch=%d error=%s",
-                        self._inner.path,
-                        len(batch),
-                        error,
-                    )
-                    abandoned_ticket = self._open_ticket
-                    self._open_ticket = None
-                    self._queue.clear()
-                self._cond.notify_all()
-            if ticket is not None:
-                if error is None:
-                    ticket.set_result(None)
-                else:
-                    ticket.set_exception(error)
-            if error is not None:
-                if abandoned_ticket is not None:
-                    abandoned_ticket.set_exception(
-                        ServiceError(f"write-ahead log poisoned by earlier failure: {error}")
-                    )
-                return
-
-    # -- barriers, truncation, shutdown --------------------------------
+    # -- barriers, truncation, shutdown ----------------------------------
 
     def barrier(self, timeout: Optional[float] = 30.0) -> None:
         """Block until every queued record is committed."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while self._queue or self._committing:
-                if self._closed and not self._queue and not self._committing:
-                    return
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise ServiceError("WAL commit barrier timed out")
                 self._cond.wait(remaining)
 
     def truncate(self) -> None:
-        """Drop every record (after a barrier — nothing in flight survives)."""
+        """Drop every record (call only when all are covered by snapshots;
+        the barrier first makes sure nothing in flight survives)."""
         self.barrier()
-        self._inner.truncate()
+        self._check_usable()
+        self._file.close()
+        self._file = open(self.path, "wb")
+        self.io.flush(self._file)
         if self.fsync:
-            self._inner.io.fsync(self._inner._file)
+            self.io.fsync(self._file)
 
     def close(self) -> None:
         """Drain the queue, commit, stop the writer, close the file."""
@@ -611,8 +552,7 @@ class GroupCommitWal:
                 return
             self._closed = True
             self._cond.notify_all()
-        self._thread.join(timeout=30)
-        self._inner.close()
+        self._stop_writer()
 
     def _abandon(self) -> None:
         """Test hook: simulate a crash — queued records are LOST.
@@ -625,8 +565,16 @@ class GroupCommitWal:
             self._crashed = True
             self._queue.clear()
             self._cond.notify_all()
-        self._thread.join(timeout=30)
-        self._inner.close()
+        self._stop_writer()
+
+    def _stop_writer(self) -> None:
+        if self._thread is not None:
+            self._thread.join(timeout=30)
+        self._file.close()
+
+    @property
+    def size_bytes(self) -> int:
+        return self.path.stat().st_size if self.path.exists() else 0
 
     def stats(self) -> dict:
         """Commit-pipeline counters for STATS reporting."""
@@ -645,12 +593,11 @@ class GroupCommitWal:
                 else 0.0,
             }
 
-    def __enter__(self) -> "GroupCommitWal":
+    def __enter__(self) -> "WriteAheadLog":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
 
 class SnapshotStore:
     """Per-key snapshot files with CRC32-footered ``FRS1`` framing.

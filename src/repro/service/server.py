@@ -24,11 +24,10 @@ then stage into one run per tick, applied by a single
 ``update_many`` per group).  Adjacent single-key frames of one key and
 session coalesce into one group — one WAL record, one amortized
 compaction pass, the schedule the paper's cost analysis assumes — and
-their acks come from the cumulative counts.  With a group-commit WAL
-(``group_commit=True``), WAL writes and fsyncs run on a background
-writer thread and acks are released only when the covering commit
-ticket resolves — responses stay in request order via a per-connection
-ordered output queue.
+their acks come from the cumulative counts.  WAL writes and fsyncs run
+on the log's background writer thread (group commit) and acks are
+released only when the covering commit ticket resolves — responses stay
+in request order via a per-connection ordered output queue.
 
 Consistency notes (single event loop, no locks needed):
 
@@ -76,9 +75,9 @@ from repro.service.persistence import (
     WAL_SEQ_INGEST,
     WAL_SEQ_WINDOW_INGEST,
     WAL_WINDOW_INGEST,
-    GroupCommitWal,
     SnapshotStore,
     WriteAheadLog,
+    check_key_size,
     pack_session_header,
     recover,
 )
@@ -247,13 +246,17 @@ class QuantileService:
             acknowledged writes survive power loss — including across a
             checkpoint, where the snapshots are forced to disk before the
             WAL truncation that makes them load-bearing.
-        group_commit: Move WAL appends (and their fsyncs) to a background
-            writer with group commit.  Mutations return after the record
-            is *queued*; durability of an individual write is signalled by
-            its commit ticket (:meth:`commit_ticket` / the server's
+        group_commit: Whether a mutation may apply before its WAL record
+            is committed.  By default (``False``) every mutation waits on
+            its commit ticket before it applies (committing on the
+            caller's thread when no commit is in flight), so a storage
+            failure raises :class:`~repro.errors.DegradedError` with
+            nothing applied.  ``True`` is the server's mode: a mutation
+            applies once its record is *queued*, its durability is
+            signalled by the ticket (:meth:`commit_ticket` / the server's
             ack gating), and :meth:`wal_barrier` blocks until everything
-            queued so far is durable.  Replay semantics are unchanged —
-            records reach the file in append order.
+            queued so far is durable.  The log's bytes are the same
+            either way.
         window_resolutions: Bucket widths (seconds) of the windowed
             plane — every key ingested through ``WINDOW_INGEST`` keeps
             one sketch ring per resolution (see :mod:`repro.windowed`).
@@ -329,6 +332,7 @@ class QuantileService:
         self._snap_seq: Dict[str, int] = {}
         self._seq = 1
         self._last_ticket = None
+        self._wait_commit = not group_commit
         self.wal_appends = 0
         #: Exactly-once dedup state (kept even for in-memory services, so
         #: retries within one process lifetime never double-count).
@@ -343,10 +347,7 @@ class QuantileService:
             self.snapshots = None
             spill_save = spill_load = None
         else:
-            if group_commit:
-                self.wal = GroupCommitWal(self.data_dir / "wal.log", fsync=fsync, io=self.io)
-            else:
-                self.wal = WriteAheadLog(self.data_dir / "wal.log", fsync=fsync, io=self.io)
+            self.wal = WriteAheadLog(self.data_dir / "wal.log", fsync=fsync, io=self.io)
             self.snapshots = SnapshotStore(self.data_dir / "snapshots", fsync=fsync, io=self.io)
 
             def spill_save(key: str, payload: bytes) -> None:
@@ -464,6 +465,10 @@ class QuantileService:
         """Append ``(op, key, payload)`` records under consecutive
         sequences in one WAL call; returns the first sequence.
 
+        Without ``group_commit`` this waits on the commit ticket, so the
+        caller applies only what is durable.  With it the records are
+        only queued and the server gates their acks on the ticket.
+
         Callers stamp the applied-seq maps themselves: a key's stamp must
         be set just before *that* key's apply (see :meth:`ingest_groups`).
         """
@@ -475,20 +480,19 @@ class QuantileService:
         stamped = [(op, first + i, key, payload) for i, (op, key, payload) in enumerate(records)]
         self._seq = first + len(stamped)
         try:
-            ticket = self.wal.append_many(stamped)
+            ticket = self.wal.append_many(stamped, wait=self._wait_commit)
         except Exception as exc:
-            # The records never became replayable (a failed sync append is
+            # The records never became replayable (a failed commit is
             # healed as a torn tail at next open); hand the sequences back
             # so the log carries no gap, then flip read-only.  Only a
             # storage failure degrades — a validation error (oversized
             # key) is the caller's problem, not the disk's.
             self._seq = first
-            if not isinstance(exc, OSError) and getattr(self.wal, "failed", None) is None:
+            if not isinstance(exc, OSError) and self.wal.failed is None:
                 raise
             self.enter_degraded(f"WAL append failed: {exc}")
             raise DegradedError(f"WAL append failed, entering degraded mode: {exc}") from exc
-        if ticket is not None:  # group-commit log: durability is deferred
-            self._last_ticket = ticket
+        self._last_ticket = ticket
         self.wal_appends += len(stamped)
         return first
 
@@ -500,7 +504,7 @@ class QuantileService:
         """The pending commit ticket covering every WAL append so far.
 
         ``None`` when nothing is awaiting a commit — in-memory services,
-        synchronous WALs (durable at append time), or a drained group
+        services that wait on every ticket before applying, or a drained
         queue.  The server releases ingest/merge acks only after this
         resolves.  A ticket that completed **with an exception** is still
         returned: the covered records never became durable, and mapping
@@ -514,8 +518,8 @@ class QuantileService:
         return ticket
 
     def wal_barrier(self) -> None:
-        """Block until every queued WAL record is durable (no-op otherwise)."""
-        if isinstance(self.wal, GroupCommitWal):
+        """Block until every queued WAL record is durable (no-op in memory)."""
+        if self.wal is not None:
             self.wal.barrier()
 
     # ------------------------------------------------------------------
@@ -529,7 +533,7 @@ class QuantileService:
     @property
     def wal_failed(self) -> bool:
         """True when the WAL is poisoned (a write/commit failed)."""
-        return self.wal is not None and getattr(self.wal, "failed", None) is not None
+        return self.wal is not None and self.wal.failed is not None
 
     @property
     def disk_free_bytes(self) -> Optional[int]:
@@ -587,17 +591,12 @@ class QuantileService:
             return False
         try:
             self.wal.close()
-            if isinstance(self.wal, GroupCommitWal):
-                self.wal = GroupCommitWal(
-                    self.data_dir / "wal.log",
-                    fsync=self._fsync,
-                    max_queue=self.wal.max_queue,
-                    io=self.io,
-                )
-            else:
-                self.wal = WriteAheadLog(
-                    self.data_dir / "wal.log", fsync=self._fsync, io=self.io
-                )
+            self.wal = WriteAheadLog(
+                self.data_dir / "wal.log",
+                fsync=self._fsync,
+                max_queue=self.wal.max_queue,
+                io=self.io,
+            )
             if self.wal.healed_bytes:
                 log.warning(
                     "degraded-mode exit healed the failed append: path=%s "
@@ -811,24 +810,25 @@ class QuantileService:
 
     @property
     def wal_queue_depth(self) -> int:
-        """Records queued behind the group-commit writer (0 otherwise)."""
-        if isinstance(self.wal, GroupCommitWal):
-            return self.wal.queue_depth
-        return 0
+        """Records queued behind the WAL writer (0 in memory)."""
+        return 0 if self.wal is None else self.wal.queue_depth
 
     @staticmethod
     def _check_key(key: str) -> None:
-        """Refuse to create the empty key.
+        """Refuse to create the empty key or one too long to log.
 
         The wire ``STATS`` opcode reads an empty key as "server-wide", so
         an empty-keyed sketch would be ingestible yet unreachable for
         per-key stats; rejecting it at creation keeps every stored key
-        addressable by every opcode.
+        addressable by every opcode.  A key over the WAL's 65535-byte cap
+        is refused here, before anything is logged or applied — the log
+        could never record it, nor a snapshot save it.
         """
         if not key:
             raise ServiceError(
                 "the empty key is reserved (STATS uses it for server-wide stats)"
             )
+        check_key_size(key)
 
     def merge(self, key: str, payload: bytes) -> int:
         """Union an ``FRQ1`` donor payload into ``key``; returns its ``n``."""
@@ -1315,7 +1315,7 @@ class QuantileService:
         }
         if self.scrub is not None:
             report["scrub"] = self.scrub.stats()
-        if isinstance(self.wal, GroupCommitWal):
+        if self.wal is not None:
             wal_stats = self.wal.stats()
             report["wal_queue_depth"] = wal_stats.pop("queue_depth")
             report["group_commit"] = wal_stats
@@ -1759,7 +1759,7 @@ class QuantileServer:
     async def _degraded_probe(self) -> None:
         """Watch for a poisoned WAL; attempt recovery while degraded.
 
-        Two jobs on one cadence: (1) a group-commit failure poisons the
+        Two jobs on one cadence: (1) a commit failure poisons the
         WAL on the writer thread — if no subsequent write has tripped
         ``enter_degraded`` yet, do it here so HEALTH flips promptly;
         (2) while degraded, call ``try_exit_degraded`` each tick — it
@@ -1771,8 +1771,7 @@ class QuantileServer:
             service = self.service
             try:
                 if not service.degraded and service.wal_failed:
-                    failure = getattr(service.wal, "failed", None)
-                    service.enter_degraded(f"WAL poisoned: {failure}")
+                    service.enter_degraded(f"WAL poisoned: {service.wal.failed}")
                 elif service.degraded:
                     service.try_exit_degraded()
             except Exception as exc:  # pragma: no cover - defensive
@@ -2572,7 +2571,6 @@ def run_server(
     hot_shards: int = 4,
     snapshot_interval: Optional[float] = 30.0,
     fsync: bool = False,
-    group_commit: bool = True,
     use_uvloop: bool = True,
     max_connections: Optional[int] = None,
     drain_timeout: float = 10.0,
@@ -2593,9 +2591,9 @@ def run_server(
     over without losing an acknowledged value.  SIGINT stops fast (still
     with a final checkpoint).  Returns a process exit code.
 
-    Durable deployments default to ``group_commit=True`` — WAL writes and
-    fsyncs happen off the event loop and acks gate on the covering commit,
-    so durability costs latency (one group commit) instead of throughput.
+    WAL writes and fsyncs happen off the event loop and acks gate on the
+    covering group commit, so durability costs latency (one commit)
+    instead of throughput.
     ``use_uvloop`` picks up uvloop when installed (silent fallback).
     """
     import signal
@@ -2610,7 +2608,7 @@ def run_server(
         hot_key_items=hot_key_items,
         hot_shards=hot_shards,
         fsync=fsync,
-        group_commit=group_commit and data_dir is not None,
+        group_commit=True,
         node_id=node_id,
         window_resolutions=window_resolutions,
         window_retention=window_retention,

@@ -1,4 +1,4 @@
-"""Tests for the pipelined ingest hot path and off-loop group-commit WAL.
+"""Tests for the pipelined ingest hot path and the group-commit WAL.
 
 Covers the service/engine throughput-gap work: zero-copy protocol helpers
 (multi-frame encode, ``MULTI_INGEST``, buffered reads), the pipelined
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
+import threading
 import time
 
 import numpy as np
@@ -19,10 +21,11 @@ import pytest
 
 from repro.errors import ServiceError, SnapshotCorruptError
 from repro.service import (
-    GroupCommitWal,
+    FaultyDisk,
     QuantileClient,
     QuantileServer,
     QuantileService,
+    ScriptedDiskFaults,
     ServerThread,
     new_event_loop,
 )
@@ -432,8 +435,64 @@ class TestGroupCommit:
         assert stats["wal_queue_depth"] >= 0
         assert stats["wal_appends"] >= 1
 
+    def test_replay_only_log_starts_no_writer(self, tmp_path):
+        """Opening a log to replay or audit it must not start a writer
+        thread (such handles are often dropped without ``close``)."""
+        with WriteAheadLog(tmp_path / "wal.log") as wal:
+            wal.append(WAL_INGEST, 1, "k", b"\x00" * 8)
+        before = set(threading.enumerate())
+        reader = WriteAheadLog(tmp_path / "wal.log")
+        assert [record.seq for record in reader.replay()] == [1]
+        assert set(threading.enumerate()) == before
+        reader._file.close()
+
+    @pytest.mark.parametrize("group_commit", [False, True])
+    def test_service_close_stops_the_writer(self, tmp_path, rng, group_commit):
+        """A waiting service commits on its own thread and starts no
+        writer; a non-waiting one starts it with the first append, not the
+        open.  Either way ``close`` leaves no writer behind."""
+
+        def writers():
+            return {t for t in threading.enumerate() if t.name == "wal-group-commit"}
+
+        before = writers()
+        service = QuantileService(tmp_path, k=32, group_commit=group_commit)
+        assert writers() == before
+        service.ingest("k", rng.random(10))
+        started = writers() - before
+        assert len(started) == int(group_commit)
+        service.close()
+        assert not any(writer.is_alive() for writer in started)
+        assert writers() <= before
+
+    def test_waiting_and_queued_appends_interleave_cleanly(self, tmp_path):
+        """A waiting append leads the commit, or waits for the writer's
+        when one is in flight (slow writes keep the writer busy); never do
+        two commits write at once, so the log holds every record, in
+        append order."""
+        disk = FaultyDisk(ScriptedDiskFaults(writes={i: ("delay", 1e-4) for i in range(1800)}))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            wal = WriteAheadLog(tmp_path / "wal.log", io=disk)
+            tickets = [
+                wal.append_many(
+                    [(WAL_INGEST, seq, f"k{seq % 7}", struct.pack("<d", seq) * (seq % 5 + 1))],
+                    wait=seq % 3 == 0,
+                )
+                for seq in range(1, 901)
+            ]
+            wal.barrier(timeout=30)
+            wal.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(ticket.done() and ticket.exception() is None for ticket in tickets)
+        assert wal.committed_records == 900
+        with WriteAheadLog(tmp_path / "wal.log") as reader:
+            assert [r.seq for r in reader.replay(strict=True)] == list(range(1, 901))
+
     def test_closed_wal_refuses_appends(self, tmp_path):
-        wal = GroupCommitWal(tmp_path / "wal.log")
+        wal = WriteAheadLog(tmp_path / "wal.log")
         wal.append(WAL_INGEST, 1, "k", b"\x00" * 8)
         wal.close()
         with pytest.raises(ServiceError, match="closed"):
@@ -444,14 +503,10 @@ class TestGroupCommit:
         append: writing past a possibly-torn mid-file record would shadow
         acknowledged records from replay (the torn-tail healer only heals
         a *tail*)."""
-        wal = GroupCommitWal(tmp_path / "wal.log")
-        wal.barrier()
-
-        def boom(*, fsync=None):
-            raise OSError(28, "No space left on device")
-
-        wal._inner.commit = boom
-        ticket = wal.append(WAL_INGEST, 1, "k", b"\x00" * 8)
+        disk = FaultyDisk()
+        wal = WriteAheadLog(tmp_path / "wal.log", io=disk)
+        disk.fill()
+        ticket = wal.append_many([(WAL_INGEST, 1, "k", b"\x00" * 8)])
         with pytest.raises(OSError):
             ticket.result(timeout=10)
         with pytest.raises(ServiceError, match="poisoned"):
@@ -463,13 +518,10 @@ class TestGroupCommit:
         """commit_ticket() must hand back a ticket that completed with an
         exception — mapping it to None would let the server send an OK
         ack for a record the WAL lost."""
-        service = QuantileService(tmp_path, k=32, group_commit=True)
+        disk = FaultyDisk()
+        service = QuantileService(tmp_path, k=32, group_commit=True, io_layer=disk)
         service.wal.barrier()
-
-        def boom(*, fsync=None):
-            raise OSError(28, "No space left on device")
-
-        service.wal._inner.commit = boom
+        disk.fill()
         service.ingest("k", rng.random(10))
         ticket = service._last_ticket
         with pytest.raises(OSError):
@@ -480,25 +532,39 @@ class TestGroupCommit:
         service.close(snapshot=False)
 
     def test_group_commit_replay_matches_sync_wal(self, tmp_path, rng):
-        """The two WAL modes must produce byte-identical logs for the
-        same appends (group commit changes *when*, never *what*)."""
-        sync_dir = tmp_path / "sync"
-        group_dir = tmp_path / "group"
-        payloads = [rng.random(50).tobytes() for _ in range(10)]
-        sync_wal = WriteAheadLog(sync_dir / "wal.log")
-        group_wal = GroupCommitWal(group_dir / "wal.log")
-        for seq, payload in enumerate(payloads, start=1):
-            sync_wal.append(WAL_INGEST, seq, "k", payload)
-            group_wal.append(WAL_INGEST, seq, "k", payload)
-        group_wal.barrier()
-        sync_wal.close()
-        group_wal.close()
-        assert (sync_dir / "wal.log").read_bytes() == (group_dir / "wal.log").read_bytes()
+        """A service that waits on every commit ticket and one that does
+        not must write byte-identical logs for the same plain, sequenced,
+        merge and windowed writes (waiting changes *when*, never *what*)."""
+        from repro.fast import FastReqSketch
+
+        donor = FastReqSketch(k=32, seed=5)
+        donor.update_many(rng.random(300))
+        donor_payload = donor.to_bytes()
+        plain = [rng.random(40) for _ in range(4)]
+        sequenced = [rng.random(25) for _ in range(3)]
+        windowed = rng.random(30)
+        stamps = time.time() + 0.01 * np.arange(windowed.size)
+        logs = []
+        for group_commit in (False, True):
+            data_dir = tmp_path / f"group_commit={group_commit}"
+            service = QuantileService(data_dir, k=32, group_commit=group_commit)
+            for index, values in enumerate(plain):
+                service.ingest(f"key-{index % 2}", values)
+            for seq, values in enumerate(sequenced, start=1):
+                service.ingest("seq-key", values, session=("s1", seq))
+            service.ingest_groups([("a", plain[0]), ("b", plain[1])], session=("s1", 9))
+            service.merge("key-0", donor_payload)
+            service.window_ingest("w", stamps, windowed)
+            service.window_ingest("w", stamps + 1.0, windowed, session=("s2", 1))
+            service.wal_barrier()
+            logs.append((data_dir / "wal.log").read_bytes())
+            service.close(snapshot=False)
+        assert logs[0] and logs[0] == logs[1]
 
 
 class TestTornTailWithGroupCommit:
     def test_torn_tail_healed_on_reopen(self, tmp_path, rng):
-        wal = GroupCommitWal(tmp_path / "wal.log")
+        wal = WriteAheadLog(tmp_path / "wal.log")
         for seq in range(1, 6):
             wal.append(WAL_INGEST, seq, "k", rng.random(10).tobytes())
         wal.barrier()
@@ -506,7 +572,7 @@ class TestTornTailWithGroupCommit:
         size = (tmp_path / "wal.log").stat().st_size
         with open(tmp_path / "wal.log", "r+b") as handle:
             handle.truncate(size - 7)  # tear the final record
-        healed = GroupCommitWal(tmp_path / "wal.log")
+        healed = WriteAheadLog(tmp_path / "wal.log")
         assert healed.healed_bytes > 0
         assert len(list(healed.replay())) == 4
         healed.close()
@@ -582,9 +648,8 @@ class TestUvloopPlumbing:
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["serve", "--no-uvloop", "--no-group-commit"])
+        args = parser.parse_args(["serve", "--no-uvloop"])
         assert args.no_uvloop is True
-        assert args.no_group_commit is True
 
 
 async def _async_one() -> int:
@@ -803,7 +868,7 @@ class TestTickPipeline:
     def test_failure_before_logging_reverts_every_group(self, tick, rng, monkeypatch):
         service, _server, run = tick
 
-        def full_disk(records):
+        def full_disk(records, *, wait=False):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(service.wal, "append_many", full_disk)

@@ -412,8 +412,9 @@ class TestDegradedMode:
         assert recovered.current_n("lat") >= 600
         recovered.close()
 
-    def test_validation_error_does_not_degrade(self, tmp_path, rng):
-        service = QuantileService(tmp_path, k=32, group_commit=False)
+    @pytest.mark.parametrize("group_commit", [False, True])
+    def test_validation_error_does_not_degrade(self, tmp_path, rng, group_commit):
+        service = QuantileService(tmp_path, k=32, group_commit=group_commit)
         with pytest.raises(ServiceError):
             service.ingest("x" * 70_000, rng.random(10))  # oversized key
         assert not service.degraded
