@@ -114,8 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget",
         type=int,
         default=None,
-        help="retained-item cap across resident sketches; LRU keys past it "
-        "spill to the snapshot files (requires --data-dir)",
+        help="retained-item cap across resident sketches; past it the server "
+        "flushes, then spills: keys with the largest staging blocks are "
+        "compacted and checkpointed in place, and only then are LRU keys "
+        "spilled to the snapshot files (requires --data-dir)",
     )
     serve_parser.add_argument("--k", type=int, default=32, help="section size (even)")
     serve_parser.add_argument("--hra", action="store_true", help="high-rank-accuracy mode")

@@ -363,6 +363,11 @@ class FastReqSketch:
         return sum(level.size for level in self._levels) + self._stage.count
 
     @property
+    def num_staged(self) -> int:
+        """Raw items in the staging block (part of ``num_retained``)."""
+        return self._stage.count
+
+    @property
     def min_item(self) -> float:
         if self.n == 0:
             raise EmptySketchError("min_item on an empty sketch")

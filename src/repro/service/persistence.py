@@ -772,12 +772,13 @@ def recover(
     server wires to ``snapshots`` — so recovery cost is O(WAL), not
     O(keyspace)).  WAL records newer than the owning key's snapshot are
     then re-applied in order; applying loads keys into residency and the
-    store's normal LRU budget enforcement handles any overflow.
+    store's normal budget enforcement (flush, then spill) handles any
+    overflow.
 
     ``applied_seq`` and ``snap_seq`` are the caller's live sequence maps,
     filled in place.  Each record's sequence is entered into
-    ``applied_seq`` *before* it is applied: applying can trigger an LRU
-    spill, and the spill callback snapshots with ``applied_seq[key]`` —
+    ``applied_seq`` *before* it is applied: applying can trigger a budget
+    checkpoint or spill, whose callback snapshots with ``applied_seq[key]`` —
     recording the pre-apply sequence there would stamp a snapshot that
     already contains the record as not containing it, double-applying it
     on the next recovery.

@@ -5,8 +5,9 @@ Two layers:
 * :class:`QuantileService` — the sans-io core: a
   :class:`~repro.service.SketchStore` composed with the WAL and snapshot
   store of :mod:`repro.service.persistence`.  Every mutation appends to
-  the WAL before touching the store; eviction spills through the snapshot
-  files, so an evicted key's checkpoint doubles as its durable state.
+  the WAL before touching the store; the memory budget's in-place flushes
+  and spills both save through the snapshot files, so each doubles as the
+  key's durable checkpoint.
   Usable directly in-process (tests, embedded deployments, benchmarks
   with ``data_dir=None`` for a pure in-memory service).
 * :class:`QuantileServer` — an ``asyncio`` TCP front speaking the
@@ -237,8 +238,9 @@ class QuantileService:
         k, hra, seed: Sketch parameters for every key (``seed`` defaults
             to ``0`` so WAL replay is bit-exact; pass ``None`` for fresh
             randomness at the cost of exact-replay determinism).
-        memory_budget: Retained-item cap across resident sketches; LRU
-            keys past it spill to the snapshot files.
+        memory_budget: Retained-item cap across resident sketches; past
+            it the store flushes the largest staging blocks in place, then
+            spills LRU keys; both checkpoint through the snapshot files.
         hot_key_items: Optional per-key ingest threshold for promotion to
             a local :class:`~repro.shard.ShardedReqSketch`.
         hot_shards: Shards per promoted key.
@@ -378,7 +380,7 @@ class QuantileService:
             spill_load=spill_load,
             hot_key_items=hot_key_items,
             hot_shards=hot_shards,
-            on_spill_load=self._reseed_from_epoch,
+            on_pin=self._reseed_from_epoch,
         )
         #: The windowed plane: per-key time-bucketed sketch rings (its
         #: seeds derive from the store's per-key seeds, in a disjoint
@@ -724,8 +726,8 @@ class QuantileService:
            ``WAL_INGEST`` (or, with a session, ``WAL_SEQ_INGEST``) record
            per group, in group order;
         3. apply — one ``store.update_many`` per group, exactly as replay
-           applies one record, so spill points (and the reseeds they
-           trigger) match replay's and recovery stays bit-exact.
+           applies one record; every budget checkpoint or spill it causes
+           snapshots and reseeds the key, so recovery stays bit-exact.
 
         Each key's applied seq is stamped just before its own apply, never
         for the whole call up front: applying group *i* can spill a later
@@ -1215,8 +1217,9 @@ class QuantileService:
     def _reseed_from_epoch(self, key: str, sketch) -> None:
         """Pin ``sketch``'s coin stream to its durable history.
 
-        Called after a snapshot is written (live side) and after one is
-        loaded (recovery/reload side).  ``FRQ1`` does not carry RNG state,
+        Called after a snapshot is written (live side: ``snapshot_all`` and
+        the store's in-place budget checkpoint) and after one is loaded
+        (recovery/reload side).  ``FRQ1`` does not carry RNG state,
         so without this a key recovered from a snapshot plus a WAL tail
         would replay its post-snapshot compactions with different coins
         and settle on slightly different (still in-guarantee) answers.

@@ -1,4 +1,4 @@
-"""A multi-tenant keyed store of REQ sketches with LRU spill-to-disk.
+"""A multi-tenant keyed store of REQ sketches under one memory budget.
 
 :class:`SketchStore` maps tenant/metric keys (any string up to 64 KiB) to
 :class:`~repro.fast.FastReqSketch` instances.  The design constraints come
@@ -20,12 +20,17 @@ Three responsibilities live here:
   resident sketches incrementally (``retained_items``), updated from
   ``num_retained`` deltas of only the touched key, so the accounting cost
   per ingest is O(levels of that key), not O(keys).
-* **LRU spill** — when ``memory_budget`` (in retained items) is exceeded,
-  least-recently-used keys are serialized through the ``spill_save``
-  callback and dropped from memory; a later access transparently reloads
-  them via ``spill_load``.  The server wires these callbacks to its
-  snapshot files so eviction doubles as a durable checkpoint; standalone
-  users can pass ``spill_dir`` for self-contained FRQ1 spill files.
+* **Flush, then spill** — when ``memory_budget`` (in retained items) is
+  exceeded, the store first checkpoints keys in place, largest staging
+  block first: the key's raw staged values are compacted (a flush), its
+  payload goes through the ``spill_save`` callback and ``on_pin``
+  re-pins its coins, and the key stays resident in its LRU slot.  Only
+  when no key's staging block is worth flushing are least-recently-used
+  keys serialized through ``spill_save`` and dropped from memory; a later
+  access transparently reloads them via ``spill_load``.  The server wires
+  these callbacks to its snapshot files, so both rungs double as durable
+  checkpoints; standalone users can pass ``spill_dir`` for self-contained
+  FRQ1 spill files.
 
 Hot keys can optionally be promoted onto a
 :class:`~repro.shard.ShardedReqSketch` (local backend) once they ingest
@@ -36,6 +41,7 @@ traffic dwarfs the rest, at identical accuracy (Theorem 3).
 from __future__ import annotations
 
 import hashlib
+import heapq
 import zlib
 from collections import OrderedDict
 from pathlib import Path
@@ -46,6 +52,9 @@ import numpy as np
 from repro.errors import InvalidParameterError, ServiceError
 from repro.fast import FastReqSketch
 from repro.fast.wire import peek_header, retained_in_payload
+from repro.service.log import RateLimiter, logger
+
+log = logger.getChild("store")
 
 __all__ = ["SketchStore", "spill_filename"]
 
@@ -82,13 +91,20 @@ class SketchStore:
             from it (``None`` = fresh randomness per key, which forfeits
             bit-exact WAL replay).
         memory_budget: Optional cap on total retained items across
-            resident sketches; exceeding it spills LRU keys.  Requires a
-            spill target (``spill_dir`` or ``spill_save``/``spill_load``).
+            resident sketches; exceeding it flushes the largest staging
+            blocks in place, then spills LRU keys (see
+            :meth:`_enforce_budget`).  Requires a spill target
+            (``spill_dir`` or ``spill_save``/``spill_load``).
         spill_dir: Directory for self-contained FRQ1 spill files (created
             on first spill).  Mutually exclusive with explicit callbacks.
-        spill_save: ``(key, payload) -> None`` called on eviction.
+        spill_save: ``(key, payload) -> None`` called on eviction and on
+            an in-place checkpoint.
         spill_load: ``(key) -> Optional[bytes]`` called on a miss; return
             ``None`` if the key was never spilled.
+        on_pin: ``(key, sketch) -> None`` called whenever a resident
+            sketch equals its saved payload: after a reload and after an
+            in-place checkpoint.  The service re-seeds the coin stream
+            here, so replay from that payload stays bit-exact.
         hot_key_items: Optional ingest-count threshold past which a key is
             promoted to a local-backend :class:`~repro.shard.ShardedReqSketch`.
         hot_shards: Shards per promoted key.
@@ -106,7 +122,7 @@ class SketchStore:
         spill_load: Optional[Callable[[str], Optional[bytes]]] = None,
         hot_key_items: Optional[int] = None,
         hot_shards: int = 4,
-        on_spill_load: Optional[Callable[[str, FastReqSketch], None]] = None,
+        on_pin: Optional[Callable[[str, FastReqSketch], None]] = None,
     ) -> None:
         if (spill_save is None) != (spill_load is None):
             raise InvalidParameterError("spill_save and spill_load must be passed together")
@@ -146,7 +162,7 @@ class SketchStore:
         self.hot_shards = hot_shards
         self._spill_save = spill_save
         self._spill_load = spill_load
-        self._on_spill_load = on_spill_load
+        self._on_pin = on_pin
         #: Resident entries in LRU order (most recently used at the end).
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         #: Keys currently living only in the spill target.
@@ -154,6 +170,17 @@ class SketchStore:
         self._retained_total = 0
         self.spill_count = 0
         self.load_count = 0
+        #: In-place checkpoints (rung 1 of the budget).
+        self.flush_count = 0
+        #: Budget-step saves that failed (the step gave up for that call).
+        self.save_fail_count = 0
+        self._save_fail_log = RateLimiter()
+        #: Flush candidates, kept only under a budget: ``key -> staged``
+        #: as last seen by a write, and a min-heap of ``(-staged, key)``
+        #: holding one entry per dict item plus stale ones, which
+        #: :meth:`_next_flush` discards as it meets them.
+        self._staged: Dict[str, int] = {}
+        self._flush_heap: List[tuple] = []
         #: Query-index counters carried by evicted sketches (the live
         #: counters ride on each resident sketch; see query_index_stats).
         self._index_hits_evicted = 0
@@ -284,10 +311,10 @@ class SketchStore:
             except Exception as exc:
                 raise ServiceError(f"corrupt spill payload for key {key!r}: {exc}") from exc
             del self._spilled[key]
-            if self._on_spill_load is not None:
+            if self._on_pin is not None:
                 # Post-load hook; the service uses it to re-seed the RNG
                 # deterministically so recovery replay stays bit-exact.
-                self._on_spill_load(key, sketch)
+                self._on_pin(key, sketch)
             entry = _Entry(sketch)
             entry.ingested = sketch.n
             entry.retained = sketch.num_retained
@@ -413,12 +440,19 @@ class SketchStore:
             and entry.ingested >= self.hot_key_items
         ):
             self._promote(key, entry)
-        retained = entry.sketch.num_retained
+        sketch = entry.sketch
+        retained = sketch.num_retained
         self._retained_total += retained - entry.retained
         entry.retained = retained
-        if self.memory_budget is not None and self._retained_total > self.memory_budget:
-            self._enforce_budget(keep=key)
-        return entry.sketch.n
+        if self.memory_budget is not None:
+            if not entry.sharded:
+                staged = sketch.num_staged
+                # 2k is the least level-0 capacity; the cheap test first.
+                if staged >= 2 * self.k and staged >= self._flush_floor(sketch):
+                    self._track(key, staged)
+            if self._retained_total > self.memory_budget:
+                self._enforce_budget(keep=key)
+        return sketch.n
 
     def _promote(self, key: str, entry: _Entry) -> None:
         """Re-home a hot key onto a local-backend sharded plane."""
@@ -554,11 +588,14 @@ class SketchStore:
             raise KeyError(key)
         return self._payload(entry)
 
-    @staticmethod
-    def _payload(entry: _Entry) -> bytes:
-        if entry.sharded:
-            return entry.sketch.collect().to_bytes()
-        return entry.sketch.to_bytes()
+    def _payload(self, entry: _Entry) -> bytes:
+        """Serialize ``entry``; its flush is folded into the accounting."""
+        sketch = entry.sketch
+        payload = sketch.collect().to_bytes() if entry.sharded else sketch.to_bytes()
+        retained = sketch.num_retained
+        self._retained_total += retained - entry.retained
+        entry.retained = retained
+        return payload
 
     def spill(self, key: str) -> None:
         """Explicitly evict one resident key to the spill target."""
@@ -582,16 +619,110 @@ class SketchStore:
         # query-index stats stay monotonic across spill/reload cycles.
         self._retire_counters(entry.sketch)
 
+    @staticmethod
+    def _flush_floor(sketch) -> int:
+        """Staged items from which a flush is sure to compact level 0."""
+        return sketch._capacity(0) if sketch.num_levels else 2 * sketch.k
+
+    def _track(self, key: str, staged: int) -> None:
+        """Record ``key`` as a flush candidate holding ``staged`` items."""
+        if self._staged.get(key) == staged:
+            return
+        self._staged[key] = staged
+        heap = self._flush_heap
+        heapq.heappush(heap, (-staged, key))
+        if len(heap) > 2 * len(self._staged) + 64:
+            heap[:] = [(-count, name) for name, count in self._staged.items()]
+            heapq.heapify(heap)
+
+    def _next_flush(self) -> Optional[str]:
+        """The resident, unpromoted key with the largest staging block that
+        is at least its flush floor (ties: the smallest key), or ``None``.
+
+        Recorded counts can only overstate a key's block (a query or a
+        serialization flushes without a write), so each popped entry is
+        checked against the sketch and re-queued at its true count: the
+        answer is a function of the resident sketches alone.
+        """
+        heap = self._flush_heap
+        staged_map = self._staged
+        while heap:
+            negative, key = heap[0]
+            if staged_map.get(key) != -negative:
+                heapq.heappop(heap)  # superseded by a newer entry
+                continue
+            entry = self._entries.get(key)
+            staged = 0
+            if entry is not None and not entry.sharded:
+                sketch = entry.sketch
+                staged = sketch.num_staged
+                if staged < self._flush_floor(sketch):
+                    staged = 0
+            if staged == -negative:
+                return key
+            heapq.heappop(heap)
+            del staged_map[key]
+            if staged:
+                self._track(key, staged)
+        return None
+
+    def _checkpoint(self, key: str, entry: _Entry) -> None:
+        """Flush ``key`` in place and save it; it keeps its LRU slot."""
+        del self._staged[key]
+        payload = self._payload(entry)
+        self._spill_save(key, payload)
+        if self._on_pin is not None:
+            self._on_pin(key, entry.sketch)
+        self.flush_count += 1
+
     def _enforce_budget(self, *, keep: str) -> None:
-        """Spill LRU keys until back under budget (never the active key)."""
-        while self._retained_total > self.memory_budget and len(self._entries) > 1:
-            victim = next(iter(self._entries))
-            if victim == keep:
-                # The active key is by definition MRU, so hitting it here
-                # means it is the only resident key — handled by the loop
-                # bound; this guards against callers racing the ordering.
-                break
-            self._evict(victim, self._entries[victim])
+        """Bring the store back under budget: flush, then spill.
+
+        Rung 1 checkpoints in place.  While over budget, the resident,
+        unpromoted key with the largest staging block (ties by key order)
+        is flushed, saved through ``spill_save`` and re-pinned through
+        ``on_pin``; only keys whose block is at least their level-0
+        capacity qualify, so each flush compacts.  The key stays resident
+        where it is in LRU order.  Rung 2, reached only when no key
+        qualifies, spills LRU keys (never ``keep``, the active key).
+
+        Every rung-1 and rung-2 save is a durable checkpoint, which is what
+        keeps replay bit-exact: a flush spends coins, and replay, which
+        starts from each key's last snapshot with fewer keys resident,
+        never meets the budget pressure that caused it.
+
+        The write that called this step is already applied, so a failed
+        save must not fail it: the victim stays resident, the failure is
+        counted (``save_fail_count``) and logged, and the step ends for
+        this call.  An explicit :meth:`spill` still raises.
+        """
+        budget = self.memory_budget
+        try:
+            while self._retained_total > budget:
+                victim = self._next_flush()
+                if victim is None:
+                    break
+                self._checkpoint(victim, self._entries[victim])
+            while self._retained_total > budget and len(self._entries) > 1:
+                victim = next(iter(self._entries))
+                if victim == keep:
+                    # The active key is by definition MRU, so hitting it here
+                    # means it is the only resident key — handled by the loop
+                    # bound; this guards against callers racing the ordering.
+                    break
+                self._evict(victim, self._entries[victim])
+        except Exception as exc:
+            self.save_fail_count += 1
+            emit, suppressed = self._save_fail_log.ready("budget-save")
+            if emit:
+                log.warning(
+                    "memory budget step could not save a key (%s: %s); the key "
+                    "stays resident and the store stays over budget until a "
+                    "later step succeeds (%d repeats suppressed)",
+                    type(exc).__name__,
+                    exc,
+                    suppressed,
+                )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -612,6 +743,7 @@ class SketchStore:
                 "sharded": entry.sharded,
                 "n": int(sketch.n),
                 "retained": int(sketch.num_retained),
+                "staged": 0 if entry.sharded else int(sketch.num_staged),
                 "levels": int(
                     sketch.num_levels if not entry.sharded else sketch.collect().num_levels
                 ),
@@ -627,6 +759,7 @@ class SketchStore:
                 "sharded": False,
                 "n": int(header.n),
                 "retained": retained_in_payload(payload, header),
+                "staged": 0,
                 "levels": int(header.num_levels),
                 "payload_bytes": len(payload),
             }
@@ -642,6 +775,8 @@ class SketchStore:
             "memory_budget": self.memory_budget,
             "spill_count": self.spill_count,
             "load_count": self.load_count,
+            "flush_count": self.flush_count,
+            "save_fail_count": self.save_fail_count,
             "n_resident": sum(int(e.sketch.n) for e in self._entries.values()),
             "query_index": self.query_index_stats(),
         }

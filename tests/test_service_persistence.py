@@ -263,6 +263,53 @@ class TestServiceRecovery:
             assert recovered.store.get(key).n == total
         recovered.close()
 
+    @pytest.mark.parametrize("budget, spills", [(40_000, False), (30_000, True)])
+    def test_crash_under_budget_recovers_bit_exact(self, tmp_path, budget, spills):
+        """A budget's in-place checkpoints pin each flushed key's coins.
+
+        300 Zipf(1.1) keys take 60 frames of 2000 values under a budget that
+        only the in-place flush needs (40k) and one that also spills (30k),
+        with a checkpoint after frame 40.  A flush made under global budget
+        pressure cannot recur in replay, which starts from each key's last
+        snapshot with fewer keys resident; only the snapshot-and-reseed
+        makes the crash copy recover every key byte for byte.
+        """
+        import shutil
+
+        keys = [f"tenant/{i:03d}" for i in range(300)]
+        weights = np.arange(1, 301, dtype=np.float64) ** -1.1
+        weights /= weights.sum()
+        stream = np.random.default_rng(0)
+        options = dict(k=8, hra=True, seed=0, memory_budget=budget)
+        live = QuantileService(tmp_path / "live", **options)
+        for frame in range(60):
+            ids = np.sort(stream.choice(300, size=2000, p=weights), kind="stable")
+            values = stream.lognormal(3.0, 1.0, 2000)
+            bounds = np.concatenate(([0], np.flatnonzero(np.diff(ids)) + 1, [ids.size]))
+            live.ingest_groups(
+                [(keys[ids[lo]], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            )
+            if frame == 39:
+                live.snapshot_all()
+        store = live.store
+        assert store.flush_count > 0
+        assert (store.spill_count > 0) is spills
+        shutil.copytree(tmp_path / "live", tmp_path / "crash")
+        resident = set(store.resident_keys)
+        expected = {
+            key: store.peek(key).to_bytes() if key in resident else live.snapshots.load(key)[1]
+            for key in store.keys()
+        }
+        live.close(snapshot=False)
+
+        recovered = QuantileService(tmp_path / "crash", **options)
+        assert sorted(recovered.store.keys()) == sorted(expected)
+        differ = [
+            key for key, payload in expected.items() if recovered.store.payload(key) != payload
+        ]
+        assert differ == []
+        recovered.close(snapshot=False)
+
     def test_snapshot_all_skips_clean_keys(self, tmp_path, rng):
         service = QuantileService(tmp_path, k=32)
         service.ingest("a", rng.random(100))

@@ -99,6 +99,35 @@ class TestMemoryAccounting:
         store.merge_sketch("k", donor)
         assert store.retained_items == store.get("k").num_retained
 
+    def test_serialization_keeps_accounting_exact(self, rng, tmp_path):
+        """Every payload flushes the staging block; the counter follows."""
+
+        def resident_sum(store):
+            return sum(entry.sketch.num_retained for _key, entry in store.items())
+
+        store = SketchStore(k=32, memory_budget=10**6, spill_dir=tmp_path)
+        for i in range(20):
+            store.update_many(f"k{i}", rng.random(3000))
+        store.payload("k0")
+        store.peek_payload("k1")
+        assert store.retained_items == resident_sum(store)
+        store.memory_budget = store.retained_items - 1
+        store.update_many("k2", rng.random(10))  # one rung-1 checkpoint
+        assert store.flush_count == 1
+        assert store.retained_items == resident_sum(store)
+
+    def test_snapshot_all_keeps_accounting_exact(self, rng, tmp_path):
+        from repro.service import QuantileService
+
+        service = QuantileService(tmp_path, k=32)
+        service.ingest_groups([(f"k{i}", rng.random(3000)) for i in range(50)])
+        store = service.store
+        assert store.retained_items == 150_000  # all staged
+        service.snapshot_all()
+        assert store.retained_items == sum(e.sketch.num_retained for _k, e in store.items())
+        assert store.retained_items < 150_000
+        service.close()
+
 
 class TestSpill:
     def test_budget_requires_spill_target(self):
@@ -161,6 +190,118 @@ class TestSpill:
         assert store.get("k").n == 2000
 
 
+class TestFlushBeforeSpill:
+    """The budget's ladder: checkpoint the largest staging blocks in place,
+    then spill LRU keys once no block is worth flushing."""
+
+    @staticmethod
+    def recording_store(budget, **options):
+        saved, pinned, files = [], [], {}
+
+        def save(key, payload):
+            saved.append(key)
+            files[key] = payload
+
+        store = SketchStore(
+            k=8,
+            memory_budget=budget,
+            spill_save=save,
+            spill_load=files.get,
+            on_pin=lambda key, sketch: pinned.append(key),
+            **options,
+        )
+        return store, saved, pinned
+
+    def test_largest_stage_goes_first_in_place(self, rng):
+        store, saved, pinned = self.recording_store(950)
+        for key, size in (("a", 300), ("b", 500), ("c", 100)):
+            store.update_many(key, rng.random(size))
+        order = store.resident_keys
+        store.update_many("c", rng.random(100))  # 1000 > 950
+        assert saved == pinned == ["b"]
+        assert store.flush_count == 1 and store.spill_count == 0
+        assert store.key_stats("b")["staged"] == 0
+        assert store.key_stats("a")["staged"] == 300
+        assert store.key_stats("c")["staged"] == 200
+        assert store.resident_keys == order  # LRU slots unchanged
+        assert store.retained_items <= 950
+
+    def test_ties_break_by_key_order(self, rng):
+        store, saved, _pinned = self.recording_store(650)
+        store.update_many("b", rng.random(300))
+        store.update_many("a", rng.random(300))
+        store.update_many("z", rng.random(60))  # below the flush floor
+        assert saved == ["a"]
+
+    def test_no_spill_while_a_candidate_remains(self, rng):
+        store, saved, _pinned = self.recording_store(6000)
+        first_over = None
+        for i in range(30):
+            store.update_many(f"k{i:02d}", rng.random(200 + 10 * i))
+            if first_over is None and store.flush_count:
+                first_over = f"k{i:02d}"
+        assert store.spill_count == 0
+        assert store.flush_count > 1
+        assert store.retained_items <= 6000
+        # Blocks grow with the key index, so the key whose write crossed
+        # the budget held the largest one, and the first keys kept theirs.
+        assert saved[0] == first_over
+        assert store.key_stats("k00")["staged"] == 200
+
+    def test_lru_spill_follows_the_last_flush(self, rng):
+        store, saved, _pinned = self.recording_store(400)
+        evict = store._evict
+
+        def checked_evict(key, entry):
+            assert store._next_flush() is None, "spilled while a flush candidate remained"
+            evict(key, entry)
+
+        store._evict = checked_evict
+        for i in range(6):
+            store.update_many(f"k{i}", rng.random(500))
+        assert store.flush_count > 0 and store.spill_count > 0
+        assert store.retained_items <= 400
+        spilled = store.spilled_keys
+        # LRU order: the oldest keys are the ones gone.
+        assert spilled == [f"k{i}" for i in range(len(spilled))]
+        for key in store.resident_keys:
+            sketch = store.peek(key)
+            assert sketch.num_staged < SketchStore._flush_floor(sketch)
+
+    def test_promoted_key_is_never_a_candidate(self, rng):
+        store, saved, _pinned = self.recording_store(10**6, hot_key_items=1000)
+        store.update_many("hot", rng.random(1500))
+        assert store.is_sharded("hot")
+        store.update_many("hot", rng.random(3000))
+        store.update_many("cold", rng.random(200))
+        store.memory_budget = store.retained_items - 1
+        store.update_many("cold", rng.random(10))
+        assert saved == ["cold"]
+        assert store.key_stats("hot")["staged"] == 0
+
+    def test_store_without_budget_tracks_nothing(self, rng, tmp_path):
+        store = SketchStore(k=8, spill_dir=tmp_path)
+        for i in range(20):
+            store.update_many(f"k{i}", rng.random(500))
+        assert store._staged == {} and store._flush_heap == []
+        assert store.stats()["flush_count"] == 0
+
+    def test_failed_save_leaves_the_write_applied(self, rng):
+        def failing_save(key, payload):
+            raise OSError(28, "No space left on device")
+
+        store = SketchStore(
+            k=8, memory_budget=500, spill_save=failing_save, spill_load=lambda key: None
+        )
+        store.update_many("a", rng.random(400))
+        assert store.update_many("b", rng.random(400)) == 400
+        assert store.save_fail_count == 1
+        assert store.stats()["save_fail_count"] == 1
+        assert store.resident_keys == ["a", "b"]
+        with pytest.raises(OSError):
+            store.spill("a")  # an explicit spill still raises
+
+
 class TestHotKeys:
     def test_promotion_past_threshold(self, rng):
         from repro.shard import ShardedReqSketch
@@ -217,6 +358,7 @@ class TestStats:
         resident = store.key_stats("k")
         assert resident["resident"] is True
         assert resident["n"] == 2000
+        assert resident["staged"] == 0
         retained = resident["retained"]
         store.spill("k")
         spilled = store.key_stats("k")

@@ -421,6 +421,40 @@ class TestDegradedMode:
         service.ingest("lat", rng.random(10))
         service.close()
 
+    def test_failed_budget_save_still_acks_the_applied_frame(self, tmp_path, rng):
+        """The budget step runs after a frame's values are applied; a
+        snapshot save failing there must not turn the applied write into
+        an error ack (its WAL record is what makes it durable)."""
+        import errno
+
+        from repro.service import QuantileClient, RetryPolicy
+        from repro.service.faultdisk import DiskIo
+        from repro.service.server import ServerThread
+
+        class SnapshotWritesFail(DiskIo):
+            def write(self, handle, data):
+                if str(handle.name).endswith(".tmp"):
+                    raise OSError(errno.ENOSPC, "No space left on device (injected)")
+                return handle.write(data)
+
+        keys = [f"svc/{i}" for i in range(10)]
+        options = dict(k=32, memory_budget=2000)
+        service = QuantileService(tmp_path, io_layer=SnapshotWritesFail(), **options)
+        thread = ServerThread(service)
+        acked = {}
+        with QuantileClient(port=thread.port, retry=RetryPolicy(seed=3)) as client:
+            for frame in range(12):
+                chosen = keys[:5] if frame % 2 == 0 else keys[5:]
+                acked.update(client.ingest_multi([(key, rng.random(700)) for key in chosen]))
+        assert service.store.save_fail_count > 0
+        assert acked == {key: 700 * 6 for key in keys}
+        assert {key: service.current_n(key) for key in keys} == acked
+        assert not service.degraded
+        thread.stop(snapshot=False)
+        recovered = QuantileService(tmp_path, **options)
+        assert {key: recovered.current_n(key) for key in keys} == acked
+        recovered.close(snapshot=False)
+
     def test_snapshot_failure_during_degraded_exit_stays_degraded(self, tmp_path, rng):
         disk = FaultyDisk()
         service = QuantileService(tmp_path, k=32, io_layer=disk, group_commit=False)
