@@ -280,7 +280,11 @@ class FastReqSketch:
         k: Section size (even integer >= 2); same accuracy role as in
             :class:`~repro.core.req.ReqSketch`.
         hra: High-rank-accuracy mode.
-        seed: Seed for the numpy RNG driving the compaction coins.
+        seed: Seed for the numpy RNG driving the compaction coins.  The
+            generator is built from it at the first compaction, not here:
+            a sketch that only stages values (a short-lived time bucket, a
+            horizon target, a decoded payload) never pays for one.
+            :meth:`reseed` is the one way to re-pin the stream later.
         n_bound: Optional known stream-length bound; when given the buffer
             capacity is the fixed ``B = 2 k ceil(log2(n/k))`` of Theorem 14
             instead of the per-level growth rule (used by the large-n space
@@ -307,11 +311,7 @@ class FastReqSketch:
             sections = max(1, math.ceil(math.log2(max(2.0, n_bound / k))))
             self._fixed_capacity = 2 * k * sections
         self.hra = bool(hra)
-        if isinstance(seed, int) and seed < 0:
-            # random.Random accepts negative seeds; numpy does not.  Map to
-            # the two's-complement value so callers can derive seeds freely.
-            seed = seed & (2**64 - 1)
-        self._rng = np.random.default_rng(seed)
+        self.reseed(seed)
         self._levels: List[_FastLevel] = []
         self._n = 0
         self._min = math.inf
@@ -456,6 +456,23 @@ class FastReqSketch:
     # Compaction (merge-style: batch semantics)
     # ------------------------------------------------------------------
 
+    def reseed(self, seed: Optional[int]) -> None:
+        """Re-pin the compaction coin stream to ``seed``.
+
+        The one way to set coin state from outside the engine.  Like the
+        constructor's seed it is lazy: the generator is built from
+        ``seed`` at the next compaction, so reseeding a sketch that never
+        compacts again costs nothing.  Coins already spent are not undone;
+        the next compaction draws the first coin of ``default_rng(seed)``.
+        ``None`` means fresh entropy.
+        """
+        if isinstance(seed, int) and seed < 0:
+            # random.Random accepts negative seeds; numpy does not.  Map to
+            # the two's-complement value so callers can derive seeds freely.
+            seed = seed & (2**64 - 1)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
+
     def _capacity(self, level: int) -> int:
         if self._fixed_capacity is not None:
             return self._fixed_capacity
@@ -509,7 +526,10 @@ class FastReqSketch:
         ):
             level.items = level.items.copy()
         level.version += 1
-        offset = 1 if self._rng.random() < 0.5 else 0
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
+        offset = 1 if rng.random() < 0.5 else 0
         level.schedule.advance()
         # Strided view, not a copy: the next level's add_run decides whether
         # materializing is worth it (it usually is not — the cascade keeps
@@ -653,8 +673,9 @@ class FastReqSketch:
     def from_bytes(cls, data) -> "FastReqSketch":
         """Decode a ``FRQ1`` payload; level arrays are zero-copy views.
 
-        The RNG is reinitialized unseeded (fresh coin randomness, which is
-        what the analysis needs).  Raises
+        The coin stream starts unseeded (fresh coin randomness, which is
+        what the analysis needs), built at the first compaction;
+        :meth:`reseed` pins it instead.  Raises
         :class:`~repro.errors.SerializationError` on malformed input.
         """
         from repro.fast.wire import from_bytes

@@ -168,8 +168,9 @@ def from_bytes(data, sketch_cls=None):
 
     Level arrays are read-only zero-copy views into ``data`` (the payload
     stays pinned while the sketch retains them; the engine never writes
-    level arrays in place, so read-only views are safe).  The RNG is
-    reinitialized unseeded.
+    level arrays in place, so read-only views are safe).  The coin stream
+    starts unseeded and is built at the first compaction
+    (:meth:`~repro.fast.FastReqSketch.reseed` pins it).
 
     Raises:
         SerializationError: On a bad magic, unknown version, truncated or

@@ -1091,7 +1091,9 @@ class QuantileService:
     # Windowed plane (see repro.windowed)
     # ------------------------------------------------------------------
 
-    def window_ingest(self, key: str, timestamps, values, *, session=None):
+    def window_ingest(
+        self, key: str, timestamps, values, *, session=None, prevalidated: bool = False
+    ):
         """Apply one (timestamps, values) batch to ``key``'s rings.
 
         Returns ``(accepted_total, events)``: the key's lifetime accepted
@@ -1100,21 +1102,30 @@ class QuantileService:
         turns those into subscription pushes).  Validation happens before
         the WAL append, and the record carries the timestamps — replay
         re-buckets identically because bucketing is a pure function of
-        the payload.
+        the payload.  ``prevalidated`` skips the key and batch checks for
+        a caller that ran both on these one-dimensional float64 arrays
+        (the server, as it decodes the frame).
         """
-        self._check_key(key)
-        ts = np.ascontiguousarray(timestamps, dtype=np.float64).reshape(-1)
-        vals = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        self.windows.validate(ts, vals)
+        if prevalidated:
+            ts, vals = timestamps, values
+        else:
+            self._check_key(key)
+            ts = np.ascontiguousarray(timestamps, dtype=np.float64).reshape(-1)
+            vals = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+            self.windows.validate(ts, vals)
         if self.wal is not None:
             if session is None:
                 op, head = WAL_WINDOW_INGEST, b""
             else:
                 op, head = WAL_SEQ_WINDOW_INGEST, pack_session_header(*session)
-            payload = head + np.concatenate((ts, vals)).astype("<f8", copy=False).tobytes()
+            # One copy: the header and both halves joined straight into
+            # the record (``astype`` is a no-op on little-endian hosts).
+            payload = b"".join(
+                (head, ts.astype("<f8", copy=False).data, vals.astype("<f8", copy=False).data)
+            )
             # Same log as the plain plane, separate applied-seq map.
             self._window_applied_seq[key] = self._wal_append_many(((op, key, payload),))
-        accepted, events = self.windows.ingest(key, ts, vals)
+        accepted, events = self.windows.ingest(key, ts, vals, prevalidated=True)
         self.ingested_values += int(vals.size)
         if self._migrations:
             self._migration_buffer(key, wire.DRAIN_WINDOW, session, vals, ts)
@@ -1182,20 +1193,14 @@ class QuantileService:
     def query_points(self, key: str, kind, points, cache: Optional[dict] = None):
         """One ``MULTI_QUERY`` request: ``(n, eps, values, retained)``.
 
-        ``cache`` maps keys to already-resolved sketches so every request
-        in one frame shares a single store lookup (and a single LRU
-        touch / spill reload) per key — the per-frame index reuse the
-        batched read path is built around.
+        ``cache`` (owned by the store) lets every request in one frame
+        share a single store lookup (and a single LRU touch / spill
+        reload) per key — the per-frame index reuse the batched read
+        path is built around.
         """
         kind_name = self._kind_name(kind)
-        sketch = cache.get(key) if cache is not None else None
-        if sketch is None:
-            sketch = self.store.get(key)
-            if cache is not None:
-                cache[key] = sketch
         self.query_count += 1
-        values = self.store.evaluate(sketch, kind_name, points)
-        return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
+        return self.store.query(key, kind_name, points, cache)
 
     def query_batch(self, key: str, kind, points):
         """A uniform ``MULTI_QUERY`` frame: one vectorized engine call."""
@@ -1232,7 +1237,7 @@ class QuantileService:
         seed = self._epoch_seed(key, self._snap_seq.get(key, 0))
         if seed is None:
             return
-        sketch._rng = np.random.default_rng(seed)
+        sketch.reseed(seed)
 
     def snapshot_all(self) -> int:
         """Checkpoint every dirty key, then truncate the WAL.
@@ -2084,7 +2089,9 @@ class QuantileServer:
             return b"\x00" + wire.pack_n(service.window_accepted(key))
         session = None if sid is None else (sid, seq)
         try:
-            accepted, events = service.window_ingest(key, timestamps, values, session=session)
+            accepted, events = service.window_ingest(
+                key, timestamps, values, session=session, prevalidated=True
+            )
         except Exception as exc:
             self._revert(sid, seq, marks, [key])
             return self._error_response(exc)

@@ -417,7 +417,7 @@ class SketchStore:
             # and derives the same stream, so post-migration compactions
             # stay bit-identical across replicas — and WAL replay of the
             # same record re-derives it, keeping recovery bit-exact too.
-            donor._rng = np.random.default_rng(seed)
+            donor.reseed(seed)
         old = self._entries.pop(key, None)
         if old is not None:
             self._retained_total -= old.retained
@@ -441,9 +441,7 @@ class SketchStore:
         ):
             self._promote(key, entry)
         sketch = entry.sketch
-        retained = sketch.num_retained
-        self._retained_total += retained - entry.retained
-        entry.retained = retained
+        self._recount(entry)
         if self.memory_budget is not None:
             if not entry.sharded:
                 staged = sketch.num_staged
@@ -495,7 +493,7 @@ class SketchStore:
             return sketch.cdf(points)
         raise ServiceError(f"unknown query kind {kind!r}")
 
-    def query(self, key: str, kind: str, points):
+    def query(self, key: str, kind: str, points, cache: Optional[dict] = None):
         """``(n, error_bound, values, num_retained)`` for one request.
 
         Reloads a spilled key transparently (the reloaded sketch rebuilds
@@ -503,9 +501,20 @@ class SketchStore:
         it).  The error bound comes from the engine's memoized value —
         one bound computation per stream length, not per request — and
         ``num_retained`` rides along as the response footer's source.
+        ``cache`` maps keys to entries this frame already resolved, so
+        the requests of one frame share a single lookup (and a single
+        LRU touch / spill reload) per key.
         """
-        sketch = self.get(key)
-        values = self.evaluate(sketch, kind, points)
+        entry = cache.get(key) if cache is not None else None
+        if entry is None:
+            entry = self._read_entry(key)
+            if cache is not None:
+                cache[key] = entry
+        sketch = entry.sketch
+        if entry.sharded or not sketch.num_staged:
+            values = self.evaluate(sketch, kind, points)
+        else:
+            values = self._draining_read(entry, self.evaluate, kind, points)
         return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
 
     def query_batch(self, key: str, kind: str, points: np.ndarray):
@@ -519,15 +528,25 @@ class SketchStore:
         to the per-request path so errors attribute to the exact request.
         Row answers are bit-identical to per-row :meth:`query` calls.
         """
-        sketch = self.get(key)
+        entry = self._read_entry(key)
+        sketch = entry.sketch
+        if entry.sharded or not sketch.num_staged:
+            values = self._evaluate_batch(sketch, kind, points)
+        else:
+            values = self._draining_read(entry, self._evaluate_batch, kind, points)
+        return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
+
+    @staticmethod
+    def _evaluate_batch(sketch, kind: str, points) -> np.ndarray:
+        """:meth:`evaluate` over every row of a ``(requests, count)`` matrix."""
         pts = np.ascontiguousarray(points, dtype=np.float64)
         requests, count = pts.shape
         if kind == "quantiles":
-            values = sketch.quantiles(pts.reshape(-1)).reshape(requests, count)
-        elif kind == "ranks":
+            return sketch.quantiles(pts.reshape(-1)).reshape(requests, count)
+        if kind == "ranks":
             ranks = sketch.ranks(pts.reshape(-1)).reshape(requests, count)
-            values = np.asarray(ranks, dtype=np.float64)
-        elif kind == "cdf":
+            return np.asarray(ranks, dtype=np.float64)
+        if kind == "cdf":
             if count == 0:
                 raise InvalidParameterError("split_points must be non-empty")
             if np.isnan(pts).any():
@@ -537,10 +556,32 @@ class SketchStore:
             # Same operations as FastReqSketch.cdf per row (int64 rank
             # division, then the appended 1.0), so rows stay bit-identical.
             masses = sketch.ranks(pts.reshape(-1)).reshape(requests, count) / sketch.n
-            values = np.concatenate([masses, np.ones((requests, 1))], axis=1)
-        else:
-            raise ServiceError(f"unknown query kind {kind!r}")
-        return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
+            return np.concatenate([masses, np.ones((requests, 1))], axis=1)
+        raise ServiceError(f"unknown query kind {kind!r}")
+
+    def _read_entry(self, key: str) -> _Entry:
+        """``key``'s entry for a read (LRU touch, spill reload), or ``KeyError``."""
+        entry = self._touch(key)
+        if entry is None:
+            raise KeyError(key)
+        return entry
+
+    def _draining_read(self, entry: _Entry, evaluate, kind: str, points):
+        """Answer a read of a key with staged items, keeping the accounting
+        exact.
+
+        The read drains the staging block through the query index, which
+        compacts it, so the key is recounted afterwards, even when the
+        request then fails validation (the drain may already have run).
+        Keys with nothing staged (every read after the first since a
+        write) skip this after one integer test.  An entry cached for a
+        frame can have been spilled by a reload since; spilling drained
+        it, so it never comes here.
+        """
+        try:
+            return evaluate(entry.sketch, kind, points)
+        finally:
+            self._recount(entry)
 
     def query_index_stats(self) -> dict:
         """Aggregate query-index counters across the whole keyspace.
@@ -583,19 +624,20 @@ class SketchStore:
         A promoted (sharded) key serializes its union — the payload decodes
         as a plain :class:`~repro.fast.FastReqSketch` anywhere.
         """
-        entry = self._touch(key)
-        if entry is None:
-            raise KeyError(key)
-        return self._payload(entry)
+        return self._payload(self._read_entry(key))
 
     def _payload(self, entry: _Entry) -> bytes:
         """Serialize ``entry``; its flush is folded into the accounting."""
         sketch = entry.sketch
         payload = sketch.collect().to_bytes() if entry.sharded else sketch.to_bytes()
-        retained = sketch.num_retained
+        self._recount(entry)
+        return payload
+
+    def _recount(self, entry: _Entry) -> None:
+        """Fold ``entry``'s current ``num_retained`` into the accounting."""
+        retained = entry.sketch.num_retained
         self._retained_total += retained - entry.retained
         entry.retained = retained
-        return payload
 
     def spill(self, key: str) -> None:
         """Explicitly evict one resident key to the spill target."""

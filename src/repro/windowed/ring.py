@@ -17,7 +17,9 @@ batch did, because bucketing is a pure function of the payload.
 Semantics:
 
 * **Bucketing** — value with timestamp ``t`` belongs to bucket
-  ``floor(t / bucket_seconds)`` (half-open ``[b*w, (b+1)*w)`` intervals).
+  ``floor(t / bucket_seconds)`` (half-open ``[b*w, (b+1)*w)`` intervals),
+  computed by every ring from ``t`` itself, never from a finer ring's
+  index (see :meth:`WindowRing.ingest` for why).
 * **Watermark / lateness** — the watermark is the maximum timestamp ever
   ingested, and it advances at *batch boundaries*: a batch is one atomic
   arrival, so admission is judged against the watermark as of the
@@ -59,6 +61,15 @@ _MASK64 = (1 << 64) - 1
 #: Salt for the horizon scratch sketch's seed — a namespace disjoint from
 #: the per-bucket seeds (which mix the bucket *index*, never this salt).
 _HORIZON_SALT = 0x484F52495A4F4E31  # b"HORIZON1"
+#: Bucket indices are int64 (the grouping computes them with
+#: ``astype(np.int64)``); beyond this range a float-to-int64 cast wraps.
+_INDEX_MIN = -(2**63)
+_INDEX_MAX = 2**63 - 1
+
+
+def _bucket_indices(timestamps: np.ndarray, width: float) -> np.ndarray:
+    """Per-value bucket indices, ``floor(t / width)`` as int64."""
+    return np.floor(timestamps / width).astype(np.int64)
 
 
 def mix_seed(*parts: int) -> int:
@@ -257,18 +268,42 @@ class WindowRing:
         replay contract.  Arrays must be pre-validated (same length,
         non-empty, finite timestamps, no NaN values) — the service
         validates before its WAL append, mirroring plain ingest.
+
+        The common batch (every admitted value in one bucket, as a
+        1-second batch is in a 1-second or coarser ring) costs a few
+        whole-array reductions and one ``update_many``: the batch's
+        extremes decide the watermark, the ring floor and whether the
+        admitted values share a bucket, so per-value bucket indices and
+        the stable grouping sort run only for a batch that spans buckets.
+        Both paths apply the same rule — a value's bucket is
+        ``floor(t / bucket_seconds)`` taken as an int64, exactly as the
+        grouping computes it — so they produce identical buckets, coins
+        and counters, and WALs written by either replay the same.
+
+        Each ring computes its indices from the timestamps, never from a
+        finer ring's indices: ``floor(floor(t / 1) / 60)`` and
+        ``floor(t / 60)`` are equal in exact arithmetic, but the float
+        divisions round separately, so at a bucket edge they can disagree
+        (and widths need not nest at all, e.g. 1.5 s beside 1 s).  A
+        derived index would file such a value in a different bucket than
+        the logged batch did on replay of an older WAL.
         """
         ts = np.ascontiguousarray(timestamps, dtype=np.float64).reshape(-1)
         vals = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        indices = np.floor(ts / self.bucket_seconds).astype(np.int64)
+        width = self.bucket_seconds
+        top = float(ts.max())
+        # Division rounds monotonically, so the batch's highest bucket is
+        # the bucket of its largest timestamp (while indices fit int64).
+        top_index = math.floor(top / width)
+        high = top_index
+        if not _INDEX_MIN <= high <= _INDEX_MAX:
+            high = int(_bucket_indices(ts, width).max())  # wrapped indices
         previous = self._watermark
-        high = int(indices.max())
         if previous is not None:
             high = max(high, self.bucket_index(previous))
-            watermark = max(previous, float(ts.max()))
+            self._watermark = max(previous, top)
         else:
-            watermark = float(ts.max())
-        self._watermark = watermark
+            self._watermark = top
 
         # Expire buckets that fell off the ring as the watermark advanced.
         floor_index = high - self.retention + 1
@@ -281,16 +316,40 @@ class WindowRing:
         # Admission: inside the lateness bound (judged against the
         # pre-batch watermark — the batch is one atomic arrival) AND
         # inside the live ring.
-        if previous is None:
-            keep = indices >= floor_index
-        else:
-            keep = (ts >= previous - self.lateness) & (indices >= floor_index)
-        dropped = int(keep.size - np.count_nonzero(keep))
-        if dropped:
-            self.late_dropped += dropped
+        size = ts.size
+        bottom = float(ts.min())
+        if previous is not None:
+            cutoff = previous - self.lateness
+            if bottom < cutoff:
+                keep = ts >= cutoff
+                ts = ts[keep]
+                vals = vals[keep]
+                if ts.size:
+                    bottom = float(ts.min())
+        if ts.size:
+            # The batch maximum survives any lateness cut, so the
+            # admitted values share one bucket iff the extremes do.
+            index = math.floor(bottom / width)
+            if index == top_index and _INDEX_MIN <= index <= _INDEX_MAX:
+                if index >= floor_index:
+                    self._bucket(index).update_many(vals)
+                else:
+                    vals = vals[:0]
+            else:
+                vals = self._ingest_grouped(ts, vals, floor_index)
+        accepted = int(vals.size)
+        self.late_dropped += size - accepted
+        self.accepted += accepted
+        return accepted, self._collect_closed()
+
+    def _ingest_grouped(self, ts, vals, floor_index: int) -> np.ndarray:
+        """Apply a batch spanning several buckets; returns the admitted
+        values (those inside the live ring), grouped by bucket."""
+        indices = _bucket_indices(ts, self.bucket_seconds)
+        keep = indices >= floor_index
+        if not keep.all():
             indices = indices[keep]
             vals = vals[keep]
-
         # Group by bucket (stable sort: in-batch order per bucket is the
         # arrival order, so replay feeds each sketch identical slices).
         if indices.size:
@@ -301,29 +360,32 @@ class WindowRing:
                 ([0], np.flatnonzero(np.diff(indices)) + 1, [indices.size])
             )
             for lo, hi in zip(starts[:-1], starts[1:]):
-                index = int(indices[lo])
-                sketch = self._buckets.get(index)
-                if sketch is None:
-                    sketch = FastReqSketch(
-                        self.k, hra=self.hra, seed=self._bucket_seed(index)
-                    )
-                    self._buckets[index] = sketch
-                sketch.update_many(vals[lo:hi])
-            self.accepted += int(indices.size)
+                self._bucket(int(indices[lo])).update_many(vals[lo:hi])
+        return vals
 
-        return int(indices.size), self._collect_closed()
+    def _bucket(self, index: int) -> FastReqSketch:
+        """Bucket ``index``'s sketch, created (and seeded) on first use."""
+        sketch = self._buckets.get(index)
+        if sketch is None:
+            sketch = FastReqSketch(self.k, hra=self.hra, seed=self._bucket_seed(index))
+            self._buckets[index] = sketch
+        return sketch
 
     def _collect_closed(self) -> List[ClosedBucket]:
-        """Non-empty buckets newly closed by the current watermark."""
+        """Non-empty buckets newly closed by the current watermark.
+
+        Only the newly closed indices are sorted, not every live bucket:
+        the watermark crosses a bucket edge about once per bucket width.
+        """
         limit = self.bucket_index(self._watermark - self.lateness) - 1
-        if limit <= self._closed_through:
+        low = self._closed_through
+        if limit <= low:
             return []
-        closed = []
-        for index, sketch in self.buckets():
-            if self._closed_through < index <= limit:
-                start, end = self.bucket_bounds(index)
-                closed.append(ClosedBucket(index, start, end, sketch))
         self._closed_through = limit
+        closed = []
+        for index in sorted(i for i in self._buckets if low < i <= limit):
+            start, end = self.bucket_bounds(index)
+            closed.append(ClosedBucket(index, start, end, self._buckets[index]))
         return closed
 
     # ------------------------------------------------------------------
@@ -371,7 +433,7 @@ class WindowRing:
         if self.seed is None:
             return
         for index, sketch in self._buckets.items():
-            sketch._rng = np.random.default_rng(mix_seed(self.seed, index, epoch))
+            sketch.reseed(mix_seed(self.seed, index, epoch))
 
     def restore_bucket(self, index: int, sketch: FastReqSketch) -> None:
         """Install one deserialized bucket (snapshot load path)."""

@@ -182,18 +182,23 @@ class WindowStore:
             raise ServiceError("windowed batch contains NaN")
 
     def ingest(
-        self, key: str, timestamps, values
+        self, key: str, timestamps, values, *, prevalidated: bool = False
     ) -> Tuple[int, List[WindowEvent]]:
         """Feed one batch to every resolution ring for ``key``.
 
         Returns ``(accepted_total, events)``: the finest ring's lifetime
         accepted counter (the windowed ingest ack — monotone per key, so
         exactly-once duplicate acks are consistent) and the buckets this
-        batch closed across all resolutions.
+        batch closed across all resolutions.  ``prevalidated`` skips
+        :meth:`validate` for a caller that already ran it on these very
+        contiguous float64 arrays (the service, before its WAL append).
         """
-        ts = np.ascontiguousarray(timestamps, dtype=np.float64).reshape(-1)
-        vals = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        self.validate(ts, vals)
+        if prevalidated:
+            ts, vals = timestamps, values
+        else:
+            ts = np.ascontiguousarray(timestamps, dtype=np.float64).reshape(-1)
+            vals = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+            self.validate(ts, vals)
         rings = self.get(key, create=True)
         events: List[WindowEvent] = []
         for resolution in self.resolutions:

@@ -31,8 +31,6 @@ import math
 import struct
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.errors import SerializationError
 from repro.fast import FastReqSketch
 
@@ -139,7 +137,7 @@ def unpack_ring(
         # FRQ1 does not carry RNG state; pin the bucket back onto its
         # deterministic stream (the epoch reseed then layers on top).
         if seed is not None:
-            sketch._rng = np.random.default_rng(mix_seed(seed, index))
+            sketch.reseed(mix_seed(seed, index))
         ring.restore_bucket(index, sketch)
     if offset != len(view):
         raise SerializationError("trailing bytes after FRW1 buckets")

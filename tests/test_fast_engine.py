@@ -426,3 +426,113 @@ class TestPropertyBased:
         y = float(ordered[len(ordered) // 2])
         true = bisect.bisect_right(ordered, y)
         assert abs(sketch.rank(y) - true) <= max(6, 0.5 * true)
+
+
+def _coin_heavy_ops(sketch, seed):
+    """Feed ``sketch`` a stream that compacts often: staged scalars, small
+    and block-sized batches, a merge and interleaved reads."""
+    rng = np.random.default_rng(seed)
+    for round_ in range(6):
+        for value in rng.random(300):
+            sketch.update(float(value))
+        sketch.update_many(rng.lognormal(0.0, 1.0, 2000))
+        sketch.update_many(rng.random(9000))
+        donor = FastReqSketch(sketch.k, hra=sketch.hra, seed=round_)
+        donor.update_many(rng.random(5000))
+        sketch.merge(donor)
+        sketch.quantiles([0.01, 0.5, 0.99])
+
+
+class TestLazyCoins:
+    """The coin generator is built at the first compaction, from the seed
+    given at construction or by the last :meth:`FastReqSketch.reseed`."""
+
+    @pytest.mark.parametrize("hra", [False, True])
+    @pytest.mark.parametrize("seed", [0, 12345, -7])
+    def test_matches_an_eagerly_built_generator(self, seed, hra):
+        lazy = FastReqSketch(8, hra=hra, seed=seed)
+        eager = FastReqSketch(8, hra=hra, seed=seed)
+        eager._rng = np.random.default_rng(seed & (2**64 - 1))
+        _coin_heavy_ops(lazy, 1)
+        _coin_heavy_ops(eager, 1)
+        assert lazy.to_bytes() == eager.to_bytes()
+        fractions = np.linspace(0.0, 1.0, 41)
+        assert np.array_equal(lazy.quantiles(fractions), eager.quantiles(fractions))
+        assert lazy.num_levels > 3  # the stream really spent coins
+
+    def test_reseed_before_the_first_compaction(self):
+        sketch = FastReqSketch(8, seed=1)
+        sketch.update_many([3.0, 1.0, 2.0])  # staged only
+        sketch.reseed(99)
+        fresh = FastReqSketch(8, seed=99)
+        fresh.update_many([3.0, 1.0, 2.0])
+        _coin_heavy_ops(sketch, 2)
+        _coin_heavy_ops(fresh, 2)
+        assert sketch.to_bytes() == fresh.to_bytes()
+
+    def test_reseed_after_the_first_compaction(self):
+        sketch = FastReqSketch(8, seed=1)
+        eager = FastReqSketch(8, seed=1)
+        unpinned = FastReqSketch(8, seed=1)
+        for target in (sketch, eager, unpinned):
+            _coin_heavy_ops(target, 3)
+        assert sketch._rng is not None
+        sketch.reseed(99)
+        eager._rng = np.random.default_rng(99)
+        for target in (sketch, eager, unpinned):
+            _coin_heavy_ops(target, 4)
+        assert sketch.to_bytes() == eager.to_bytes()
+        assert sketch.to_bytes() != unpinned.to_bytes()
+
+    def test_staging_only_sketch_builds_no_generator(self):
+        sketch = FastReqSketch(32, seed=5)
+        sketch.update_many(np.random.default_rng(5).random(5000))
+        sketch.update(0.5)
+        assert sketch._rng is None  # staged only
+        small = FastReqSketch(32, seed=5)
+        small.update_many(np.random.default_rng(5).random(100))
+        assert small.quantile(0.5) > 0.0  # a flush under level-0 capacity
+        assert small._rng is None
+        assert FastReqSketch.from_bytes(small.to_bytes())._rng is None
+        sketch.update_many(np.random.default_rng(6).random(20000))
+        assert sketch._rng is not None
+
+    def test_from_bytes_and_pickle_round_trips(self):
+        import pickle
+
+        sketch = FastReqSketch(8, hra=True, seed=11)
+        _coin_heavy_ops(sketch, 5)
+        payload = sketch.to_bytes()
+        for copy in (FastReqSketch.from_bytes(payload), pickle.loads(pickle.dumps(sketch))):
+            assert copy.to_bytes() == payload
+            assert copy._rng is None
+        # A decoded copy re-pinned to a seed continues deterministically.
+        first = FastReqSketch.from_bytes(payload)
+        second = pickle.loads(pickle.dumps(sketch))
+        first.reseed(21)
+        second.reseed(21)
+        _coin_heavy_ops(first, 6)
+        _coin_heavy_ops(second, 6)
+        assert first.to_bytes() == second.to_bytes()
+        assert first.n == second.n > sketch.n
+
+    def test_no_coin_state_assigned_outside_the_engine(self):
+        """Only the engines set coin state; everything else calls
+        ``reseed``.  Objects seeding their own generators (``self._rng``)
+        are not coin pokes."""
+        import re
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        owners = {root / "fast" / "engine.py", root / "core" / "req.py"}
+        assignment = re.compile(r"\._rng\s*=(?!=)")
+        pokes = []
+        for path in sorted(root.rglob("*.py")):
+            if path in owners:
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if assignment.search(line) and not re.search(r"\bself\._rng\s*=", line):
+                    pokes.append(f"{path.relative_to(root)}:{number}: {line.strip()}")
+        assert pokes == []

@@ -129,6 +129,38 @@ class TestMemoryAccounting:
         service.close()
 
 
+    @pytest.mark.parametrize("read", ["query", "query_points", "query_batch"])
+    def test_reads_keep_accounting_exact(self, rng, read):
+        """A read drains the staging block; the counter follows it."""
+        from repro.service import QuantileService
+
+        service = QuantileService(k=32)
+        service.ingest_groups([(f"k{i}", rng.random(3000)) for i in range(50)])
+        store = service.store
+        assert store.retained_items == 150_000  # all staged
+        for i in range(50):
+            if read == "query":
+                service.query(f"k{i}", [0.5])
+            elif read == "query_points":
+                service.query_points(f"k{i}", "quantiles", np.array([0.5]), {})
+            else:
+                service.query_batch(f"k{i}", "quantiles", np.array([[0.5], [0.9]]))
+        resident = sum(e.sketch.num_retained for _k, e in store.items())
+        assert store.retained_items == resident == 55_750
+        service.close()
+
+    def test_failed_reads_keep_accounting_exact(self, rng):
+        store = SketchStore(k=32)
+        store.update_many("a", rng.random(3000))
+        store.update_many("b", rng.random(3000))
+        with pytest.raises(InvalidParameterError):
+            store.query("a", "quantiles", [2.0])  # fails after the drain
+        with pytest.raises(InvalidParameterError):
+            store.query("b", "cdf", [float("nan")])  # fails before it
+        assert store.get("b").num_staged == 3000
+        assert store.retained_items == sum(e.sketch.num_retained for _k, e in store.items())
+
+
 class TestSpill:
     def test_budget_requires_spill_target(self):
         with pytest.raises(InvalidParameterError, match="spill"):

@@ -26,7 +26,7 @@ from repro.windowed import (
     mix_seed,
     parse_duration,
 )
-from repro.windowed.wire import hash_resolution, pack_rings, unpack_rings
+from repro.windowed.wire import hash_resolution, pack_ring, pack_rings, unpack_ring, unpack_rings
 
 KEY = "lat"
 FRACTIONS = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 1.0])
@@ -241,6 +241,184 @@ class TestRingHorizon:
         assert ring.horizon(0.0, 10.0).is_empty
         with pytest.raises(InvalidParameterError):
             ring.horizon(10.0, 10.0)
+
+
+class _GroupingRing(WindowRing):
+    """Oracle: the ring with the straightforward bucketing algorithm.
+
+    Every batch computes all per-value indices, masks by lateness and ring
+    floor, groups with one stable argsort, and collects closed buckets by
+    sorting every live bucket.  :meth:`WindowRing.ingest` must match it
+    byte for byte while skipping that work on single-bucket batches; WALs
+    written under this algorithm must replay identically under the ring.
+    """
+
+    __slots__ = ()
+
+    def ingest(self, timestamps, values):
+        ts = np.ascontiguousarray(timestamps, dtype=np.float64).reshape(-1)
+        vals = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+        indices = np.floor(ts / self.bucket_seconds).astype(np.int64)
+        previous = self._watermark
+        high = int(indices.max())
+        if previous is not None:
+            high = max(high, self.bucket_index(previous))
+            watermark = max(previous, float(ts.max()))
+        else:
+            watermark = float(ts.max())
+        self._watermark = watermark
+        floor_index = high - self.retention + 1
+        if self._buckets:
+            dead = [index for index in self._buckets if index < floor_index]
+            for index in dead:
+                del self._buckets[index]
+            self.expired_buckets += len(dead)
+        if previous is None:
+            keep = indices >= floor_index
+        else:
+            keep = (ts >= previous - self.lateness) & (indices >= floor_index)
+        dropped = int(keep.size - np.count_nonzero(keep))
+        if dropped:
+            self.late_dropped += dropped
+            indices = indices[keep]
+            vals = vals[keep]
+        if indices.size:
+            order = np.argsort(indices, kind="stable")
+            indices = indices[order]
+            vals = vals[order]
+            starts = np.concatenate(
+                ([0], np.flatnonzero(np.diff(indices)) + 1, [indices.size])
+            )
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                index = int(indices[lo])
+                sketch = self._buckets.get(index)
+                if sketch is None:
+                    sketch = FastReqSketch(self.k, hra=self.hra, seed=self._bucket_seed(index))
+                    self._buckets[index] = sketch
+                sketch.update_many(vals[lo:hi])
+            self.accepted += int(indices.size)
+        limit = self.bucket_index(self._watermark - self.lateness) - 1
+        if limit <= self._closed_through:
+            return int(indices.size), []
+        closed = []
+        for index, sketch in self.buckets():
+            if self._closed_through < index <= limit:
+                start, end = self.bucket_bounds(index)
+                closed.append((index, start, end, sketch))
+        self._closed_through = limit
+        return int(indices.size), closed
+
+
+def _random_batches(rng, width, lateness, count, origin):
+    """Timestamped batches in every shape a ring meets: one bucket, many
+    buckets, late and too-late stragglers, old batches, forward jumps
+    (expiry), values on bucket edges, and blocks past the staging size."""
+    now = origin
+    for _ in range(count):
+        shape = rng.choice(["bucket", "span", "late", "old", "jump", "edge", "big"])
+        size = int(rng.integers(1, 200))
+        if shape == "bucket":
+            start = np.floor(now / width) * width
+            ts = start + rng.random(size) * width * 0.999
+        elif shape == "span":
+            ts = now + rng.uniform(-5 * width, 5 * width, size)
+        elif shape == "late":
+            ts = now + rng.random(size) * width
+            late = rng.random(size) < 0.3
+            ts[late] -= lateness + rng.uniform(0, 4 * width, int(late.sum()))
+        elif shape == "old":
+            ts = now - rng.uniform(0, lateness + 3 * width, size)
+        elif shape == "jump":
+            now += width * float(rng.integers(2, 50))
+            ts = now + rng.random(size) * width
+        elif shape == "edge":
+            edges = (np.floor(now / width) + rng.integers(-2, 3, size)) * width
+            ts = np.nextafter(edges, edges + rng.choice([-1.0, 0.0, 1.0], size) * width)
+        else:
+            size = 9000 + int(rng.integers(0, 500))
+            ts = now + rng.random(size) * width * rng.choice([0.5, 3.0])
+        yield ts, rng.lognormal(0.0, 1.0, ts.size)
+        now += width * float(rng.uniform(0.0, 1.5))
+
+
+def _ring_state(ring):
+    return (
+        ring.watermark,
+        ring.closed_through,
+        ring.late_dropped,
+        ring.expired_buckets,
+        ring.accepted,
+        [(index, int(sketch.n), int(sketch.num_retained)) for index, sketch in ring.buckets()],
+    )
+
+
+class TestRingDifferential:
+    """The ring against the grouping oracle on randomized batches."""
+
+    @pytest.mark.parametrize(
+        "width,retention,lateness,origin",
+        [
+            (1.0, 32, 2.0, 1_700_000_000.0),
+            (60.0, 32, 2.0, 1_700_000_000.0),
+            (0.25, 8, 0.5, 1_700_000_000.0),
+            (1.5, 16, 3.0, 1_700_000_000.0),
+            (1.5, 4, 0.0, -50.0),
+            (0.25, 1, 0.0, 1000.0),
+            (60.0, 1, 30.0, 1_700_000_000.0),
+            (1.0, 2, 0.0, -3.0),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_grouping_oracle(self, width, retention, lateness, origin, seed):
+        rng = np.random.default_rng([seed, int(width * 4), retention])
+        args = dict(retention=retention, lateness=lateness, k=4, hra=bool(seed % 2), seed=seed)
+        ring = WindowRing(width, **args)
+        oracle = _GroupingRing(width, **args)
+        batches = _random_batches(rng, width, max(lateness, width), 60, origin)
+        for step, (ts, vals) in enumerate(batches):
+            accepted, closed = ring.ingest(ts, vals)
+            expected, expected_closed = oracle.ingest(ts, vals)
+            assert accepted == expected
+            assert [(c.index, c.start, c.end) for c in closed] == [
+                (index, start, end) for index, start, end, _sketch in expected_closed
+            ]
+            assert [c.sketch.n for c in closed] == [c[3].n for c in expected_closed]
+            assert _ring_state(ring) == _ring_state(oracle)
+            if step % 15 == 14:
+                # Packing flushes every bucket on both sides alike.
+                assert pack_ring(ring) == pack_ring(oracle)
+        assert pack_ring(ring) == pack_ring(oracle)
+        assert ring.expired_buckets > 0 or retention > 8
+        assert ring.late_dropped > 0
+
+    def test_unpacked_ring_continues_like_the_oracle(self):
+        rng = np.random.default_rng(7)
+        ring = WindowRing(1.5, retention=6, lateness=1.0, k=4, seed=3)
+        oracle = _GroupingRing(1.5, retention=6, lateness=1.0, k=4, seed=3)
+        batches = list(_random_batches(rng, 1.5, 1.5, 40, 500.0))
+        for ts, vals in batches[:20]:
+            ring.ingest(ts, vals)
+            oracle.ingest(ts, vals)
+        ring = unpack_ring(pack_ring(ring), k=4, seed=3)
+        blob = pack_ring(oracle)
+        assert pack_ring(ring) == blob
+        for ts, vals in batches[20:]:
+            assert ring.ingest(ts, vals)[0] == oracle.ingest(ts, vals)[0]
+            assert _ring_state(ring) == _ring_state(oracle)
+        assert pack_ring(ring) == pack_ring(oracle)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_indices_past_int64_match_the_oracle(self):
+        # Timestamps whose bucket index overflows int64 are finite, so
+        # they pass validation; both paths must file them identically.
+        ring = WindowRing(1e-9, retention=4, lateness=0.0, k=4, seed=1)
+        oracle = _GroupingRing(1e-9, retention=4, lateness=0.0, k=4, seed=1)
+        for ts in ([1e15, 5e-9], [2e-9, 3e-9], [-1e15], [1e15, 2e15], [4e-9], [3e15]):
+            ts = np.asarray(ts)
+            vals = np.arange(ts.size, dtype=np.float64)
+            assert ring.ingest(ts, vals)[0] == oracle.ingest(ts, vals)[0]
+            assert _ring_state(ring) == _ring_state(oracle)
+        assert pack_ring(ring) == pack_ring(oracle)
 
 
 # ----------------------------------------------------------------------
