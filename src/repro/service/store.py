@@ -511,10 +511,14 @@ class SketchStore:
             if cache is not None:
                 cache[key] = entry
         sketch = entry.sketch
-        if entry.sharded or not sketch.num_staged:
+        # A read drains a staged block (compacting it), so recount the key
+        # afterwards, even when the request then fails validation.
+        staged = not entry.sharded and sketch.num_staged
+        try:
             values = self.evaluate(sketch, kind, points)
-        else:
-            values = self._draining_read(entry, self.evaluate, kind, points)
+        finally:
+            if staged:
+                self._recount(entry)
         return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
 
     def query_batch(self, key: str, kind: str, points: np.ndarray):
@@ -530,10 +534,12 @@ class SketchStore:
         """
         entry = self._read_entry(key)
         sketch = entry.sketch
-        if entry.sharded or not sketch.num_staged:
+        staged = not entry.sharded and sketch.num_staged
+        try:
             values = self._evaluate_batch(sketch, kind, points)
-        else:
-            values = self._draining_read(entry, self._evaluate_batch, kind, points)
+        finally:
+            if staged:
+                self._recount(entry)
         return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
 
     @staticmethod
@@ -565,23 +571,6 @@ class SketchStore:
         if entry is None:
             raise KeyError(key)
         return entry
-
-    def _draining_read(self, entry: _Entry, evaluate, kind: str, points):
-        """Answer a read of a key with staged items, keeping the accounting
-        exact.
-
-        The read drains the staging block through the query index, which
-        compacts it, so the key is recounted afterwards, even when the
-        request then fails validation (the drain may already have run).
-        Keys with nothing staged (every read after the first since a
-        write) skip this after one integer test.  An entry cached for a
-        frame can have been spilled by a reload since; spilling drained
-        it, so it never comes here.
-        """
-        try:
-            return evaluate(entry.sketch, kind, points)
-        finally:
-            self._recount(entry)
 
     def query_index_stats(self) -> dict:
         """Aggregate query-index counters across the whole keyspace.

@@ -62,14 +62,24 @@ _MASK64 = (1 << 64) - 1
 #: the per-bucket seeds (which mix the bucket *index*, never this salt).
 _HORIZON_SALT = 0x484F52495A4F4E31  # b"HORIZON1"
 #: Bucket indices are int64 (the grouping computes them with
-#: ``astype(np.int64)``); beyond this range a float-to-int64 cast wraps.
-_INDEX_MIN = -(2**63)
-_INDEX_MAX = 2**63 - 1
+#: ``astype(np.int64)``); a quotient outside ``[-2**63, 2**63)`` (or an
+#: infinite one, when ``t / width`` overflows) does not survive that cast.
+_QUOTIENT_MIN = -(2.0**63)
+_QUOTIENT_MAX = 2.0**63
 
 
 def _bucket_indices(timestamps: np.ndarray, width: float) -> np.ndarray:
     """Per-value bucket indices, ``floor(t / width)`` as int64."""
     return np.floor(timestamps / width).astype(np.int64)
+
+
+def _exact_index(timestamp: float, width: float) -> Optional[int]:
+    """``floor(timestamp / width)`` when the int64 cast keeps it exactly,
+    else ``None`` (the caller then takes :func:`_bucket_indices`' cast)."""
+    quotient = timestamp / width
+    if _QUOTIENT_MIN <= quotient < _QUOTIENT_MAX:
+        return math.floor(quotient)
+    return None
 
 
 def mix_seed(*parts: int) -> int:
@@ -278,7 +288,10 @@ class WindowRing:
         Both paths apply the same rule — a value's bucket is
         ``floor(t / bucket_seconds)`` taken as an int64, exactly as the
         grouping computes it — so they produce identical buckets, coins
-        and counters, and WALs written by either replay the same.
+        and counters, and WALs written by either replay the same.  An
+        extreme whose quotient leaves the int64 range (a finite ``t``
+        whose ``t / bucket_seconds`` overflows to infinity, say) sends the
+        batch down the grouping path, whose cast files it.
 
         Each ring computes its indices from the timestamps, never from a
         finer ring's indices: ``floor(floor(t / 1) / 60)`` and
@@ -293,11 +306,13 @@ class WindowRing:
         width = self.bucket_seconds
         top = float(ts.max())
         # Division rounds monotonically, so the batch's highest bucket is
-        # the bucket of its largest timestamp (while indices fit int64).
-        top_index = math.floor(top / width)
-        high = top_index
-        if not _INDEX_MIN <= high <= _INDEX_MAX:
-            high = int(_bucket_indices(ts, width).max())  # wrapped indices
+        # the bucket of its largest timestamp, unless that quotient falls
+        # outside the int64 range (then the cast decides, value by value).
+        top_index = _exact_index(top, width)
+        if top_index is None:
+            high = int(_bucket_indices(ts, width).max())
+        else:
+            high = top_index
         previous = self._watermark
         if previous is not None:
             high = max(high, self.bucket_index(previous))
@@ -329,8 +344,8 @@ class WindowRing:
         if ts.size:
             # The batch maximum survives any lateness cut, so the
             # admitted values share one bucket iff the extremes do.
-            index = math.floor(bottom / width)
-            if index == top_index and _INDEX_MIN <= index <= _INDEX_MAX:
+            index = _exact_index(bottom, width)
+            if index is not None and index == top_index:
                 if index >= floor_index:
                     self._bucket(index).update_many(vals)
                 else:

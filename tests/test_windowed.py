@@ -420,6 +420,29 @@ class TestRingDifferential:
             assert _ring_state(ring) == _ring_state(oracle)
         assert pack_ring(ring) == pack_ring(oracle)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize("width", [0.25, 0.5])
+    def test_infinite_quotients_match_the_oracle(self, width):
+        # Finite timestamps whose ``t / width`` overflows to -inf are
+        # dropped below the ring floor, the rest of the batch is applied,
+        # on a first batch (no lateness cut runs before bucketing) too.
+        ring = WindowRing(width, retention=4, lateness=1.0, k=4, seed=1)
+        oracle = _GroupingRing(width, retention=4, lateness=1.0, k=4, seed=1)
+        for ts in ([-1.7e308, 1000.0], [-1.7e308, 1000.1], [1000.2, -1.7e308, 1000.9]):
+            ts = np.asarray(ts)
+            vals = np.arange(ts.size, dtype=np.float64)
+            assert ring.ingest(ts, vals)[0] == oracle.ingest(ts, vals)[0]
+            assert _ring_state(ring) == _ring_state(oracle)
+        assert ring.late_dropped == 3
+        assert pack_ring(ring) == pack_ring(oracle)
+        # A +inf quotient fails at the close, after the same apply.
+        ts, vals = np.asarray([1.7e308, 1001.0]), np.asarray([1.0, 2.0])
+        with pytest.raises(OverflowError):
+            ring.ingest(ts, vals)
+        with pytest.raises(OverflowError):
+            oracle.ingest(ts, vals)
+        assert _ring_state(ring) == _ring_state(oracle)
+
 
 # ----------------------------------------------------------------------
 # FRW1 wire round trip
@@ -576,6 +599,22 @@ class TestServiceRecovery:
         recovered = QuantileService(tmp_path, seed=0, **_WINDOW_KW)
         assert recovered.windows.ring(KEY).late_dropped == 1
         _assert_same_answer(expected, _window_answer(recovered, 1000.0, 1040.0))
+        recovered.close()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_wal_with_an_infinite_bucket_quotient_replays(self, tmp_path):
+        # -1.7e308 / 0.25 overflows to -inf: the value is logged, dropped
+        # below the ring floor, and the batch's other value is applied,
+        # live and on replay alike.
+        kw = dict(window_resolutions=(0.25,), window_retention=8, window_lateness=1.0)
+        service = QuantileService(tmp_path, seed=0, **kw)
+        service.window_ingest(KEY, [-1.7e308, 1000.0], [1.0, 2.0])
+        expected_stats = service.windows.ring(KEY).stats()
+        assert expected_stats["late_dropped"] == 1
+        service.close(snapshot=False)
+
+        recovered = QuantileService(tmp_path, seed=0, **kw)
+        assert recovered.windows.ring(KEY).stats() == expected_stats
         recovered.close()
 
     def test_window_query_errors(self):
