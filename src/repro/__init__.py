@@ -104,8 +104,7 @@ length-prefixed binary protocol, with matching sync and async clients::
 
 Ingest batches append to the WAL before touching the store, so a killed
 server replays to the exact same sketches; cold keys spill to snapshot
-files and reload transparently; hot keys can be promoted onto a sharded
-backing plane.  The service imports lazily — ``import repro`` does not pay
+files and reload transparently.  The service imports lazily — ``import repro`` does not pay
 for it.
 
 Reads scale the same way writes do: :class:`FastReqSketch` caches a

@@ -135,13 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between periodic checkpoints (0 disables)",
     )
     serve_parser.add_argument(
-        "--hot-key-items",
-        type=int,
-        default=None,
-        help="promote keys past this ingest count to a sharded backing plane",
-    )
-    serve_parser.add_argument("--hot-shards", type=int, default=4)
-    serve_parser.add_argument(
         "--fsync",
         action="store_true",
         help="fsync WAL commits and snapshots (power-loss durability; the "
@@ -539,8 +532,6 @@ def _cmd_serve(args) -> int:
         hra=args.hra,
         seed=None if args.seed < 0 else args.seed,
         memory_budget=args.memory_budget,
-        hot_key_items=args.hot_key_items,
-        hot_shards=args.hot_shards,
         snapshot_interval=args.snapshot_interval or None,
         fsync=args.fsync,
         use_uvloop=not args.no_uvloop,

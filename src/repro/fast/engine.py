@@ -21,11 +21,12 @@ throughput-first structures:
 * **A version-stamped query index** — per-level sorted arrays are cached
   and version-stamped; a query rebuilds only levels dirtied since the
   last query instead of re-sorting every retained item.  The rebuilt
-  index (sorted items, cumulative weights, and the zero-padded inverse
-  rank index) is itself cached and reused for every ``quantiles`` /
-  ``ranks`` / ``cdf`` call until the coreset version changes, so a pure
-  read workload is a single ``np.searchsorted`` per batch with no
-  per-query rebuild.  ``error_bound`` is memoized on the same stamp.
+  index (sorted items and one zero-padded cumulative-weight array, read
+  as both the rank and the inverse rank index) is itself cached and
+  reused for every ``quantiles`` / ``ranks`` / ``cdf`` call until the
+  coreset version changes, so a pure read workload is a single
+  ``np.searchsorted`` per batch with no per-query rebuild.
+  ``error_bound`` is memoized on the same stamp.
 
 Query-index invariants (the service plane leans on these):
 
@@ -104,13 +105,14 @@ _NativeStageBuffer = load_stage_buffer()
 class _QueryIndex:
     """One immutable build of a sketch's query index.
 
-    ``items`` is the weighted coreset sorted ascending, ``cumweights`` the
-    inclusive cumulative item weights (the *inverse rank index*: a
-    ``searchsorted`` over it maps a target rank to its item position), and
-    ``padded`` the zero-padded cumulative weights (the *rank index*: a
+    ``items`` is the weighted coreset sorted ascending and ``padded`` the
+    zero-padded inclusive cumulative item weights (the *rank index*: a
     ``searchsorted`` of query values over ``items`` indexes into it to
-    read estimated ranks).  ``version`` is the sketch's monotonically
-    increasing rebuild stamp for this build.
+    read estimated ranks).  ``cumweights`` is the view ``padded[1:]``
+    (the *inverse rank index*: a ``searchsorted`` over it maps a target
+    rank to its item position), so the build holds one weights array.
+    ``version`` is the sketch's monotonically increasing rebuild stamp
+    for this build.
 
     ``memo`` is the last validated small ``quantiles`` answer served from
     this build, as ``(fractions bytes, private answer copy)``.  A build is
@@ -121,17 +123,11 @@ class _QueryIndex:
 
     __slots__ = ("items", "cumweights", "padded", "total", "version", "memo")
 
-    def __init__(
-        self,
-        items: np.ndarray,
-        cumweights: np.ndarray,
-        padded: np.ndarray,
-        version: int,
-    ) -> None:
+    def __init__(self, items: np.ndarray, padded: np.ndarray, version: int) -> None:
         self.items = items
-        self.cumweights = cumweights
         self.padded = padded
-        self.total = int(cumweights[-1]) if cumweights.size else 0
+        self.cumweights = padded[1:]
+        self.total = int(padded[-1])
         self.version = version
         self.memo: Optional[Tuple[bytes, np.ndarray]] = None
 
@@ -724,20 +720,22 @@ class FastReqSketch:
                 weights.append(np.full(items.size, 1 << height, dtype=np.int64))
         if not parts:
             sorted_items = _EMPTY_ITEMS
-            cumweights = _EMPTY_WEIGHTS
+            item_weights = _EMPTY_WEIGHTS
         elif len(parts) == 1:
             sorted_items = parts[0]
-            cumweights = np.cumsum(weights[0])
+            item_weights = weights[0]
         else:
             merged = np.concatenate(parts)
             # Stable argsort over a concatenation of sorted runs: timsort
             # gallops through the pre-sorted blocks instead of resorting.
             order = np.argsort(merged, kind="stable")
             sorted_items = merged[order]
-            cumweights = np.cumsum(np.concatenate(weights)[order])
-        padded = np.concatenate(([0], cumweights))
+            item_weights = np.concatenate(weights)[order]
+        # Cumulate straight into the padded array: its tail is cumweights.
+        padded = np.zeros(item_weights.size + 1, dtype=np.int64)
+        np.cumsum(item_weights, out=padded[1:])
         self.query_index_rebuilds += 1
-        self._index = _QueryIndex(sorted_items, cumweights, padded, self.query_index_rebuilds)
+        self._index = _QueryIndex(sorted_items, padded, self.query_index_rebuilds)
         self._index_key = key
         return self._index
 

@@ -13,8 +13,9 @@ Layers (bottom up):
 
 * :class:`SketchStore` (:mod:`repro.service.store`) — tenant/metric keys
   to :class:`~repro.fast.FastReqSketch`, lazy creation, incremental
-  retained-item accounting, LRU spill-to-disk, optional hot-key promotion
-  to :class:`~repro.shard.ShardedReqSketch`.
+  retained-item accounting, a memory budget that checkpoints in place and
+  then spills LRU keys to disk; one key is one sketch, since the sketch
+  is fully mergeable (Theorem 3).
 * :mod:`repro.service.persistence` — per-key ``FRQ1`` snapshots plus an
   append-only CRC-guarded batch WAL; replay-on-recovery reconstructs
   every key after a crash (bit-exact for WAL-replayed keys, thanks to

@@ -11,8 +11,9 @@ What a pass does per finding:
 
 * **Corrupt snapshot, key resident** — the live sketch is authoritative;
   the rotten file is quarantined (moved to ``data_dir/quarantine/``) and
-  immediately rewritten from memory at the key's applied sequence.
-  Self-healing, no replica needed.
+  immediately rewritten from memory at the key's applied sequence through
+  :meth:`~repro.service.SketchStore.checkpoint`, which also re-pins the
+  key's coins to the new snapshot.  Self-healing, no replica needed.
 * **Corrupt snapshot, key spilled** — the file was the key's only local
   copy.  Quarantine + forget: the key now reads as unknown (``n == 0``),
   which is precisely the state cluster ``repair()`` heals *exactly* —
@@ -147,12 +148,10 @@ class Scrubber:
                 continue
             if key is not None and key in svc.store.resident_keys:
                 # The live sketch is authoritative: quarantine the rot,
-                # rewrite the snapshot from memory at the applied seq.
+                # checkpoint the key from memory at the applied seq.
                 svc._quarantine_corrupt_file(path, corrupt)
                 try:
-                    payload = svc.store.peek_payload(key)
-                    store.save(key, svc._applied_seq.get(key, 0), payload)
-                    svc._snap_seq[key] = svc._applied_seq.get(key, 0)
+                    svc.store.checkpoint(key)
                     report["healed_resident"] += 1
                     self.healed_resident += 1
                 except Exception as exc:  # degraded disk: heal next pass

@@ -241,9 +241,6 @@ class QuantileService:
         memory_budget: Retained-item cap across resident sketches; past
             it the store flushes the largest staging blocks in place, then
             spills LRU keys; both checkpoint through the snapshot files.
-        hot_key_items: Optional per-key ingest threshold for promotion to
-            a local :class:`~repro.shard.ShardedReqSketch`.
-        hot_shards: Shards per promoted key.
         fsync: ``os.fsync`` on every WAL commit and snapshot save, so
             acknowledged writes survive power loss — including across a
             checkpoint, where the snapshots are forced to disk before the
@@ -286,8 +283,6 @@ class QuantileService:
         hra: bool = False,
         seed: Optional[int] = 0,
         memory_budget: Optional[int] = None,
-        hot_key_items: Optional[int] = None,
-        hot_shards: int = 4,
         fsync: bool = False,
         group_commit: bool = False,
         max_sessions: int = 4096,
@@ -378,8 +373,6 @@ class QuantileService:
             memory_budget=memory_budget,
             spill_save=spill_save,
             spill_load=spill_load,
-            hot_key_items=hot_key_items,
-            hot_shards=hot_shards,
             on_pin=self._reseed_from_epoch,
         )
         #: The windowed plane: per-key time-bucketed sketch rings (its
@@ -857,8 +850,11 @@ class QuantileService:
     def payload(self, key: str) -> Tuple[int, bytes]:
         """``(n, FRQ1 payload)`` for ``key`` — the FETCH/repair read path.
 
-        Read-only: serializing never mutates the summary, so no WAL
-        record is needed.  Raises ``KeyError`` for unknown keys (mapped
+        Not read-only: serializing flushes the key's staging block, which
+        compacts and spends coins, and no WAL record marks that.  Replay
+        keeps those values staged and compacts them later with other
+        coins, so a key FETCHed between writes does not recover bit-exact
+        (ROADMAP item 1).  Raises ``KeyError`` for unknown keys (mapped
         to ``UNKNOWN_KEY`` on the wire).
         """
         self._check_key(key)
@@ -1222,17 +1218,17 @@ class QuantileService:
     def _reseed_from_epoch(self, key: str, sketch) -> None:
         """Pin ``sketch``'s coin stream to its durable history.
 
-        Called after a snapshot is written (live side: ``snapshot_all`` and
-        the store's in-place budget checkpoint) and after one is loaded
-        (recovery/reload side).  ``FRQ1`` does not carry RNG state,
-        so without this a key recovered from a snapshot plus a WAL tail
-        would replay its post-snapshot compactions with different coins
-        and settle on slightly different (still in-guarantee) answers.
-        Re-seeding both sides from ``(key, snapshot seq)`` makes the coin
-        stream a deterministic function of the key's durable history, so
-        recovery is bit-exact in every case.  Skipped for unseeded stores
-        (no determinism was promised) and for promoted hot keys (their
-        snapshot is a collapsed union; exact replay is not claimed).
+        The store's ``on_pin`` hook: called after
+        :meth:`SketchStore.checkpoint` writes a snapshot (``snapshot_all``,
+        the budget's in-place checkpoint, the scrub's heal) and after one
+        is loaded (recovery/reload side).  ``FRQ1`` does not carry RNG
+        state, so without this a key recovered from a snapshot plus a WAL
+        tail would replay its post-snapshot compactions with different
+        coins and settle on slightly different (still in-guarantee)
+        answers.  Re-seeding both sides from ``(key, snapshot seq)`` makes
+        the coin stream a deterministic function of the key's durable
+        history, so recovery is bit-exact in every case.  Skipped for
+        unseeded stores (no determinism was promised).
         """
         seed = self._epoch_seed(key, self._snap_seq.get(key, 0))
         if seed is None:
@@ -1251,19 +1247,12 @@ class QuantileService:
         """
         if self.snapshots is None:
             return 0
-        from repro.fast import FastReqSketch
-
         written = 0
         for key in self.store.resident_keys:
-            applied = self._applied_seq.get(key, 0)
-            if applied <= self._snap_seq.get(key, -1):
+            if self._applied_seq.get(key, 0) <= self._snap_seq.get(key, -1):
                 continue
-            self.snapshots.save(key, applied, self.store.peek_payload(key))
-            self._snap_seq[key] = applied
+            self.store.checkpoint(key)
             written += 1
-            sketch = self.store.peek(key)
-            if isinstance(sketch, FastReqSketch):
-                self._reseed_from_epoch(key, sketch)
         # Windowed rings checkpoint as FRW1 bundles in their own store,
         # then re-pin their coin streams to the snapshot epoch — the same
         # save-side reseed the load side applies, so the post-snapshot
@@ -2577,8 +2566,6 @@ def run_server(
     hra: bool = False,
     seed: Optional[int] = 0,
     memory_budget: Optional[int] = None,
-    hot_key_items: Optional[int] = None,
-    hot_shards: int = 4,
     snapshot_interval: Optional[float] = 30.0,
     fsync: bool = False,
     use_uvloop: bool = True,
@@ -2615,8 +2602,6 @@ def run_server(
         hra=hra,
         seed=seed,
         memory_budget=memory_budget,
-        hot_key_items=hot_key_items,
-        hot_shards=hot_shards,
         fsync=fsync,
         group_commit=True,
         node_id=node_id,

@@ -32,10 +32,9 @@ Three responsibilities live here:
   checkpoints; standalone users can pass ``spill_dir`` for self-contained
   FRQ1 spill files.
 
-Hot keys can optionally be promoted onto a
-:class:`~repro.shard.ShardedReqSketch` (local backend) once they ingest
-more than ``hot_key_items`` values — per-key isolation for tenants whose
-traffic dwarfs the rest, at identical accuracy (Theorem 3).
+One routine, :meth:`SketchStore.checkpoint`, saves a resident key in
+place: flush, ``spill_save``, ``on_pin``.  The budget's first rung and the
+service's snapshot pass and scrub heal all call it.
 """
 
 from __future__ import annotations
@@ -72,13 +71,11 @@ def spill_filename(key: str) -> str:
 class _Entry:
     """One resident key: its sketch plus cached accounting state."""
 
-    __slots__ = ("sketch", "retained", "ingested", "sharded")
+    __slots__ = ("sketch", "retained")
 
-    def __init__(self, sketch) -> None:
+    def __init__(self, sketch: FastReqSketch) -> None:
         self.sketch = sketch
         self.retained = 0
-        self.ingested = 0
-        self.sharded = False
 
 
 class SketchStore:
@@ -105,9 +102,6 @@ class SketchStore:
             sketch equals its saved payload: after a reload and after an
             in-place checkpoint.  The service re-seeds the coin stream
             here, so replay from that payload stays bit-exact.
-        hot_key_items: Optional ingest-count threshold past which a key is
-            promoted to a local-backend :class:`~repro.shard.ShardedReqSketch`.
-        hot_shards: Shards per promoted key.
     """
 
     def __init__(
@@ -120,8 +114,6 @@ class SketchStore:
         spill_dir: Optional[str] = None,
         spill_save: Optional[Callable[[str, bytes], None]] = None,
         spill_load: Optional[Callable[[str], Optional[bytes]]] = None,
-        hot_key_items: Optional[int] = None,
-        hot_shards: int = 4,
         on_pin: Optional[Callable[[str, FastReqSketch], None]] = None,
     ) -> None:
         if (spill_save is None) != (spill_load is None):
@@ -150,16 +142,12 @@ class SketchStore:
                     "a memory_budget needs somewhere to spill: pass spill_dir "
                     "or spill_save/spill_load (dropping sketches would lose data)"
                 )
-        if hot_key_items is not None and hot_key_items < 1:
-            raise InvalidParameterError(f"hot_key_items must be >= 1, got {hot_key_items}")
         # Fail fast on bad sketch parameters, not on the first ingest.
         FastReqSketch(k, hra=hra)
         self.k = k
         self.hra = bool(hra)
         self.seed = seed
         self.memory_budget = memory_budget
-        self.hot_key_items = hot_key_items
-        self.hot_shards = hot_shards
         self._spill_save = spill_save
         self._spill_load = spill_load
         self._on_pin = on_pin
@@ -254,7 +242,7 @@ class SketchStore:
     # Access
     # ------------------------------------------------------------------
 
-    def get(self, key: str, *, create: bool = False):
+    def get(self, key: str, *, create: bool = False) -> FastReqSketch:
         """The sketch for ``key`` (reloading a spilled key transparently).
 
         Marks the key most-recently-used.  With ``create=True`` a missing
@@ -267,7 +255,7 @@ class SketchStore:
             entry = self._create(key)
         return entry.sketch
 
-    def peek(self, key: str):
+    def peek(self, key: str) -> FastReqSketch:
         """``key``'s sketch if resident — no LRU touch, no spill reload."""
         entry = self._entries.get(key)
         if entry is None:
@@ -277,18 +265,13 @@ class SketchStore:
     def peek_payload(self, key: str) -> bytes:
         """A resident key's ``FRQ1`` payload without touching LRU order.
 
-        The checkpoint path uses this: snapshotting every resident key must
-        not rewrite the eviction order the workload established.
+        Like :meth:`checkpoint`, it leaves the eviction order the workload
+        established alone.
         """
         entry = self._entries.get(key)
         if entry is None:
             raise KeyError(key)
         return self._payload(entry)
-
-    def is_sharded(self, key: str) -> bool:
-        """Whether a resident ``key`` is backed by a sharded plane."""
-        entry = self._entries.get(key)
-        return entry is not None and entry.sharded
 
     def _create(self, key: str) -> _Entry:
         sketch = FastReqSketch(self.k, hra=self.hra, seed=self.derive_seed(key))
@@ -316,7 +299,6 @@ class SketchStore:
                 # deterministically so recovery replay stays bit-exact.
                 self._on_pin(key, sketch)
             entry = _Entry(sketch)
-            entry.ingested = sketch.n
             entry.retained = sketch.num_retained
             self._entries[key] = entry
             self._retained_total += entry.retained
@@ -337,7 +319,6 @@ class SketchStore:
         """Feed one batch into ``key``'s sketch (created lazily); returns its ``n``."""
         entry = self._touch(key) or self._create(key)
         entry.sketch.update_many(values)
-        entry.ingested += int(np.size(values))
         return self._settle(key, entry)
 
     def stage_concat(self, arrays) -> np.ndarray:
@@ -380,14 +361,10 @@ class SketchStore:
             raise ServiceError(f"cannot decode merge payload for key {key!r}: {exc}") from exc
         return self.merge_sketch(key, donor)
 
-    def merge_sketch(self, key: str, donor) -> int:
+    def merge_sketch(self, key: str, donor: FastReqSketch) -> int:
         """Union an in-process sketch into ``key`` (created lazily)."""
         entry = self._touch(key) or self._create(key)
-        if entry.sharded:
-            entry.sketch.absorb(donor)
-        else:
-            entry.sketch.merge_many((donor,))
-        entry.ingested += donor.n
+        entry.sketch.merge_many((donor,))
         return self._settle(key, entry)
 
     def replace_payload(self, key: str, payload: bytes) -> int:
@@ -424,7 +401,6 @@ class SketchStore:
             self._retire_counters(old.sketch)
         self._spilled.pop(key, None)
         entry = _Entry(donor)
-        entry.ingested = int(donor.n)
         entry.retained = int(donor.num_retained)
         self._entries[key] = entry
         self._retained_total += entry.retained
@@ -433,44 +409,17 @@ class SketchStore:
         return int(donor.n)
 
     def _settle(self, key: str, entry: _Entry) -> int:
-        """Post-write bookkeeping: accounting delta, promotion, budget."""
-        if (
-            self.hot_key_items is not None
-            and not entry.sharded
-            and entry.ingested >= self.hot_key_items
-        ):
-            self._promote(key, entry)
+        """Post-write bookkeeping: accounting delta, budget."""
         sketch = entry.sketch
         self._recount(entry)
         if self.memory_budget is not None:
-            if not entry.sharded:
-                staged = sketch.num_staged
-                # 2k is the least level-0 capacity; the cheap test first.
-                if staged >= 2 * self.k and staged >= self._flush_floor(sketch):
-                    self._track(key, staged)
+            staged = sketch.num_staged
+            # 2k is the least level-0 capacity; the cheap test first.
+            if staged >= 2 * self.k and staged >= self._flush_floor(sketch):
+                self._track(key, staged)
             if self._retained_total > self.memory_budget:
                 self._enforce_budget(keep=key)
         return sketch.n
-
-    def _promote(self, key: str, entry: _Entry) -> None:
-        """Re-home a hot key onto a local-backend sharded plane."""
-        from repro.shard import ShardedReqSketch
-
-        sharded = ShardedReqSketch(
-            self.hot_shards,
-            k=self.k,
-            hra=self.hra,
-            seed=self.derive_seed(key),
-            backend="local",
-        )
-        if entry.sketch.n:
-            sharded.absorb(entry.sketch)
-        # The plane's counters start at zero; fold the replaced sketch's
-        # into the store accumulator (like eviction does) so aggregate
-        # query-index stats never go backwards on promotion.
-        self._retire_counters(entry.sketch)
-        entry.sketch = sharded
-        entry.sharded = True
 
     # ------------------------------------------------------------------
     # Queries (the read hot path: index-backed, vectorized)
@@ -513,7 +462,7 @@ class SketchStore:
         sketch = entry.sketch
         # A read drains a staged block (compacting it), so recount the key
         # afterwards, even when the request then fails validation.
-        staged = not entry.sharded and sketch.num_staged
+        staged = sketch.num_staged
         try:
             values = self.evaluate(sketch, kind, points)
         finally:
@@ -534,7 +483,7 @@ class SketchStore:
         """
         entry = self._read_entry(key)
         sketch = entry.sketch
-        staged = not entry.sharded and sketch.num_staged
+        staged = sketch.num_staged
         try:
             values = self._evaluate_batch(sketch, kind, points)
         finally:
@@ -587,9 +536,9 @@ class SketchStore:
         answer_hits = self._index_answer_hits_evicted
         for entry in self._entries.values():
             sketch = entry.sketch
-            hits += int(getattr(sketch, "query_index_hits", 0))
-            rebuilds += int(getattr(sketch, "query_index_rebuilds", 0))
-            answer_hits += int(getattr(sketch, "query_index_answer_hits", 0))
+            hits += sketch.query_index_hits
+            rebuilds += sketch.query_index_rebuilds
+            answer_hits += sketch.query_index_answer_hits
         return {
             "hits": hits,
             "misses": rebuilds,
@@ -597,28 +546,23 @@ class SketchStore:
             "answer_hits": answer_hits,
         }
 
-    def _retire_counters(self, sketch) -> None:
+    def _retire_counters(self, sketch: FastReqSketch) -> None:
         """Fold a departing sketch's query-index counters into the store's."""
-        self._index_hits_evicted += int(getattr(sketch, "query_index_hits", 0))
-        self._index_rebuilds_evicted += int(getattr(sketch, "query_index_rebuilds", 0))
-        self._index_answer_hits_evicted += int(getattr(sketch, "query_index_answer_hits", 0))
+        self._index_hits_evicted += sketch.query_index_hits
+        self._index_rebuilds_evicted += sketch.query_index_rebuilds
+        self._index_answer_hits_evicted += sketch.query_index_answer_hits
 
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
 
     def payload(self, key: str) -> bytes:
-        """``key``'s current summary as an ``FRQ1`` payload (touches LRU).
-
-        A promoted (sharded) key serializes its union — the payload decodes
-        as a plain :class:`~repro.fast.FastReqSketch` anywhere.
-        """
+        """``key``'s current summary as an ``FRQ1`` payload (touches LRU)."""
         return self._payload(self._read_entry(key))
 
     def _payload(self, entry: _Entry) -> bytes:
         """Serialize ``entry``; its flush is folded into the accounting."""
-        sketch = entry.sketch
-        payload = sketch.collect().to_bytes() if entry.sharded else sketch.to_bytes()
+        payload = entry.sketch.to_bytes()
         self._recount(entry)
         return payload
 
@@ -651,7 +595,7 @@ class SketchStore:
         self._retire_counters(entry.sketch)
 
     @staticmethod
-    def _flush_floor(sketch) -> int:
+    def _flush_floor(sketch: FastReqSketch) -> int:
         """Staged items from which a flush is sure to compact level 0."""
         return sketch._capacity(0) if sketch.num_levels else 2 * sketch.k
 
@@ -667,8 +611,8 @@ class SketchStore:
             heapq.heapify(heap)
 
     def _next_flush(self) -> Optional[str]:
-        """The resident, unpromoted key with the largest staging block that
-        is at least its flush floor (ties: the smallest key), or ``None``.
+        """The resident key with the largest staging block that is at
+        least its flush floor (ties: the smallest key), or ``None``.
 
         Recorded counts can only overstate a key's block (a query or a
         serialization flushes without a write), so each popped entry is
@@ -684,7 +628,7 @@ class SketchStore:
                 continue
             entry = self._entries.get(key)
             staged = 0
-            if entry is not None and not entry.sharded:
+            if entry is not None:
                 sketch = entry.sketch
                 staged = sketch.num_staged
                 if staged < self._flush_floor(sketch):
@@ -697,20 +641,30 @@ class SketchStore:
                 self._track(key, staged)
         return None
 
-    def _checkpoint(self, key: str, entry: _Entry) -> None:
-        """Flush ``key`` in place and save it; it keeps its LRU slot."""
-        del self._staged[key]
-        payload = self._payload(entry)
-        self._spill_save(key, payload)
+    def checkpoint(self, key: str) -> None:
+        """Save resident ``key`` in place: flush, ``spill_save``, ``on_pin``.
+
+        The key keeps its LRU slot.  This is the one routine that saves a
+        resident key's payload and re-pins its coins, so the saved payload
+        and the coin stream that follows it always agree: the service's
+        snapshot pass, the budget's first rung and the scrub's heal of a
+        resident key's snapshot all call it.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            raise KeyError(key)
+        if self._spill_save is None:
+            raise ServiceError("no spill target configured")
+        self._staged.pop(key, None)
+        self._spill_save(key, self._payload(entry))
         if self._on_pin is not None:
             self._on_pin(key, entry.sketch)
-        self.flush_count += 1
 
     def _enforce_budget(self, *, keep: str) -> None:
         """Bring the store back under budget: flush, then spill.
 
-        Rung 1 checkpoints in place.  While over budget, the resident,
-        unpromoted key with the largest staging block (ties by key order)
+        Rung 1 checkpoints in place.  While over budget, the resident key
+        with the largest staging block (ties by key order)
         is flushed, saved through ``spill_save`` and re-pinned through
         ``on_pin``; only keys whose block is at least their level-0
         capacity qualify, so each flush compacts.  The key stays resident
@@ -733,7 +687,8 @@ class SketchStore:
                 victim = self._next_flush()
                 if victim is None:
                     break
-                self._checkpoint(victim, self._entries[victim])
+                self.checkpoint(victim)
+                self.flush_count += 1
             while self._retained_total > budget and len(self._entries) > 1:
                 victim = next(iter(self._entries))
                 if victim == keep:
@@ -771,13 +726,10 @@ class SketchStore:
             return {
                 "key": key,
                 "resident": True,
-                "sharded": entry.sharded,
                 "n": int(sketch.n),
                 "retained": int(sketch.num_retained),
-                "staged": 0 if entry.sharded else int(sketch.num_staged),
-                "levels": int(
-                    sketch.num_levels if not entry.sharded else sketch.collect().num_levels
-                ),
+                "staged": int(sketch.num_staged),
+                "levels": int(sketch.num_levels),
             }
         if key in self._spilled:
             payload = self._spill_load(key) if self._spill_load else None
@@ -787,7 +739,6 @@ class SketchStore:
             return {
                 "key": key,
                 "resident": False,
-                "sharded": False,
                 "n": int(header.n),
                 "retained": retained_in_payload(payload, header),
                 "staged": 0,

@@ -28,8 +28,8 @@ version-stamped query index (:meth:`~repro.fast.FastReqSketch.query_index`),
 so a read-heavy workload rebuilds neither the union nor its index per
 call; :attr:`query_index_hits` / :attr:`query_index_rebuilds` count
 union-cache reuse vs rebuilds, and :attr:`query_index_answer_hits` the
-reads the unions' answer memos served whole (the same surface the
-service's STATS aggregates for promoted hot keys).
+reads the unions' answer memos served whole (the same counters
+:class:`~repro.fast.FastReqSketch` exposes).
 """
 
 from __future__ import annotations
@@ -193,10 +193,8 @@ class ShardedReqSketch:
     def absorb(self, sketch) -> None:
         """Merge an existing sketch's summary into the plane (local backend).
 
-        The hot-key promotion path of :class:`repro.service.SketchStore`
-        uses this: a key that outgrows a single :class:`FastReqSketch` is
-        re-homed onto a sharded plane by absorbing the sketch built so far,
-        after which batches route normally.  The donor must share ``k`` and
+        A sketch built so far is re-homed onto the plane this way, after
+        which batches route normally.  The donor must share ``k`` and
         ``hra`` and is never mutated (``merge_many`` snapshot semantics).
         It lands on the least-loaded shard — any placement is correct by
         Theorem 3; this one keeps shard sizes balanced.

@@ -18,6 +18,7 @@ disjoint seed namespaces.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from repro.errors import ServiceError
 from repro.fast import FastReqSketch
 
-from .ring import ClosedBucket, WindowRing, mix_seed
+from .ring import ClosedBucket, WindowRing, _exact_index, mix_seed
 from .wire import hash_resolution, pack_rings, unpack_rings
 
 __all__ = ["WindowStore", "WindowEvent"]
@@ -166,9 +167,21 @@ class WindowStore:
     # Ingest / query
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def validate(timestamps: np.ndarray, values: np.ndarray) -> None:
-        """Reject malformed batches *before* any WAL append."""
+    def validate(self, timestamps: np.ndarray, values: np.ndarray) -> None:
+        """Reject malformed batches *before* any WAL append.
+
+        Besides shape and NaN checks, the batch's latest timestamp must
+        have a bucket index, ``t / width`` as an int64, at every configured
+        resolution: the ring's watermark and bucket closes floor that
+        quotient, so a batch whose maximum overflows it (``1.7e308`` on a
+        0.5 s ring) would be logged and then fail its apply, on every
+        replay too.  ``t / width`` is monotone in ``t``, so the batch's
+        extremes stand for every value and no per-value pass runs.  The
+        minimum only has to be finite: the ring's grouping path files a
+        value whose quotient leaves the int64 range below (normally under
+        the ring floor, where it is dropped), and logs holding such
+        batches replay.
+        """
         if timestamps.size != values.size:
             raise ServiceError(
                 f"windowed batch length mismatch: {timestamps.size} timestamps "
@@ -176,8 +189,18 @@ class WindowStore:
             )
         if values.size == 0:
             raise ServiceError("windowed ingest batch is empty")
-        if not np.isfinite(timestamps).all():
+        # min/max propagate NaN, so these two reductions also catch it.
+        low = float(timestamps.min())
+        high = float(timestamps.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ServiceError("windowed timestamps must be finite")
+        # The finest width gives the largest quotient in magnitude.
+        width = self.resolutions[0]
+        if _exact_index(high, width) is None:
+            raise ServiceError(
+                f"windowed timestamp {high!r} has no int64 bucket index "
+                f"at the {width}s resolution"
+            )
         if np.isnan(values).any():
             raise ServiceError("windowed batch contains NaN")
 

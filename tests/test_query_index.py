@@ -129,26 +129,6 @@ class TestSpillReloadAndRecovery:
         assert after["hits"] == before["hits"] + 1
         assert after["rebuilds"] == before["rebuilds"] + 1
 
-    def test_answer_hits_count_promoted_keys(self, tmp_path):
-        store = SketchStore(k=32, seed=0, hot_key_items=5_000, spill_dir=str(tmp_path / "spill"))
-        rng = np.random.default_rng(14)
-        store.update_many("hot", rng.random(4_000))
-        store.query("hot", "quantiles", QUERY_FRACTIONS)
-        store.query("hot", "quantiles", QUERY_FRACTIONS)
-        assert store.query_index_stats()["answer_hits"] == 1
-        store.update_many("hot", rng.random(4_000))  # promotes the key
-        assert not isinstance(store.get("hot"), FastReqSketch)
-        assert store.query_index_stats()["answer_hits"] == 1  # folded on promotion
-        for _ in range(3):
-            store.query("hot", "quantiles", QUERY_FRACTIONS)
-        assert store.query_index_stats()["answer_hits"] == 3  # the union's memo
-        store.update_many("hot", rng.random(1_000))  # the plane drops its union
-        store.query("hot", "quantiles", QUERY_FRACTIONS)
-        store.query("hot", "quantiles", QUERY_FRACTIONS)
-        assert store.query_index_stats()["answer_hits"] == 4
-        store.spill("hot")
-        assert store.query_index_stats()["answer_hits"] == 4
-
     def test_snapshot_recovery_answers_bit_identical(self, tmp_path):
         rng = np.random.default_rng(23)
         service = QuantileService(tmp_path, k=32)
@@ -174,28 +154,6 @@ class TestSpillReloadAndRecovery:
         # also match a cache-free rebuild of its own state.
         assert_index_matches_fresh(recovered.store.get("k"))
         recovered.close()
-
-
-def test_promotion_keeps_index_stats_monotonic(tmp_path):
-    """Hot-key promotion replaces the sketch; the replaced sketch's
-    query-index counters must fold into the store aggregate (like
-    eviction) so STATS totals never go backwards."""
-    store = SketchStore(k=32, seed=0, hot_key_items=10_000, hot_shards=2)
-    rng = np.random.default_rng(17)
-    store.update_many("hot", rng.random(5_000))
-    for _ in range(5):
-        store.query("hot", "quantiles", QUERY_FRACTIONS)
-    before = store.query_index_stats()
-    assert before["hits"] >= 4
-    store.update_many("hot", rng.random(6_000))  # crosses hot_key_items
-    assert store.is_sharded("hot")
-    after = store.query_index_stats()
-    assert after["hits"] >= before["hits"]
-    assert after["rebuilds"] >= before["rebuilds"]
-    store.query("hot", "quantiles", QUERY_FRACTIONS)
-    store.query("hot", "quantiles", QUERY_FRACTIONS)
-    final = store.query_index_stats()
-    assert final["hits"] > after["hits"]
 
 
 class TestMemoizedErrorBound:

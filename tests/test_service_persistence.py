@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.service import QuantileService, SnapshotStore, WriteAheadLog
 from repro.service.persistence import WAL_INGEST, WAL_MERGE
+from repro.service.store import spill_filename
 
 
 @pytest.fixture()
@@ -382,3 +383,99 @@ class TestServiceRecovery:
         assert recovered._seq > first_seq
         assert recovered.store.get("k").n == 200
         recovered.close()
+
+
+def _ingest(service, rng, frames, size, key="lat"):
+    for _ in range(frames):
+        service.ingest(key, rng.random(size))
+
+
+def _checkpoint_by_snapshot_all(service, rng):
+    assert service.snapshot_all() == 1
+
+
+def _checkpoint_by_budget_rung_1(service, rng):
+    store = service.store
+    budget = store.memory_budget
+    store.memory_budget = store.retained_items - 1
+    _ingest(service, rng, 1, 10)  # over budget: flushes the staged block in place
+    store.memory_budget = budget
+    assert store.flush_count == 1 and store.spill_count == 0
+
+
+def _checkpoint_by_spill_and_reload(service, rng):
+    service.store.spill("lat")
+    _ingest(service, rng, 1, 50)  # reloads the key
+    assert service.store.load_count == 1
+
+
+def _checkpoint_by_scrub_heal(service, rng):
+    service.snapshot_all()
+    _ingest(service, rng, 10, 50)
+    path = service.snapshots.directory / spill_filename("lat")
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+    assert service.scrub.scrub_once()["healed_resident"] == 1
+
+
+class TestCheckpointRecoveryMatrix:
+    """Every producer of a plain-key checkpoint pins the coins it saved with.
+
+    A checkpoint saves the key's payload and re-seeds its coin stream from
+    the snapshot's seq; recovery loads the payload and re-seeds the same
+    way, so the WAL tail replays with the live coins.  A producer that
+    saves without re-seeding leaves the live key on its old coins, and the
+    crash copy recovers different bytes.
+    """
+
+    @pytest.mark.parametrize(
+        "produce",
+        [
+            _checkpoint_by_snapshot_all,
+            _checkpoint_by_budget_rung_1,
+            _checkpoint_by_spill_and_reload,
+            _checkpoint_by_scrub_heal,
+        ],
+        ids=["snapshot_all", "budget_rung_1", "spill_and_reload", "scrub_heal"],
+    )
+    def test_crash_after_checkpoint_recovers_bit_exact(self, tmp_path, produce):
+        options = dict(k=8, seed=0, memory_budget=10**6)
+        rng = np.random.default_rng(0)
+        service = QuantileService(tmp_path, **options)
+        _ingest(service, rng, 10, 50)
+        assert service.store.key_stats("lat")["staged"] > 0
+        produce(service, rng)
+        _ingest(service, rng, 40, 300)
+        expected = service.store.payload("lat")
+        service.close(snapshot=False)
+
+        recovered = QuantileService(tmp_path, **options)
+        assert recovered.store.payload("lat") == expected
+        recovered.close(snapshot=False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a read flushes the staging block, spending coins "
+    "that no WAL record replays",
+)
+@pytest.mark.parametrize("read", ["query", "query_batch", "payload"])
+def test_reads_between_writes_recover_bit_exact(tmp_path, read):
+    rng = np.random.default_rng(0)
+    service = QuantileService(tmp_path, k=8, seed=0)
+    for index in range(40):
+        _ingest(service, rng, 1, 50)
+        if index % 7 == 6:
+            if read == "query":
+                service.query("lat", [0.5, 0.99])
+            elif read == "query_batch":
+                service.query_batch("lat", "quantiles", np.array([[0.5, 0.99]]))
+            else:
+                service.payload("lat")  # FETCH
+    expected = service.store.payload("lat")
+    service.close(snapshot=False)
+
+    recovered = QuantileService(tmp_path, k=8, seed=0)
+    assert recovered.store.payload("lat") == expected
+    recovered.close(snapshot=False)

@@ -341,18 +341,6 @@ class TestMemoryBudgetOverSocket:
                 assert result.n == 2500
 
 
-class TestHotKeysOverSocket:
-    def test_hot_key_promotion_visible_in_stats(self, harness, rng):
-        service = QuantileService(None, k=32, hot_key_items=3000)
-        running = harness(service)
-        with QuantileClient(port=running.port) as client:
-            client.ingest("cold", rng.random(500))
-            client.ingest("hot", rng.random(5000))
-            assert client.stats("hot")["sharded"] is True
-            assert client.stats("cold")["sharded"] is False
-            assert 0.4 < client.quantile("hot", 0.5) < 0.6
-
-
 class TestAsyncClient:
     def test_async_roundtrip(self, harness, rng):
         running = harness(QuantileService(None, k=32))

@@ -300,17 +300,6 @@ class TestFlushBeforeSpill:
             sketch = store.peek(key)
             assert sketch.num_staged < SketchStore._flush_floor(sketch)
 
-    def test_promoted_key_is_never_a_candidate(self, rng):
-        store, saved, _pinned = self.recording_store(10**6, hot_key_items=1000)
-        store.update_many("hot", rng.random(1500))
-        assert store.is_sharded("hot")
-        store.update_many("hot", rng.random(3000))
-        store.update_many("cold", rng.random(200))
-        store.memory_budget = store.retained_items - 1
-        store.update_many("cold", rng.random(10))
-        assert saved == ["cold"]
-        assert store.key_stats("hot")["staged"] == 0
-
     def test_store_without_budget_tracks_nothing(self, rng, tmp_path):
         store = SketchStore(k=8, spill_dir=tmp_path)
         for i in range(20):
@@ -332,43 +321,6 @@ class TestFlushBeforeSpill:
         assert store.resident_keys == ["a", "b"]
         with pytest.raises(OSError):
             store.spill("a")  # an explicit spill still raises
-
-
-class TestHotKeys:
-    def test_promotion_past_threshold(self, rng):
-        from repro.shard import ShardedReqSketch
-
-        store = SketchStore(k=32, hot_key_items=5000, hot_shards=3)
-        store.update_many("cold", rng.random(1000))
-        for _ in range(3):
-            store.update_many("hot", rng.random(2000))
-        assert isinstance(store.get("hot"), ShardedReqSketch)
-        assert isinstance(store.get("cold"), FastReqSketch)
-        assert store.get("hot").n == 6000
-
-    def test_promoted_key_queries_and_payload(self, rng):
-        store = SketchStore(k=32, hot_key_items=1000)
-        stream = rng.random(5000)
-        store.update_many("hot", stream)
-        quantile = store.get("hot").quantile(0.5)
-        assert 0.4 < quantile < 0.6
-        clone = FastReqSketch.from_bytes(store.payload("hot"))
-        assert clone.n == 5000
-
-    def test_promoted_key_accepts_merges(self, rng):
-        store = SketchStore(k=32, hot_key_items=100)
-        store.update_many("hot", rng.random(500))
-        donor = FastReqSketch(32, seed=4)
-        donor.update_many(rng.random(300))
-        assert store.merge_sketch("hot", donor) == 800
-
-    def test_promoted_key_spills_as_union(self, rng, tmp_path):
-        store = SketchStore(k=32, hot_key_items=100, spill_dir=tmp_path)
-        store.update_many("hot", rng.random(2000))
-        store.spill("hot")
-        # Reloads as a plain FastReqSketch (demotion on reload is fine: the
-        # union payload carries everything).
-        assert store.get("hot").n == 2000
 
 
 class TestStats:

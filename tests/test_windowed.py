@@ -617,6 +617,26 @@ class TestServiceRecovery:
         assert recovered.windows.ring(KEY).stats() == expected_stats
         recovered.close()
 
+    @pytest.mark.parametrize("top", [1.7e308, 5e18, -1.7e308])
+    def test_batch_without_an_int64_bucket_is_refused_before_logging(self, tmp_path, top):
+        # On a 0.5 s ring 1.7e308 / 0.5 overflows to +inf: logged, that
+        # batch would fail its apply and then every replay.  5e18 / 0.5
+        # leaves int64, where the ring's cast picks no meaningful bucket.
+        # A lone -1.7e308 is the batch's maximum too.
+        kw = dict(window_resolutions=(0.5,), window_retention=8, window_lateness=1.0)
+        service = QuantileService(tmp_path, seed=0, **kw)
+        timestamps = [top] if top < 0 else [1000.0, top]
+        with pytest.raises(ServiceError, match="bucket index"):
+            service.window_ingest("k", timestamps, [1.0] * len(timestamps))
+        assert service.wal.size_bytes == 0
+        assert "k" not in service.windows
+        service.window_ingest("k", [1000.0], [1.0])
+        service.close(snapshot=False)
+
+        recovered = QuantileService(tmp_path, seed=0, **kw)
+        assert recovered.windows.ring("k").stats()["accepted"] == 1
+        recovered.close()
+
     def test_window_query_errors(self):
         service = QuantileService(None, seed=0, **_WINDOW_KW)
         with pytest.raises(KeyError):
