@@ -1132,12 +1132,19 @@ class QuantileService:
         return self.windows.accepted(key)
 
     def _window_apply_replay(self, key: str, payload) -> None:
-        """Re-apply one windowed WAL payload (timestamps + values halves)."""
+        """Re-apply one windowed WAL payload (timestamps + values halves).
+
+        A logged batch passed the validation of the version that logged
+        it, so replay skips :meth:`WindowStore.validate`: its bucket-index
+        rule is newer than some logs, and a batch an older version
+        accepted and applied (``[1000.0, 5e18]`` on a 0.5 s ring) must
+        still replay.
+        """
         array = np.frombuffer(payload, dtype="<f8")
         if array.size % 2:
             raise ServiceError("windowed WAL payload has an odd float count")
         half = array.size // 2
-        self.windows.ingest(key, array[:half], array[half:])
+        self.windows.ingest(key, array[:half], array[half:], prevalidated=True)
 
     def window_query(self, key: str, kind, resolution: float, start: float, end: float, points):
         """A horizon read: ``(n, eps, values, retained)`` over ``[start, end)``.

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import EmptySketchError, InvalidParameterError, ServiceError
 from repro.fast import FastReqSketch
 from repro.service import QuantileService
+from repro.service.persistence import WAL_WINDOW_INGEST
 from repro.windowed import (
     WindowRing,
     WindowStore,
@@ -635,6 +636,27 @@ class TestServiceRecovery:
 
         recovered = QuantileService(tmp_path, seed=0, **kw)
         assert recovered.windows.ring("k").stats()["accepted"] == 1
+        recovered.close()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_logged_batch_without_an_int64_bucket_replays(self, tmp_path):
+        # Older versions logged and applied [1000.0, 5e18] on a 0.5 s ring
+        # (5e18 / 0.5 is finite); such a log must still open although
+        # validation now refuses the batch before logging it.
+        kw = dict(window_resolutions=(0.5,), window_retention=8, window_lateness=1.0)
+        service = QuantileService(tmp_path, seed=0, **kw)
+        timestamps = np.asarray([1000.0, 5e18])
+        values = np.asarray([1.0, 2.0])
+        payload = b"".join((timestamps.astype("<f8").data, values.astype("<f8").data))
+        service._window_applied_seq["k"] = service._wal_append_many(
+            ((WAL_WINDOW_INGEST, "k", payload),)
+        )
+        service.windows.ingest("k", timestamps, values, prevalidated=True)
+        expected_stats = service.windows.ring("k").stats()
+        service.close(snapshot=False)
+
+        recovered = QuantileService(tmp_path, seed=0, **kw)
+        assert recovered.windows.ring("k").stats() == expected_stats
         recovered.close()
 
     def test_window_query_errors(self):
