@@ -5,6 +5,8 @@
  * module moves the per-item work — float conversion, NaN rejection, store,
  * full-check — into a single METH_O C call, so `sketch.update` (bound to
  * `StageBuffer.push` on instances) costs one C function dispatch per item.
+ * `extend` does the same for a small batch: one NaN scan and one copy in
+ * a single call, which is all `update_many` pays below the block size.
  * When the block fills, a Python callback drains it into the level
  * structure; everything amortized stays vectorized numpy on the Python
  * side.
@@ -72,14 +74,16 @@ stage_push(StageBuffer *self, PyObject *item)
     Py_RETURN_NONE;
 }
 
-/* Bulk-append from any C-contiguous buffer of float64 (no NaN check here —
- * callers vet batches with numpy before staging). */
+/* Bulk-append from any C-contiguous buffer of float64.  The whole buffer
+ * is scanned for NaN before anything is copied, so a rejected batch
+ * leaves the block (and the sketch's n) untouched. */
 static PyObject *
 stage_extend(StageBuffer *self, PyObject *arg)
 {
     Py_buffer view;
     const double *src;
     Py_ssize_t remaining;
+    Py_ssize_t i;
 
     if (PyObject_GetBuffer(arg, &view, PyBUF_CONTIG_RO) < 0)
         return NULL;
@@ -92,6 +96,18 @@ stage_extend(StageBuffer *self, PyObject *arg)
     }
     src = (const double *)view.buf;
     remaining = view.len / (Py_ssize_t)sizeof(double);
+    for (i = 0; i < remaining; i++) {
+        double value;
+        /* memcpy: a wire frame's values need not be 8-byte aligned */
+        memcpy(&value, (const char *)view.buf + i * (Py_ssize_t)sizeof(double),
+               sizeof(double));
+        if (value != value) {
+            PyBuffer_Release(&view);
+            PyErr_SetString(self->nan_exc ? self->nan_exc : PyExc_ValueError,
+                            "cannot insert NaN: items must form a total order");
+            return NULL;
+        }
+    }
     while (remaining > 0) {
         Py_ssize_t space = self->capacity - self->count;
         Py_ssize_t take = remaining < space ? remaining : space;
@@ -211,7 +227,8 @@ static PyMethodDef stage_methods[] = {
     {"push", (PyCFunction)stage_push, METH_O,
      "push(item) — stage one float (NaN rejected); flushes when full"},
     {"extend", (PyCFunction)stage_extend, METH_O,
-     "extend(buffer) — stage a contiguous float64 buffer (caller vets NaN)"},
+     "extend(buffer) — stage a contiguous float64 buffer; rejects NaN "
+     "before staging anything"},
     {"drain", (PyCFunction)stage_drain, METH_NOARGS,
      "drain() -> bytes — copy out the staged float64 block and reset"},
     {"peek", (PyCFunction)stage_peek, METH_NOARGS,

@@ -166,6 +166,8 @@ class _PyStageBuffer:
 
     def extend(self, values) -> None:
         values = np.frombuffer(values, dtype=np.float64) if isinstance(values, bytes) else values
+        if np.isnan(values).any():  # checked before anything is staged
+            raise self._nan_exc("cannot insert NaN: items must form a total order")
         offset = 0
         remaining = len(values)
         while remaining > 0:
@@ -404,20 +406,23 @@ class FastReqSketch:
         """Insert a batch; numpy arrays take the vectorized path directly.
 
         Batches smaller than the staging block are appended to the staging
-        buffer (no flush, no level churn); larger batches are sorted once
-        and ingested as a single run.
+        buffer (no flush, no level churn) by one ``extend`` call, which
+        rejects a NaN before staging anything; larger batches are sorted
+        once and ingested as a single run.
         """
         values = np.asarray(items, dtype=np.float64)
         if values.ndim != 1:
             values = values.reshape(-1)
-        if values.size == 0:
+        size = values.size
+        if size == 0:
             return
-        if values.size < self._stage.capacity:
-            if np.isnan(values).any():
-                raise InvalidParameterError("cannot insert NaN: items must form a total order")
+        stage = self._stage
+        if size < stage.capacity:
             # The C staging buffer requires a C-contiguous block (strided
             # views, reversed slices, ... are copied here).
-            self._stage.extend(np.ascontiguousarray(values))
+            if not values.flags.c_contiguous:
+                values = np.ascontiguousarray(values)
+            stage.extend(values)
             return
         run = np.sort(values)
         if np.isnan(run[-1]):  # numpy sorts NaN to the end

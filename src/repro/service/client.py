@@ -470,16 +470,18 @@ class _QueryStream(_WindowedStream):
 
 
 def _decode_multi_response(payload) -> List[int]:
+    """A multi ack (``u32`` group count, one ``u64`` n per group) -> the ns."""
     try:
         (groups,) = wire._COUNT.unpack_from(payload, 0)
     except Exception as exc:  # struct.error
         raise ServiceError(f"truncated MULTI_INGEST response: {exc}") from exc
-    offset = wire._COUNT.size
-    totals = []
-    for _ in range(groups):
-        n, offset = wire.unpack_n(payload, offset)
-        totals.append(n)
-    return totals
+    expected = wire._COUNT.size + wire._N.size * groups
+    if len(payload) != expected:
+        raise ServiceError(
+            f"MULTI_INGEST response of {len(payload)} bytes for {groups} groups "
+            f"(expected {expected})"
+        )
+    return np.frombuffer(payload, "<u8", groups, wire._COUNT.size).tolist()
 
 
 # -- request bodies and response payloads of the single-frame calls -------

@@ -583,9 +583,12 @@ def pack_multi_ingest(batches) -> bytes:
 def unpack_multi_ingest(body, offset: int = 1):
     """Decode a ``MULTI_INGEST`` body into ``[(key, values_view), ...]``.
 
-    Value arrays are zero-copy views into ``body``.  Any truncation or
-    trailing garbage raises :class:`~repro.errors.ServiceError` naming the
-    offending group, so a pipelined client can attribute the failure.
+    Value arrays are zero-copy views into ``body``.  The groups are read in
+    one loop of local ``unpack_from`` calls (a frame carries thousands of
+    small groups); a group that fails to decode is decoded again with
+    :func:`unpack_key`/:func:`unpack_values` for the reason.  Any truncation
+    or trailing garbage raises :class:`~repro.errors.ServiceError` naming
+    the offending group, so a pipelined client can attribute the failure.
     """
     try:
         (groups,) = _COUNT.unpack_from(body, offset)
@@ -594,19 +597,39 @@ def unpack_multi_ingest(body, offset: int = 1):
     offset += _COUNT.size
     if groups == 0:
         raise ServiceError("MULTI_INGEST declares zero groups")
+    size = len(body)
+    keylen_at = _KEYLEN.unpack_from
+    count_at = _COUNT.unpack_from
+    frombuffer = np.frombuffer
     out = []
-    for index in range(groups):
-        try:
-            key, offset = unpack_key(body, offset)
-            values, offset = unpack_values(body, offset)
-        except ServiceError as exc:
-            raise ServiceError(f"MULTI_INGEST group {index}: {exc}") from exc
-        out.append((key, values))
-    if offset != len(body):
-        raise ServiceError(
-            f"{len(body) - offset} trailing bytes after MULTI_INGEST group {groups - 1}"
-        )
-    return out
+    append = out.append
+    try:
+        for index in range(groups):
+            start = offset
+            (length,) = keylen_at(body, offset)
+            offset += 2 + length
+            key = str(body[start + 2 : offset], "utf-8")
+            (count,) = count_at(body, offset)  # also fails on a truncated key
+            offset += 4
+            end = offset + 8 * count
+            if end > size:
+                break
+            append((key, frombuffer(body, WIRE_DTYPE, count, offset)))
+            offset = end
+        else:
+            if offset != size:
+                raise ServiceError(
+                    f"{size - offset} trailing bytes after MULTI_INGEST group {groups - 1}"
+                )
+            return out
+    except (struct.error, UnicodeDecodeError):
+        pass
+    # Group ``index`` (starting at ``start``) is bad: the helpers say why.
+    try:
+        unpack_values(body, unpack_key(body, start)[1])
+    except ServiceError as exc:
+        raise ServiceError(f"MULTI_INGEST group {index}: {exc}") from exc
+    raise ServiceError(f"MULTI_INGEST group {index} does not decode")
 
 
 def pack_hello(session_id: str, flags: int = FLAG_EXACTLY_ONCE) -> bytes:

@@ -18,8 +18,9 @@ Three responsibilities live here:
   randomness when replay determinism is not needed.
 * **Memory accounting** — the store tracks total retained items across
   resident sketches incrementally (``retained_items``), updated from
-  ``num_retained`` deltas of only the touched key, so the accounting cost
-  per ingest is O(levels of that key), not O(keys).
+  deltas of only the touched key: a write the sketch only staged adds the
+  growth of its staging block, O(1); any other change recounts that key's
+  levels, never all keys.
 * **Flush, then spill** — when ``memory_budget`` (in retained items) is
   exceeded, the store first checkpoints keys in place, largest staging
   block first: the key's raw staged values are compacted (a flush), its
@@ -316,10 +317,21 @@ class SketchStore:
     # ------------------------------------------------------------------
 
     def update_many(self, key: str, values) -> int:
-        """Feed one batch into ``key``'s sketch (created lazily); returns its ``n``."""
+        """Feed one batch into ``key``'s sketch (created lazily); returns its ``n``.
+
+        A batch the sketch staged without a drain grows its staging block,
+        and so its ``num_retained``, by exactly the growth of the block;
+        :meth:`_settle` adds that growth instead of recounting the levels.
+        """
         entry = self._touch(key) or self._create(key)
-        entry.sketch.update_many(values)
-        return self._settle(key, entry)
+        sketch = entry.sketch
+        staged = sketch.num_staged
+        try:
+            sketch.update_many(values)
+        except BaseException:
+            self._recount(entry)  # a drain may have run before the raise
+            raise
+        return self._settle(key, entry, sketch.num_staged - staged)
 
     def stage_concat(self, arrays) -> np.ndarray:
         """Concatenate per-frame value views into one contiguous batch.
@@ -408,10 +420,22 @@ class SketchStore:
             self._enforce_budget(keep=key)
         return int(donor.n)
 
-    def _settle(self, key: str, entry: _Entry) -> int:
-        """Post-write bookkeeping: accounting delta, budget."""
+    def _settle(self, key: str, entry: _Entry, grown: int = 0) -> int:
+        """Post-write bookkeeping: accounting delta, budget.
+
+        ``grown`` is how much the write grew the staging block.  When it
+        is positive the write only appended staged values (a drain empties
+        the block, and a batch that reaches the block size is ingested as
+        a run after one), so the key's retained count moves by exactly
+        ``grown``.  Otherwise, and for every merge, the key is recounted
+        over its levels.
+        """
         sketch = entry.sketch
-        self._recount(entry)
+        if grown > 0:
+            entry.retained += grown
+            self._retained_total += grown
+        else:
+            self._recount(entry)
         if self.memory_budget is not None:
             staged = sketch.num_staged
             # 2k is the least level-0 capacity; the cheap test first.

@@ -414,16 +414,24 @@ class WindowRing:
         fresh deterministic-seeded scratch (:attr:`horizon_seed`) filled
         by one k-way ``merge_many``.  May return an empty sketch (no
         overlapping data) — callers decide whether that is an error.
+        Bounds whose ``t / bucket_seconds`` has no int64 floor (infinite,
+        or too large in magnitude) are refused, as ingest timestamps are.
         """
         if not end > start:
             raise InvalidParameterError(
                 f"horizon end must be > start, got [{start}, {end})"
             )
-        lo = self.bucket_index(start)
+        width = self.bucket_seconds
+        lo = _exact_index(start, width)
+        if lo is None or _exact_index(end, width) is None:
+            raise InvalidParameterError(
+                f"horizon [{start}, {end}) has no int64 bucket index "
+                f"at the {width}s resolution"
+            )
         sources = [
             sketch
             for index, sketch in self.buckets()
-            if index >= lo and index * self.bucket_seconds < end
+            if index >= lo and index * width < end
         ]
         target = FastReqSketch(self.k, hra=self.hra, seed=self.horizon_seed)
         if sources:

@@ -389,6 +389,75 @@ class TestPythonFallbackStage:
         assert sketch.rank(2.0) == block + 1
 
 
+def _stage_types():
+    from repro.fast import engine as engine_mod
+
+    native = engine_mod._NativeStageBuffer
+    return [
+        pytest.param(native, id="native", marks=pytest.mark.skipif(
+            native is None, reason="C staging buffer not built")),
+        pytest.param(engine_mod._PyStageBuffer, id="python"),
+    ]
+
+
+class TestStageNanCheck:
+    """``StageBuffer.extend`` (and its Python mirror) rejects a NaN before
+    staging anything, which is the small-batch path's only NaN check."""
+
+    @pytest.fixture(params=_stage_types())
+    def stage_type(self, request, monkeypatch):
+        from repro.fast import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "_NativeStageBuffer", request.param)
+        return request.param
+
+    @staticmethod
+    def _bad_batches(size):
+        batches = []
+        for position in (0, size // 2, size - 1):
+            batch = np.linspace(1.0, 2.0, size)
+            batch[position] = np.nan
+            batches.append(batch)
+        strided = np.linspace(1.0, 2.0, 2 * size)
+        strided[2 * (size // 3)] = np.nan
+        batches.append(strided[::2])  # a non-contiguous view
+        return batches
+
+    @pytest.mark.parametrize("prefix", [5, "edge"])
+    def test_nan_anywhere_leaves_the_sketch_unchanged(self, stage_type, prefix):
+        sketch = FastReqSketch(16, seed=35)
+        assert type(sketch._stage) is stage_type
+        capacity = sketch._stage.capacity
+        # "edge": the bad batch would cross the block edge and drain it.
+        count = capacity - 3 if prefix == "edge" else prefix
+        good = np.random.default_rng(35).random(count)
+        sketch.update_many(good)
+        reference = FastReqSketch(16, seed=35)
+        reference.update_many(good)
+        staged = sketch._stage.peek()
+        for batch in self._bad_batches(10):
+            with pytest.raises(InvalidParameterError, match="NaN"):
+                sketch.update_many(batch)
+            assert sketch.n == count
+            assert sketch.num_staged == count
+            assert sketch.num_levels == 0
+            assert sketch._stage.peek() == staged
+        assert sketch.to_bytes() == reference.to_bytes()
+
+    def test_extend_rejects_nan_before_copying(self, stage_type):
+        drains = []
+        stage = stage_type(4, InvalidParameterError)
+        stage.set_flush(lambda: drains.append(stage.drain()))
+        stage.extend(np.asarray([1.0, 2.0, 3.0]))
+        with pytest.raises(InvalidParameterError):
+            stage.extend(np.asarray([4.0, 5.0, np.nan]))
+        assert stage.count == 3
+        assert drains == []
+        stage.extend(np.asarray([4.0, 5.0]))
+        assert drains == [np.asarray([1.0, 2.0, 3.0, 4.0]).tobytes()]
+        assert stage.peek() == np.asarray([5.0]).tobytes()
+
+
 class TestErrorBounds:
     def test_rank_bounds_bracket_estimate(self, big_stream):
         sketch = FastReqSketch(32, seed=60)

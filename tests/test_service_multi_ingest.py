@@ -59,6 +59,24 @@ def _send_seq_multi(client: QuantileClient, seq: int, groups):
     return _decode_multi_response(client._request_once(wire.pack_seq_multi_ingest(seq, groups)))
 
 
+class TestMultiAckDecode:
+    def test_acks_decode_in_order_as_ints(self):
+        acks = [5, 7, 2**64 - 1]
+        payload = wire._COUNT.pack(len(acks)) + np.asarray(acks, "<u8").tobytes()
+        decoded = _decode_multi_response(memoryview(payload))
+        assert decoded == acks
+        assert all(type(n) is int for n in decoded)
+        assert _decode_multi_response(wire._COUNT.pack(0)) == []
+
+    def test_truncated_or_padded_ack_raises(self):
+        payload = wire._COUNT.pack(3) + np.asarray([1, 2, 3], "<u8").tobytes()
+        for cut in range(len(payload)):
+            with pytest.raises(ServiceError, match="MULTI_INGEST response"):
+                _decode_multi_response(payload[:cut])
+        with pytest.raises(ServiceError, match="MULTI_INGEST response"):
+            _decode_multi_response(payload + b"\x00")
+
+
 class TestValidation:
     def test_direct_callers_reject_nan_and_empty(self, rng):
         service = QuantileService(None)

@@ -161,6 +161,73 @@ class TestMemoryAccounting:
         assert store.retained_items == sum(e.sketch.num_retained for _k, e in store.items())
 
 
+class TestDeltaAccounting:
+    """``update_many`` adds a staged batch's size instead of recounting;
+    every other write recounts.  Random batches cross the staging block's
+    drain (8192 values) and take the large-batch path."""
+
+    @staticmethod
+    def _sizes(rng, count):
+        small = rng.integers(1, 60, count)
+        medium = rng.integers(60, 8192, count)
+        large = rng.integers(8192, 20_000, count)
+        pick = rng.choice(3, count, p=[0.6, 0.3, 0.1])
+        return np.choose(pick, [small, medium, large])
+
+    @staticmethod
+    def _recounted_victim(store):
+        """:meth:`SketchStore._next_flush` recomputed from the sketches."""
+        best = None
+        for key, entry in store.items():
+            staged = entry.sketch.num_staged
+            if staged >= 2 * store.k and staged >= store._flush_floor(entry.sketch):
+                if best is None or (-staged, key) < best:
+                    best = (-staged, key)
+        return None if best is None else best[1]
+
+    @pytest.mark.parametrize("budget", [None, 12_000])
+    def test_accounting_and_victims_match_a_recount(self, tmp_path, budget):
+        rng = np.random.default_rng(7)
+        store = SketchStore(k=32, memory_budget=budget, spill_dir=tmp_path)
+        keys = [f"k{i}" for i in range(10)]
+        for step, size in enumerate(self._sizes(rng, 300)):
+            key = keys[int(rng.integers(len(keys)))]
+            batch = rng.random(int(size))
+            if step % 37 == 0:
+                batch[int(rng.integers(batch.size))] = np.nan
+                with pytest.raises(InvalidParameterError):
+                    store.update_many(key, batch)
+            else:
+                store.update_many(key, batch)
+            if step % 23 == 0 and store.key_stats(key)["n"]:
+                store.query(key, "quantiles", [0.5])  # a read drains the block
+            for _key, entry in store.items():
+                assert entry.retained == entry.sketch.num_retained
+            assert store.retained_items == sum(
+                entry.sketch.num_retained for _key, entry in store.items()
+            )
+            if budget is not None:
+                assert store._next_flush() == self._recounted_victim(store)
+        if budget is not None:
+            assert store.flush_count > 0 and store.spill_count > 0
+
+    def test_a_write_that_fails_after_a_drain_is_recounted(self, monkeypatch):
+        store = SketchStore(k=32)
+        store.update_many("k", np.linspace(0.0, 1.0, 8000))
+        original = FastReqSketch._ingest_run
+
+        def ingest_then_fail(sketch, run):
+            original(sketch, run)
+            raise MemoryError("simulated failure after the drain")
+
+        monkeypatch.setattr(FastReqSketch, "_ingest_run", ingest_then_fail)
+        with pytest.raises(MemoryError):
+            store.update_many("k", np.linspace(0.0, 1.0, 500))  # crosses 8192
+        sketch = store.get("k")
+        assert sketch.num_levels > 0
+        assert store.retained_items == sketch.num_retained
+
+
 class TestSpill:
     def test_budget_requires_spill_target(self):
         with pytest.raises(InvalidParameterError, match="spill"):

@@ -669,6 +669,21 @@ class TestServiceRecovery:
         with pytest.raises(ServiceError):
             service.window_query(KEY, "quantiles", 30.0, 1000.0, 1010.0, FRACTIONS)
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [(-1.7e308, 1001.0), (float("-inf"), 1001.0), (1000.0, float("inf")),
+         (1000.0, 1.7e308), (-5e18, 1001.0)],
+    )
+    def test_window_query_without_an_int64_bucket_is_refused(self, start, end):
+        # t / 0.5 is infinite or leaves int64 for one bound: a bad
+        # argument, not an OverflowError from the bucket arithmetic.
+        kw = dict(window_resolutions=(0.5,), window_retention=8, window_lateness=1.0)
+        service = QuantileService(None, seed=0, **kw)
+        service.window_ingest("k", [1000.0], [1.0])
+        with pytest.raises(InvalidParameterError, match="bucket index"):
+            service.window_query("k", "quantiles", 0.0, start, end, [0.5])
+        assert service.window_query("k", "quantiles", 0.0, 1000.0, 1001.0, [0.5])[0] == 1
+
 
 # ----------------------------------------------------------------------
 # The acceptance property

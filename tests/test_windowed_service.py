@@ -94,6 +94,18 @@ class TestWindowedRoundTrip:
                 with pytest.raises(ServiceError):  # malformed batch
                     client.ingest_windowed(KEY, [1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("start, end", [(-1.7e308, 1011.0), (1000.0, float("inf"))])
+    def test_bound_without_an_int64_bucket_is_a_bad_request(self, start, end):
+        service = _service(window_resolutions=(0.5,))
+        with ServerThread(service) as running:
+            with QuantileClient(port=running.port) as client:
+                client.ingest_windowed(KEY, [1005.0], [1.0])
+                with pytest.raises(ServiceError, match="bucket index") as excinfo:
+                    client.query_horizon(KEY, [0.5], start=start, end=end)
+                assert excinfo.value.status == wire.STATUS_BAD_REQUEST
+                result = client.query_horizon(KEY, [0.5], start=1000.0, end=1010.0)
+                assert result.n == 1
+
     def test_stats_and_health_surface_windowed_state(self):
         service = _service()
         with ServerThread(service) as running:
