@@ -212,6 +212,7 @@ def test_fast_engine_merge_many(benchmark):
     for index, part in enumerate(parts):
         shard = FastReqSketch(32, seed=30 + index)
         shard.update_many(part)
+        shard.flush()  # drained and consolidated, as a checkpointed shard is
         shard.quantile(0.5)
         shards.append(shard)
 
@@ -512,7 +513,9 @@ def measure_engine(name: str, *, smoke: bool = False, repeats: int = 3) -> Dict[
     for index, part in enumerate(shard_parts):
         shard = make(100 + index)
         shard.update_many(part if fast else part.tolist())
-        shard.quantile(0.5)  # flush + consolidate, like a served/decoded shard
+        if fast:
+            shard.flush()  # drained, as a checkpointed shard is (reads do not drain)
+        shard.quantile(0.5)  # consolidate, like a decoded shard
         agg_shards.append(shard)
 
     def run_merge_fold() -> int:

@@ -74,8 +74,8 @@ def main() -> None:
     #
     # Two things to know about the staged scalar path:
     #   * update() stages items; they are counted immediately (sketch.n)
-    #     but only enter the level structure when the block fills, when
-    #     flush() is called, or implicitly on any query;
+    #     and queries see them, but they only enter the level structure
+    #     (and compact) when the block fills or flush() is called;
     #   * pass numpy arrays (or lists) to update_many() whenever data
     #     arrives in batches — it is the fastest path by far.
     from repro import FastReqSketch
@@ -83,7 +83,7 @@ def main() -> None:
     fast = FastReqSketch(k=32, seed=args.seed)
     fast.update_many(stream)          # one vectorized ingest
     fast.update(stream[0])            # staged ...
-    fast.flush()                      # ... and now visible to queries
+    fast.flush()                      # ... and drained into the levels
     print(f"\nFastReqSketch p99    : {fast.quantile(0.99):.5f} "
           f"(n={fast.n:,}, retained={fast.num_retained:,})")
 

@@ -43,10 +43,11 @@ Choosing and using them:
   faster than per-item ``update`` even on the fast engine.
 * **Staging and visibility**: ``FastReqSketch.update`` stages items in a
   block.  ``sketch.n`` counts them immediately, but they reach the level
-  structure only when the block fills, on ``flush()``, or implicitly on
-  any query — so there is no need to call ``flush()`` before querying;
-  call it only to bound staging latency externally (e.g. before
-  serializing a snapshot elsewhere).
+  structure only when the block fills or on ``flush()``.  Queries and
+  ``to_bytes()`` read the staged values through a sorted peek without
+  draining them, so there is no need to call ``flush()`` before querying
+  and a read never changes the sketch; call it to compact the staged
+  values before serializing a snapshot (the service's checkpoints do).
 * Batches smaller than the staging block are appended to the staging
   buffer; batches at least as large are sorted once and ingested as a
   single sorted run.

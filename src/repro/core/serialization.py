@@ -215,11 +215,16 @@ def _reference_to_fast(sketch: ReqSketch):
             "theory-scheme payloads cannot decode into the fast engine "
             "(it has no Appendix D parameter ladder); use engine='reference'"
         )
+    from repro.fast.engine import _FastLevel
+
     fast = FastReqSketch(sketch.k, hra=sketch.hra, n_bound=sketch.n_bound)
     try:
-        fast.merge(sketch)
+        levels, fast._n, fast._min, fast._max = fast._donor_state(sketch)
     except IncompatibleSketchesError as exc:
         raise SerializationError(str(exc)) from exc
+    # Installed as-is, not merged: a merge would compact a level at or
+    # over capacity (a payload encodes staged values into level 0).
+    fast._levels = [_FastLevel(*level) for level in levels]
     return fast
 
 

@@ -17,26 +17,26 @@ throughput-first structures:
   fixed float64 block (a C extension compiled on first import, with a
   pure-Python fallback) and the block is drained into the level structure
   only when full, so single-item ingestion costs one C call per item.
-  An explicit :meth:`flush` (implicit on any query) controls visibility.
+  Reads see staged values through a sorted peek and never drain them.
 * **A version-stamped query index** — per-level sorted arrays are cached
   and version-stamped; a query rebuilds only levels dirtied since the
   last query instead of re-sorting every retained item.  The rebuilt
   index (sorted items and one zero-padded cumulative-weight array, read
   as both the rank and the inverse rank index) is itself cached and
   reused for every ``quantiles`` / ``ranks`` / ``cdf`` call until the
-  coreset version changes, so a pure read workload is a single
+  level versions or the staged count change, so a pure read workload is a single
   ``np.searchsorted`` per batch with no per-query rebuild.
   ``error_bound`` is memoized on the same stamp.
 
 Query-index invariants (the service plane leans on these):
 
-* The index is a pure function of the retained multiset: rebuilding it
-  from scratch (or from a deserialized ``FRQ1`` payload of the same
-  state) yields bit-identical arrays, so cached answers are always
-  bit-identical to a freshly built coreset's.
+* The index is a pure function of the retained multiset, staged values
+  included: rebuilding it from scratch (or from a deserialized ``FRQ1``
+  payload of the same state) yields bit-identical arrays, and building
+  it changes nothing in the sketch (no drain, no compaction, no coin).
 * Every content mutation (``update``/``update_many``/``merge``) bumps a
-  level version, which invalidates the index on the *next* query; a
-  stale index is never served.
+  level version or the staged count, which invalidates the index on the
+  *next* query; a stale index is never served.
 * :attr:`~FastReqSketch.query_index_hits` /
   :attr:`~FastReqSketch.query_index_rebuilds` count served-from-cache
   queries vs rebuilds (misses == rebuilds), and
@@ -80,11 +80,10 @@ from repro.fast._native import load_stage_buffer
 __all__ = ["FastReqSketch"]
 
 #: Scalar updates are staged in a preallocated block of this many float64s
-#: and drained into the level structure when it fills (or on any query).
+#: and drained into the level structure when it fills (or on a flush).
 _PENDING_BLOCK = 8192
 
 _EMPTY_ITEMS = np.empty(0, dtype=np.float64)
-_EMPTY_WEIGHTS = np.empty(0, dtype=np.int64)
 
 #: Views into bases at or below this size are kept as views instead of
 #: materialized: a copy() call costs more ingest time than pinning a
@@ -111,8 +110,9 @@ class _QueryIndex:
     read estimated ranks).  ``cumweights`` is the view ``padded[1:]``
     (the *inverse rank index*: a ``searchsorted`` over it maps a target
     rank to its item position), so the build holds one weights array.
-    ``version`` is the sketch's monotonically increasing rebuild stamp
-    for this build.
+    Both are ``None`` when every item weighs 1: a rank is then a position.
+    ``minimum``/``maximum`` are the extremes, staged values included, and
+    ``version`` is the sketch's monotonically increasing rebuild stamp.
 
     ``memo`` is the last validated small ``quantiles`` answer served from
     this build, as ``(fractions bytes, private answer copy)``.  A build is
@@ -121,13 +121,15 @@ class _QueryIndex:
     no invalidation.
     """
 
-    __slots__ = ("items", "cumweights", "padded", "total", "version", "memo")
+    __slots__ = ("items", "cumweights", "padded", "total", "minimum", "maximum", "version", "memo")
 
-    def __init__(self, items: np.ndarray, padded: np.ndarray, version: int) -> None:
+    def __init__(self, items, padded, minimum: float, maximum: float, version: int) -> None:
         self.items = items
         self.padded = padded
-        self.cumweights = padded[1:]
-        self.total = int(padded[-1])
+        self.cumweights = None if padded is None else padded[1:]
+        self.total = items.size if padded is None else int(padded[-1])
+        self.minimum = minimum
+        self.maximum = maximum
         self.version = version
         self.memo: Optional[Tuple[bytes, np.ndarray]] = None
 
@@ -209,12 +211,12 @@ class _FastLevel:
         "cap_valid",
     )
 
-    def __init__(self) -> None:
-        self.items = _EMPTY_ITEMS
+    def __init__(self, items: np.ndarray = _EMPTY_ITEMS, state: int = 0, inserted: int = 0) -> None:
+        self.items = items
         self.runs: List[np.ndarray] = []
         self.run_size = 0
-        self.schedule = CompactionSchedule()
-        self.inserted = 0
+        self.schedule = CompactionSchedule(state)
+        self.inserted = inserted
         self.version = 0
         #: Memoized capacity + the ``inserted`` bound it stays valid for
         #: (the growth rule only changes when ``inserted`` crosses
@@ -369,15 +371,13 @@ class FastReqSketch:
     def min_item(self) -> float:
         if self.n == 0:
             raise EmptySketchError("min_item on an empty sketch")
-        self.flush()
-        return self._min
+        return self.query_index().minimum
 
     @property
     def max_item(self) -> float:
         if self.n == 0:
             raise EmptySketchError("max_item on an empty sketch")
-        self.flush()
-        return self._max
+        return self.query_index().maximum
 
     def __len__(self) -> int:
         return self.n
@@ -394,7 +394,7 @@ class FastReqSketch:
     # ------------------------------------------------------------------
 
     def update(self, item: float) -> None:
-        """Insert one item (staged; drained in blocks or on queries).
+        """Insert one item (staged; drained into the levels in blocks).
 
         Note: on instances this name is bound directly to the staging
         buffer's C ``push`` — this method body only runs if that per-
@@ -571,7 +571,7 @@ class FastReqSketch:
         states = [self._donor_state(other) for other in sketches]
         self.flush()
         total = 0
-        for levels, staged, other_n, other_min, other_max in states:
+        for levels, other_n, other_min, other_max in states:
             if other_n == 0:
                 continue
             while len(self._levels) < len(levels):
@@ -583,10 +583,6 @@ class FastReqSketch:
                 ours.inserted += inserted - items.size
                 ours.schedule.merge(CompactionSchedule(state))
                 ours.version += 1
-            if staged is not None and staged.size:
-                if not self._levels:
-                    self._levels.append(_FastLevel())
-                self._levels[0].add_run(staged)
             total += other_n
             self._min = min(self._min, other_min)
             self._max = max(self._max, other_max)
@@ -598,15 +594,15 @@ class FastReqSketch:
     def _donor_state(self, other):
         """Validate one merge input and snapshot it without mutating it.
 
-        Returns ``(levels, staged_run, n, min, max)`` where ``levels`` is a
-        list of ``(sorted items, schedule state, inserted)`` per height and
-        ``staged_run`` is the donor's staged-but-unflushed scalars as a
-        sorted run (or ``None``).
+        Returns ``(levels, n, min, max)`` where ``levels`` is a list of
+        ``(sorted items, schedule state, inserted)`` per height; a fast
+        donor's staged scalars are part of its level 0.
         """
         if isinstance(other, FastReqSketch):
             if other.k != self.k or other.hra != self.hra or other.n_bound != self.n_bound:
                 raise IncompatibleSketchesError("k/hra/n_bound parameters differ")
-            return other._merge_state()
+            levels, minimum, maximum = other._peek_levels(copy=True)
+            return levels, other.n, minimum, maximum
         if isinstance(other, ReqSketch):
             if other.scheme == "theory":
                 raise IncompatibleSketchesError(
@@ -629,31 +625,34 @@ class FastReqSketch:
                     ) from exc
                 levels.append((items, compactor.state, compactor.inserted))
             if other.is_empty:
-                return levels, None, 0, math.inf, -math.inf
-            return levels, None, other.n, float(other.min_item), float(other.max_item)
+                return levels, 0, math.inf, -math.inf
+            return levels, other.n, float(other.min_item), float(other.max_item)
         raise IncompatibleSketchesError(
             f"cannot merge FastReqSketch with {type(other).__name__}"
         )
 
-    def _merge_state(self):
-        """Read-only snapshot for merging: levels + staged run + n/min/max.
-
-        Unlike a flush-then-copy, this leaves the sketch byte-for-byte
-        untouched: pending runs are consolidated (a representation change,
-        not a content change) and the staging block is *peeked*, not
-        drained, so the donor's future compaction trajectory is unchanged.
-        """
-        levels = [
-            (level.consolidate().copy(), level.schedule.state, level.inserted)
-            for level in self._levels
-        ]
-        staged = None
+    def _peek_levels(self, *, copy: bool = False):
+        """``(levels, min, max)``: ``(sorted items, state, inserted)`` per
+        height, with the staging block peeked (not drained) and sorted into
+        level 0 as weight-1 items.  Every read goes through here, so no
+        read compacts or spends a coin.  ``copy`` hands out arrays the
+        caller may keep (a merge target does)."""
+        levels = []
+        for level in self._levels:
+            items = level.consolidate()
+            levels.append((items.copy() if copy else items, level.schedule.state, level.inserted))
         minimum, maximum = self._min, self._max
-        if self._stage.count:
+        count = self._stage.count
+        if count:
             staged = np.sort(np.frombuffer(self._stage.peek(), dtype=np.float64))
             minimum = min(minimum, float(staged[0]))
             maximum = max(maximum, float(staged[-1]))
-        return levels, staged, self.n, minimum, maximum
+            items, state, inserted = levels[0] if levels else (_EMPTY_ITEMS, 0, 0)
+            if items.size:
+                staged = np.concatenate((items, staged))
+                staged.sort()
+            levels[:1] = [(staged, state, inserted + count)]
+        return levels, minimum, maximum
 
     # ------------------------------------------------------------------
     # Serialization (wire format; see repro.fast.wire)
@@ -662,9 +661,10 @@ class FastReqSketch:
     def to_bytes(self) -> bytes:
         """Encode into the compact ``FRQ1`` wire format.
 
-        Staged scalars are flushed first (same visibility rule as a query),
-        so encoding may advance the level structure; the summarized multiset
-        is unchanged.  See :mod:`repro.fast.wire` for the layout.
+        A read: staged scalars are encoded as level-0 items without a
+        drain.  Call :meth:`flush` first to save the drained state (the
+        service's checkpoints do).  See :mod:`repro.fast.wire` for the
+        layout.
         """
         from repro.fast.wire import to_bytes
 
@@ -687,9 +687,9 @@ class FastReqSketch:
         """Pickle/deepcopy via the wire format.
 
         The staging block and RNG are process-local (the staging buffer is
-        a C object), so pickling ships the FRQ1 payload: staged items are
-        flushed into it and the copy wakes with fresh coin randomness —
-        the same semantics as :meth:`from_bytes`.
+        a C object), so pickling ships the FRQ1 payload: staged items ride
+        in it as level-0 items and the copy wakes with fresh coin
+        randomness — the same semantics as :meth:`from_bytes`.
         """
         return (_sketch_from_wire, (type(self), self.to_bytes()))
 
@@ -705,49 +705,38 @@ class FastReqSketch:
     def query_index(self) -> _QueryIndex:
         """The version-stamped query index (rebuilt lazily on dirt).
 
-        Cached against per-level version stamps: levels untouched since the
-        last query reuse their consolidated sorted arrays as-is, so an
-        update/query workload only pays to re-sort the levels that actually
-        changed, and a pure query workload pays nothing — every batch
-        query is a single ``np.searchsorted`` over these arrays.
+        Built from :meth:`_peek_levels` and cached against the per-level
+        version stamps plus the staged count: levels untouched since the
+        last query reuse their consolidated sorted arrays as-is, and a
+        pure query workload pays nothing — every batch query is a single
+        ``np.searchsorted`` over these arrays.
         """
-        self.flush()
         key = [level.version for level in self._levels]
+        key.append(self._stage.count)
         if self._index is not None and self._index_key == key:
             self.query_index_hits += 1
             return self._index
-        parts: List[np.ndarray] = []
-        weights: List[np.ndarray] = []
-        for height, level in enumerate(self._levels):
-            items = level.consolidate()
-            if items.size:
-                parts.append(items)
-                weights.append(np.full(items.size, 1 << height, dtype=np.int64))
-        if not parts:
-            sorted_items = _EMPTY_ITEMS
-            item_weights = _EMPTY_WEIGHTS
-        elif len(parts) == 1:
-            sorted_items = parts[0]
-            item_weights = weights[0]
+        levels, minimum, maximum = self._peek_levels()
+        parts = [(items, height) for height, (items, _, _) in enumerate(levels) if items.size]
+        padded = None
+        if all(height == 0 for _, height in parts):  # every item weighs 1
+            sorted_items = parts[0][0] if parts else _EMPTY_ITEMS
         else:
-            merged = np.concatenate(parts)
+            merged = np.concatenate([items for items, _ in parts])
             # Stable argsort over a concatenation of sorted runs: timsort
             # gallops through the pre-sorted blocks instead of resorting.
             order = np.argsort(merged, kind="stable")
             sorted_items = merged[order]
-            item_weights = np.concatenate(weights)[order]
-        # Cumulate straight into the padded array: its tail is cumweights.
-        padded = np.zeros(item_weights.size + 1, dtype=np.int64)
-        np.cumsum(item_weights, out=padded[1:])
+            weights = np.concatenate(
+                [np.full(items.size, 1 << height, dtype=np.int64) for items, height in parts]
+            )
+            # Cumulate straight into the padded array: its tail is cumweights.
+            padded = np.zeros(merged.size + 1, dtype=np.int64)
+            np.cumsum(weights[order], out=padded[1:])
         self.query_index_rebuilds += 1
-        self._index = _QueryIndex(sorted_items, padded, self.query_index_rebuilds)
+        self._index = _QueryIndex(sorted_items, padded, minimum, maximum, self.query_index_rebuilds)
         self._index_key = key
         return self._index
-
-    def _ensure_coreset(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Back-compat view of the index as its raw array triple."""
-        index = self.query_index()
-        return index.items, index.cumweights, index.padded
 
     def rank(self, item: float, *, inclusive: bool = True) -> int:
         """Estimated rank of one query point."""
@@ -760,7 +749,7 @@ class FastReqSketch:
         index = self.query_index()
         side = "right" if inclusive else "left"
         positions = np.searchsorted(index.items, np.asarray(items, dtype=np.float64), side=side)
-        return index.padded[positions]
+        return positions if index.padded is None else index.padded[positions]
 
     def normalized_rank(self, item: float, *, inclusive: bool = True) -> float:
         """Rank scaled into [0, 1]."""
@@ -773,9 +762,8 @@ class FastReqSketch:
     def quantiles(self, fractions: Sequence[float]) -> np.ndarray:
         """Vectorized quantile queries.
 
-        The answer depends on ``_min``/``_max`` as well as the index, but
-        those only move together with a level version (run ingest and
-        merges), so memoizing on the index build is exact.
+        The answer depends on the extremes as well as the index, and the
+        build carries them, so memoizing on the index build is exact.
         """
         if self.n == 0:
             raise EmptySketchError("quantiles on an empty sketch")
@@ -790,11 +778,14 @@ class FastReqSketch:
         if not ((qs >= 0.0) & (qs <= 1.0)).all():
             raise InvalidParameterError("quantile fractions must be in [0, 1]")
         targets = np.maximum(1, np.ceil(qs * index.total)).astype(np.int64)
-        positions = np.searchsorted(index.cumweights, targets, side="left")
+        if index.cumweights is None:
+            positions = targets - 1  # unit weights: target rank t sits at t - 1
+        else:
+            positions = np.searchsorted(index.cumweights, targets, side="left")
         positions = np.minimum(positions, index.items.size - 1)
         result = index.items[positions]
-        result = np.where(qs <= 0.0, self._min, result)
-        result = np.where(qs >= 1.0, self._max, result)
+        result = np.where(qs <= 0.0, index.minimum, result)
+        result = np.where(qs >= 1.0, index.maximum, result)
         if key is not None:
             index.memo = (key, result.copy())
         return result

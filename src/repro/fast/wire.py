@@ -40,7 +40,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.schedule import CompactionSchedule
 from repro.errors import InvalidParameterError, SerializationError
 
 __all__ = [
@@ -133,15 +132,17 @@ def retained_in_payload(data, header: Optional[WireSummary] = None) -> int:
 def to_bytes(sketch) -> bytes:
     """Encode a :class:`~repro.fast.FastReqSketch` into ``FRQ1`` bytes.
 
-    Flushes the staging block first (queries do the same), then writes each
-    level's consolidated run directly out of its numpy buffer — the only
-    copies are numpy-internal consolidation and the final join.
+    A read, like a query: the staging block is peeked, not drained, and
+    its values are written as weight-1 level-0 items (see
+    ``FastReqSketch._peek_levels``).  Each level's sorted run is written
+    directly out of its numpy buffer — the only copies are numpy-internal
+    consolidation, the staged sort and the final join.
     """
-    sketch.flush()
+    levels, minimum, maximum = sketch._peek_levels()
     flags = _FLAG_HRA if sketch.hra else 0
-    n = sketch._n
-    minimum = sketch._min if n else 0.0
-    maximum = sketch._max if n else 0.0
+    n = sketch.n
+    if not n:
+        minimum = maximum = 0.0
     parts = [
         _HEADER.pack(
             MAGIC_FAST,
@@ -153,12 +154,12 @@ def to_bytes(sketch) -> bytes:
             sketch.n_bound or 0,
             minimum,
             maximum,
-            len(sketch._levels),
+            len(levels),
         )
     ]
-    for level in sketch._levels:
-        items = np.ascontiguousarray(level.consolidate(), dtype=_WIRE_DTYPE)
-        parts.append(_LEVEL_HEAD.pack(level.schedule.state, level.inserted, items.size))
+    for items, state, inserted in levels:
+        items = np.ascontiguousarray(items, dtype=_WIRE_DTYPE)
+        parts.append(_LEVEL_HEAD.pack(state, inserted, items.size))
         parts.append(items.data)
     return b"".join(parts)
 
@@ -235,11 +236,7 @@ def from_bytes(data, sketch_cls=None):
                 raise SerializationError(f"NaN item in level {height}")
             if count > 1 and (np.diff(items) < 0).any():
                 raise SerializationError(f"level {height} items are not sorted")
-        level = _FastLevel()
-        level.items = items
-        level.schedule = CompactionSchedule(state)
-        level.inserted = int(inserted)
-        sketch._levels.append(level)
+        sketch._levels.append(_FastLevel(items, state, int(inserted)))
         weight += count << height
     if offset != len(data):
         raise SerializationError(f"{len(data) - offset} trailing bytes after sketch payload")

@@ -850,12 +850,10 @@ class QuantileService:
     def payload(self, key: str) -> Tuple[int, bytes]:
         """``(n, FRQ1 payload)`` for ``key`` — the FETCH/repair read path.
 
-        Not read-only: serializing flushes the key's staging block, which
-        compacts and spends coins, and no WAL record marks that.  Replay
-        keeps those values staged and compacts them later with other
-        coins, so a key FETCHed between writes does not recover bit-exact
-        (ROADMAP item 1).  Raises ``KeyError`` for unknown keys (mapped
-        to ``UNKNOWN_KEY`` on the wire).
+        Read-only: the staging block is encoded as level-0 items without
+        being drained, so no coin is spent and a key FETCHed between
+        writes still recovers bit-exact.  Raises ``KeyError`` for unknown
+        keys (mapped to ``UNKNOWN_KEY`` on the wire).
         """
         self._check_key(key)
         payload = self.store.payload(key)
@@ -1269,6 +1267,7 @@ class QuantileService:
                 applied = self._window_applied_seq.get(key, 0)
                 if applied <= self._window_snap_seq.get(key, -1):
                     continue
+                self.windows.flush(key)
                 self.window_snapshots.save(key, applied, self.windows.payload(key))
                 self._window_snap_seq[key] = applied
                 written += 1

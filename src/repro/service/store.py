@@ -19,8 +19,10 @@ Three responsibilities live here:
 * **Memory accounting** — the store tracks total retained items across
   resident sketches incrementally (``retained_items``), updated from
   deltas of only the touched key: a write the sketch only staged adds the
-  growth of its staging block, O(1); any other change recounts that key's
-  levels, never all keys.
+  growth of its staging block, O(1); any other write or checkpoint
+  recounts that key's levels, never all keys.  Reads (queries, payloads)
+  peek at the staging block instead of draining it, so they never move
+  the count.
 * **Flush, then spill** — when ``memory_budget`` (in retained items) is
   exceeded, the store first checkpoints keys in place, largest staging
   block first: the key's raw staged values are compacted (a flush), its
@@ -266,13 +268,10 @@ class SketchStore:
     def peek_payload(self, key: str) -> bytes:
         """A resident key's ``FRQ1`` payload without touching LRU order.
 
-        Like :meth:`checkpoint`, it leaves the eviction order the workload
-        established alone.
+        A read, like :meth:`payload`: the sketch and the eviction order
+        the workload established are left alone.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            raise KeyError(key)
-        return self._payload(entry)
+        return self.peek(key).to_bytes()
 
     def _create(self, key: str) -> _Entry:
         sketch = FastReqSketch(self.k, hra=self.hra, seed=self.derive_seed(key))
@@ -484,14 +483,7 @@ class SketchStore:
             if cache is not None:
                 cache[key] = entry
         sketch = entry.sketch
-        # A read drains a staged block (compacting it), so recount the key
-        # afterwards, even when the request then fails validation.
-        staged = sketch.num_staged
-        try:
-            values = self.evaluate(sketch, kind, points)
-        finally:
-            if staged:
-                self._recount(entry)
+        values = self.evaluate(sketch, kind, points)
         return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
 
     def query_batch(self, key: str, kind: str, points: np.ndarray):
@@ -505,14 +497,8 @@ class SketchStore:
         to the per-request path so errors attribute to the exact request.
         Row answers are bit-identical to per-row :meth:`query` calls.
         """
-        entry = self._read_entry(key)
-        sketch = entry.sketch
-        staged = sketch.num_staged
-        try:
-            values = self._evaluate_batch(sketch, kind, points)
-        finally:
-            if staged:
-                self._recount(entry)
+        sketch = self._read_entry(key).sketch
+        values = self._evaluate_batch(sketch, kind, points)
         return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
 
     @staticmethod
@@ -581,14 +567,18 @@ class SketchStore:
     # ------------------------------------------------------------------
 
     def payload(self, key: str) -> bytes:
-        """``key``'s current summary as an ``FRQ1`` payload (touches LRU)."""
-        return self._payload(self._read_entry(key))
+        """``key``'s current summary as an ``FRQ1`` payload (touches LRU).
+
+        A read: the sketch is left as it was (see ``FastReqSketch.to_bytes``).
+        """
+        return self._read_entry(key).sketch.to_bytes()
 
     def _payload(self, entry: _Entry) -> bytes:
-        """Serialize ``entry``; its flush is folded into the accounting."""
-        payload = entry.sketch.to_bytes()
+        """The checkpoint encoding: flush ``entry`` (folded into the
+        accounting), then serialize the drained state."""
+        entry.sketch.flush()
         self._recount(entry)
-        return payload
+        return entry.sketch.to_bytes()
 
     def _recount(self, entry: _Entry) -> None:
         """Fold ``entry``'s current ``num_retained`` into the accounting."""
@@ -638,10 +628,11 @@ class SketchStore:
         """The resident key with the largest staging block that is at
         least its flush floor (ties: the smallest key), or ``None``.
 
-        Recorded counts can only overstate a key's block (a query or a
-        serialization flushes without a write), so each popped entry is
-        checked against the sketch and re-queued at its true count: the
-        answer is a function of the resident sketches alone.
+        Recorded counts can only overstate a key's block (a write that
+        drains it below its flush floor, a merge or an eviction leaves the
+        old count behind), so each popped entry is checked against the
+        sketch and re-queued at its true count: the answer is a function
+        of the resident sketches alone.
         """
         heap = self._flush_heap
         staged_map = self._staged

@@ -59,6 +59,7 @@ def _build_partial(k: int, hra: bool, seed: Optional[int], payload: bytes) -> by
     """Worker task: sketch one raw float64 batch, return its wire payload."""
     sketch = FastReqSketch(k, hra=hra, seed=seed)
     sketch.update_many(np.frombuffer(payload, dtype=np.float64))
+    sketch.flush()  # ship the compacted partial, not its raw staged values
     return sketch.to_bytes()
 
 

@@ -247,8 +247,14 @@ class WindowStore:
     # ------------------------------------------------------------------
 
     def payload(self, key: str) -> bytes:
-        """FRW1 bundle covering every resolution of ``key``."""
+        """FRW1 bundle covering every resolution of ``key`` (a pure read)."""
         return pack_rings(self.get(key))
+
+    def flush(self, key: str) -> None:
+        """Drain every bucket's staging block (a checkpoint, before :meth:`payload`)."""
+        for ring in self.get(key).values():
+            for _index, sketch in ring.buckets():
+                sketch.flush()
 
     def restore(self, key: str, payload: bytes) -> None:
         """Install a key's rings from an FRW1 bundle (snapshot load).

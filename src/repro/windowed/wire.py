@@ -51,10 +51,10 @@ _BUNDLE_RING = struct.Struct("<dI")
 def pack_ring(ring: WindowRing) -> bytes:
     """Serialize one ring: header + every live bucket's FRQ1 payload.
 
-    ``to_bytes`` flushes each bucket (possibly consuming its RNG), so a
-    caller that needs determinism afterwards must epoch-reseed — the
-    service does, on both the save and load sides, which is exactly why
-    live state and snapshot+tail recovery stay bit-identical.
+    A pure read: ``to_bytes`` peeks at each bucket's staging block.  The
+    service's snapshot pass flushes the buckets first (spending coins)
+    and then epoch-reseeds them, on both the save and load sides, which is
+    why live state and snapshot+tail recovery stay bit-identical.
     """
     buckets = ring.buckets()
     watermark = ring.watermark if ring.watermark is not None else math.nan

@@ -108,7 +108,7 @@ class TestScalarPath:
         for value in (3.0, 1.0, 2.0):
             sketch.update(value)
         assert sketch.n == 3
-        assert sketch.rank(2.0) == 2  # query flushes implicitly
+        assert sketch.rank(2.0) == 2  # queries see staged values
 
     def test_mixed_scalar_and_batch(self):
         sketch = FastReqSketch(16, seed=8)
@@ -259,7 +259,9 @@ class TestSmallBatchStaging:
         assert sketch.num_levels == 0  # still staged
         assert sketch._stage.count == 3
         assert sketch.num_retained == 3
-        assert sketch.rank(2.0) == 2  # queries flush implicitly
+        assert sketch.rank(2.0) == 2  # queries peek at the stage
+        assert sketch.num_levels == 0 and sketch.num_staged == 3
+        sketch.flush()
         assert sketch.num_levels >= 1
 
     def test_repeated_small_batches_cross_block(self):
@@ -605,3 +607,37 @@ class TestLazyCoins:
                 if assignment.search(line) and not re.search(r"\bself\._rng\s*=", line):
                     pokes.append(f"{path.relative_to(root)}:{number}: {line.strip()}")
         assert pokes == []
+
+
+class TestReadsArePure:
+    """A read never changes a sketch: not its levels, its staging block,
+    nor its coin stream."""
+
+    @staticmethod
+    def _read_everything(sketch):
+        sketch.quantiles([0.0, 0.5, 0.99, 1.0])
+        sketch.ranks([0.25, 0.75])
+        sketch.cdf([0.1, 0.9])
+        sketch.rank_bounds(0.5)
+        assert sketch.min_item <= sketch.max_item
+        sketch.to_bytes()
+        FastReqSketch(sketch.k, hra=sketch.hra, seed=99).merge_many([sketch])
+
+    @pytest.mark.parametrize("hra", [False, True], ids=["lra", "hra"])
+    def test_reads_between_writes_leave_the_bytes_unchanged(self, hra):
+        rng = np.random.default_rng(23)
+        read = FastReqSketch(8, hra=hra, seed=5)
+        unread = FastReqSketch(8, hra=hra, seed=5)
+        # 1 + 700 + 3000 + 5000 crosses the 8192-value drain; 9000 and
+        # 30000 take the large-batch path; 8191 refills most of a block.
+        for size in (1, 700, 3000, 5000, 9000, 20, 8191, 4000, 30_000, 60):
+            batch = rng.random(size)
+            read.update_many(batch)
+            unread.update_many(batch)
+            self._read_everything(read)
+            assert read.num_staged == unread.num_staged
+        assert read.to_bytes() == unread.to_bytes()
+        batch = rng.random(20_000)
+        read.update_many(batch)
+        unread.update_many(batch)
+        assert read.to_bytes() == unread.to_bytes()

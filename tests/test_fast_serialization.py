@@ -54,7 +54,7 @@ class TestRoundtrip:
         assert clone.rank(3.5) == 1
 
     def test_staged_scalars_included(self):
-        """to_bytes flushes: staged-but-unflushed items must be in the payload."""
+        """to_bytes peeks: staged-but-unflushed items must be in the payload."""
         sketch = FastReqSketch(16, seed=3)
         for value in (5.0, 1.0, 3.0):
             sketch.update(value)

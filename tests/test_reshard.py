@@ -202,7 +202,7 @@ class TestServiceMigration:
         # with the same derived coin stream, or recovery diverges.
         b.ingest("lat", _values(500, seed=6))
         live = b.store.payload("lat")
-        b.close()  # no snapshot: recovery replays the WAL tail
+        b.close(snapshot=False)  # no snapshot: recovery replays the WAL tail
         recovered = QuantileService(tmp_path / "b", node_id="b")
         assert recovered.store.payload("lat") == live
         a.close()

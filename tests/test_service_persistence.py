@@ -188,8 +188,8 @@ class TestServiceRecovery:
     def test_snapshot_only_recovery_is_exact(self, tmp_path, rng):
         service = QuantileService(tmp_path, k=32)
         service.ingest("k", rng.random(5000))
+        assert service.snapshot_all() == 1  # flushes the staged block
         answers = service.query("k", [0.1, 0.5, 0.9, 0.99])[2]
-        assert service.snapshot_all() == 1
         assert service.wal.size_bytes == 0  # compacted
         service.close(snapshot=False)
 
@@ -455,27 +455,47 @@ class TestCheckpointRecoveryMatrix:
         recovered.close(snapshot=False)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a read flushes the staging block, spending coins "
-    "that no WAL record replays",
+def _read(service, read):
+    """One read of the plain key ``lat`` or the windowed key ``win``."""
+    if read == "query":
+        service.query("lat", [0.5, 0.99])
+    elif read == "query_batch":
+        service.query_batch("lat", "quantiles", np.array([[0.5, 0.99]]))
+    elif read == "query_points":  # one request of a MULTI_QUERY frame
+        service.query_points("lat", "quantiles", np.array([0.5, 0.99]), {})
+    elif read == "payload":  # FETCH
+        service.payload("lat")
+    elif read == "window_query":
+        service.window_query("win", "quantiles", 0.0, 0.0, 1e6, np.array([0.5, 0.99]))
+    else:  # a migration captured, then abandoned
+        key = "lat" if read == "migrate_plain" else "win"
+        service.migrate_begin(key)
+        service.migrate_abort(key)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        "query",
+        "query_batch",
+        "query_points",
+        "payload",
+        "window_query",
+        "migrate_plain",
+        "migrate_windowed",
+    ],
 )
-@pytest.mark.parametrize("read", ["query", "query_batch", "payload"])
 def test_reads_between_writes_recover_bit_exact(tmp_path, read):
     rng = np.random.default_rng(0)
     service = QuantileService(tmp_path, k=8, seed=0)
     for index in range(40):
         _ingest(service, rng, 1, 50)
+        service.window_ingest("win", 1000.0 + 3 * index + rng.random(50), rng.random(50))
         if index % 7 == 6:
-            if read == "query":
-                service.query("lat", [0.5, 0.99])
-            elif read == "query_batch":
-                service.query_batch("lat", "quantiles", np.array([[0.5, 0.99]]))
-            else:
-                service.payload("lat")  # FETCH
-    expected = service.store.payload("lat")
+            _read(service, read)
+    expected = service.store.payload("lat"), service.windows.payload("win")
     service.close(snapshot=False)
 
     recovered = QuantileService(tmp_path, k=8, seed=0)
-    assert recovered.store.payload("lat") == expected
+    assert (recovered.store.payload("lat"), recovered.windows.payload("win")) == expected
     recovered.close(snapshot=False)

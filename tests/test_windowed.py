@@ -386,7 +386,7 @@ class TestRingDifferential:
             assert [c.sketch.n for c in closed] == [c[3].n for c in expected_closed]
             assert _ring_state(ring) == _ring_state(oracle)
             if step % 15 == 14:
-                # Packing flushes every bucket on both sides alike.
+                # Packing reads every bucket on both sides alike.
                 assert pack_ring(ring) == pack_ring(oracle)
         assert pack_ring(ring) == pack_ring(oracle)
         assert ring.expired_buckets > 0 or retention > 8
