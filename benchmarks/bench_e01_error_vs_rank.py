@@ -2,7 +2,7 @@
 
 Paper claim: Theorem 1 / Section 1: relative error flat in rank for REQ.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E1).
+result tables (experiment E1 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e01_error_vs_rank as experiment

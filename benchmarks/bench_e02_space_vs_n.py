@@ -2,7 +2,7 @@
 
 Paper claim: Theorem 1: space grows ~log^1.5(eps n).
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E2).
+result tables (experiment E2 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e02_space_vs_n as experiment

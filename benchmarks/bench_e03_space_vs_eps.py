@@ -2,7 +2,7 @@
 
 Paper claim: Theorem 1: linear 1/eps dependence.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E3).
+result tables (experiment E3 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e03_space_vs_eps as experiment

@@ -2,7 +2,7 @@
 
 Paper claim: Theorem 14: failure probability < 3 delta.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E4).
+result tables (experiment E4 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e04_failure_probability as experiment

@@ -2,7 +2,7 @@
 
 Paper claim: Theorem 3: guarantees under arbitrary merge trees.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E5).
+result tables (experiment E5 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e05_mergeability as experiment

@@ -2,7 +2,7 @@
 
 Paper claim: Section 5: unknown stream length.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E6).
+result tables (experiment E6 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e06_unknown_n as experiment

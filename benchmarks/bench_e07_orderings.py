@@ -2,7 +2,7 @@
 
 Paper claim: comparison-based: order-robust guarantee.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E7).
+result tables (experiment E7 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e07_orderings as experiment

@@ -2,7 +2,7 @@
 
 Paper claim: Section 1 motivation: latency tail percentiles.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E8).
+result tables (experiment E8 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e08_latency_tail as experiment

@@ -2,7 +2,7 @@
 
 Paper claim: Theorem 2 / Appendix C: tiny-delta regime + deterministic limit.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E9).
+result tables (experiment E9 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e09_appendix_c as experiment

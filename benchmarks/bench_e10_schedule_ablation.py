@@ -2,7 +2,7 @@
 
 Paper claim: Section 2.1: compaction schedule ablation.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E10).
+result tables (experiment E10 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e10_schedule_ablation as experiment

@@ -2,7 +2,7 @@
 
 Paper claim: Corollary 1: all-quantiles guarantee.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E11).
+result tables (experiment E11 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e11_all_quantiles as experiment

@@ -2,7 +2,7 @@
 
 Paper claim: Theorem 15 / Appendix A: subset-encoding lower bound.
 Runs the experiment once under pytest-benchmark timing and prints its
-result tables (see DESIGN.md §2, experiment E12).
+result tables (experiment E12 in :mod:`repro.experiments.registry`).
 """
 
 from repro.experiments import e12_lower_bound as experiment

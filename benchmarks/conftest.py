@@ -4,7 +4,8 @@ Each experiment benchmark runs its experiment once (timed by
 pytest-benchmark) and prints the result tables with capture disabled, so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` records both
 the timings and the tables the experiments produce (the "rows the paper
-reports" — see DESIGN.md §2).
+reports" — one per experiment in
+:mod:`repro.experiments.registry`).
 
 Smoke mode
 ----------

@@ -82,7 +82,7 @@ levels:
 **When to shard:** one ``FastReqSketch`` sustains tens of millions of
 updates/s, so shard for *cores* (the process backend, when one core
 saturates), for *isolation* (per-tenant/per-window shards merged on
-demand — see :class:`~repro.monitor.TumblingWindowMonitor`), or for
+demand — see :class:`~repro.windowed.WindowRing`), or for
 *distribution* (sketch at the edge, ship ``FRQ1`` payloads, union at the
 aggregator).  Never for accuracy — the merged union is in the same error
 class either way, which is exactly the paper's mergeability theorem.
@@ -118,8 +118,9 @@ answers bit-identical to in-process queries even across spill/reload
 and WAL recovery.  See :mod:`repro.fast.engine` for the index
 invariants and :mod:`repro.service` for the wire surface.
 
-See README.md for the architecture overview and DESIGN.md for the paper-to-
-module map.
+See README.md for the architecture overview and
+:mod:`repro.experiments.registry` for the E1–E12 index of the paper's
+claims.
 """
 
 from repro._version import __version__
@@ -133,7 +134,6 @@ from repro.core import (
     serialize,
 )
 from repro.fast import FastReqSketch
-from repro.monitor import TumblingWindowMonitor
 from repro.shard import ShardedReqSketch
 from repro.errors import (
     EmptySketchError,
@@ -159,7 +159,6 @@ __all__ = [
     "ServiceError",
     "ShardedReqSketch",
     "StreamLengthExceededError",
-    "TumblingWindowMonitor",
     "__version__",
     "check_invariants",
     "deserialize",

@@ -2,7 +2,7 @@
 
 All baselines implement the :class:`~repro.baselines.base.QuantileSketch`
 interface so the evaluation harness and experiments can drive them
-uniformly.  See DESIGN.md §1.2 for the paper-role of each.
+uniformly.  Each module's docstring states its role in the paper.
 """
 
 from repro.baselines.base import QuantileSketch

@@ -3,9 +3,8 @@
 The paper's main quantitative comparison in Section 1 is against the
 randomized multiplicative-error sketch of Zhang, Lin, Xu, Korn and Wang
 (ICDE 2006), which stores ``O(eps^-2 log(eps^2 n))`` items — quadratic in
-``1/eps`` where REQ is linear.  As documented in DESIGN.md (substitution 1),
-we realize this class with a transparent structure achieving the same space
-and guarantee mechanism:
+``1/eps`` where REQ is linear.  We realize this class with a transparent
+structure achieving the same space and guarantee mechanism:
 
 * Each item independently receives a geometric *sampling level*
   ``G ~ Geometric(1/2)`` (number of leading coin heads).

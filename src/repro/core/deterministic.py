@@ -8,11 +8,10 @@ storing ``O(eps^-1 * log^3(eps n))`` items — matching the best known
 deterministic bound, due to Zhang and Wang [21].
 
 This module packages that instantiation.  It doubles as our runnable
-"Zhang-Wang class" baseline for the space experiments (see DESIGN.md §1.2,
-substitution 2): the paper itself endorses this construction as matching
-[21]'s guarantee, so no separate merge-and-prune reimplementation is needed
-to compare the deterministic O(eps^-1 log^3) class against the randomized
-O(eps^-1 log^1.5) sketch.
+"Zhang-Wang class" baseline for the space experiments: the paper itself
+endorses this construction as matching [21]'s guarantee, so no separate
+merge-and-prune reimplementation is needed to compare the deterministic
+O(eps^-1 log^3) class against the randomized O(eps^-1 log^1.5) sketch.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Two wire formats share this entry point, one per engine:
   :class:`~repro.fast.FastReqSketch`, with zero-copy level decode.
 
 :func:`serialize` dispatches on the sketch type and :func:`deserialize` on
-the payload magic, so callers (the CLI, the monitor, the sharded
-aggregation plane) can persist either engine through one API.  Pass
+the payload magic, so callers (the CLI, the sharded aggregation
+plane) can persist either engine through one API.  Pass
 ``deserialize(data, engine=...)`` to convert across engines on decode —
 e.g. a mixed fleet whose shards run the fast engine but whose aggregator
 wants the reference engine's generic API.

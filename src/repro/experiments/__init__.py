@@ -1,4 +1,5 @@
-"""The experiment suite: one module per paper claim (see DESIGN.md §2).
+"""The experiment suite: one module per paper claim (indexed in
+:mod:`repro.experiments.registry`).
 
 Import the registry lazily-ish: the experiment modules are lightweight to
 import (no work at import time), so we expose them directly.

@@ -1,4 +1,4 @@
-"""Registry of all experiments, keyed by their DESIGN.md ids."""
+"""Registry of all experiments, keyed by their E1–E12 ids."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from repro.experiments import (
 
 __all__ = ["EXPERIMENTS", "get_experiment", "run_experiment", "experiment_ids"]
 
-#: Experiment id -> module.  Order matches DESIGN.md's per-experiment index.
+#: Experiment id -> module.  Order is the E1–E12 numbering.
 EXPERIMENTS: Dict[str, ModuleType] = {
     module.META.experiment_id: module
     for module in (
@@ -45,7 +45,7 @@ EXPERIMENTS: Dict[str, ModuleType] = {
 
 
 def experiment_ids() -> List[str]:
-    """All registered experiment ids, in DESIGN.md order."""
+    """All registered experiment ids, in E1–E12 order."""
     return list(EXPERIMENTS)
 
 

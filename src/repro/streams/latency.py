@@ -4,8 +4,7 @@ Section 1 motivates relative error with network latency monitoring, citing
 Masson et al. [15]: for web response times "the 98.5th percentile can be as
 small as 2 seconds while the 99.5th percentile can be as large as 20
 seconds".  Production traces are not available offline, so this module
-synthesizes a mixture calibrated to those two anchor points (see DESIGN.md
-§1.4, substitution 3):
+synthesizes a mixture calibrated to those two anchor points:
 
 * ~98% of requests are "fast": lognormal around ~150 ms,
 * ~2% are "slow": lognormal seconds-to-tens-of-seconds,

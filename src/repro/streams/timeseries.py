@@ -1,9 +1,10 @@
 """Time-evolving streams: drift and regime switches.
 
-Windowed monitoring (``repro.monitor``) is only interesting when the
-distribution moves.  These generators produce streams whose parameters
-change over time in controlled, seeded ways, so trend/alert logic can be
-tested against known ground truth.
+Windowed monitoring (the :mod:`repro.windowed` plane) is only
+interesting when the distribution moves.  These generators produce streams
+whose parameters change over time in controlled, seeded ways, so trend
+and alert logic can be checked against known ground truth;
+``examples/windowed_monitoring.py`` drives a live server with one.
 """
 
 from __future__ import annotations

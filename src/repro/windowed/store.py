@@ -12,8 +12,7 @@ Every key gets one ring per configured resolution (bucket width).
 configured resolution" — the common case for `query --last 5m` style
 reads.  Ring seeds derive from the store's per-key seed function
 (normally ``SketchStore.derive_seed``) mixed with the resolution, so
-windowed buckets, plain sketches, and monitor windows all draw from
-disjoint seed namespaces.
+windowed buckets and plain sketches draw from disjoint seed namespaces.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the experiment suite: each runs at smoke scale and its
-headline *shape* assertion (from DESIGN.md) holds.
+headline *shape* assertion (the claim in each experiment module's
+docstring) holds.
 
 Module-scoped fixtures cache one smoke run per experiment so the suite
 stays fast.

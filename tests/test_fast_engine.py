@@ -305,9 +305,12 @@ class TestIncrementalCoreset:
     @staticmethod
     def _scratch_answers(sketch, queries, fractions):
         """Force a full rebuild (drop the cache) and re-answer."""
-        sketch._coreset = None
-        sketch._coreset_key = None
-        return sketch.ranks(queries), sketch.quantiles(fractions)
+        sketch._index = None
+        sketch._index_key = None
+        rebuilds = sketch.query_index_rebuilds
+        answers = sketch.ranks(queries), sketch.quantiles(fractions)
+        assert sketch.query_index_rebuilds == rebuilds + 1
+        return answers
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_interleaved_updates_queries_merges_byte_identical(self, seed):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import bisect
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -118,12 +120,16 @@ class TestPublicApiSurface:
             assert getattr(repro, name) is not None
 
     def test_subpackage_exports(self):
-        import repro.baselines as baselines
-        import repro.core as core
-        import repro.evaluation as evaluation
-        import repro.streams as streams
-        import repro.theory as theory
+        import repro
 
-        for module in (core, baselines, streams, evaluation, theory):
+        packages = [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        assert {"core", "fast", "windowed", "service"} <= {
+            module.__name__.split(".")[1] for module in packages
+        }
+        for module in packages:
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module.__name__, name)

@@ -252,8 +252,8 @@ class TestProcessBackend:
 
 class TestMonitorIntegration:
     def test_horizon_uses_merge_many(self, monkeypatch, stream):
-        """The monitor's horizon must go through the k-way path."""
-        from repro.monitor import TumblingWindowMonitor
+        """A window ring's horizon must go through the k-way path."""
+        from repro.windowed import WindowRing
 
         calls = []
         original = FastReqSketch.merge_many
@@ -264,8 +264,8 @@ class TestMonitorIntegration:
             return original(self, sketches)
 
         monkeypatch.setattr(FastReqSketch, "merge_many", spy)
-        monitor = TumblingWindowMonitor(1000, seed=17)
-        monitor.record_many(stream[:5500].tolist())
-        merged = monitor.horizon()
+        ring = WindowRing(1.0, seed=17)
+        ring.ingest(np.arange(5500) / 1000.0, stream[:5500])  # buckets 0..5
+        merged = ring.horizon(0.0, 6.0)
         assert merged.n == 5500
-        assert calls and calls[-1] == 6  # 5 closed windows + the open one
+        assert calls and calls[-1] == 6  # one source per bucket
