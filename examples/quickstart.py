@@ -103,9 +103,9 @@ def main() -> None:
     #     boundaries in the compact FRQ1 wire format (zero-copy decode).
     #     The layout is versioned and stable — payloads written today keep
     #     decoding in later releases;
-    #   * ShardedReqSketch wraps both: route batches across S shards
-    #     (backend="local" in-process, or backend="process" for a worker
-    #     pool that ships wire payloads back), query the cached union.
+    #   * ShardedReqSketch wraps both: split batches round-robin across S
+    #     shards (backend="local" in-process, or backend="process" for a
+    #     worker pool that ships wire payloads back); collect() is the union.
     #
     # Shard for cores, isolation, or distribution — never for accuracy.
     from repro import ShardedReqSketch

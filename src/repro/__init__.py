@@ -73,11 +73,11 @@ levels:
   ones.  ``repro.serialize``/``repro.deserialize`` dispatch on the sketch
   type / payload magic and convert across engines on request
   (``deserialize(data, engine="fast"|"reference")``).
-* :class:`~repro.shard.ShardedReqSketch` — routes ``update_many`` batches
-  across ``S`` independent shards (round-robin or value-hash), with a
-  same-process backend for cheap deployments and a ``ProcessPoolExecutor``
-  backend that ships batches to workers and returns wire payloads; queries
-  run against a cached ``merge_many`` union coreset.
+* :class:`~repro.shard.ShardedReqSketch` — splits ``update_many`` batches
+  round-robin across ``S`` independent shards, with a same-process backend
+  and a ``ProcessPoolExecutor`` backend that ships batches to workers and
+  returns wire payloads; ``collect()`` returns one ``merge_many`` union
+  for the caller to query.
 
 **When to shard:** one ``FastReqSketch`` sustains tens of millions of
 updates/s, so shard for *cores* (the process backend, when one core

@@ -23,7 +23,6 @@ as ``half``; as ``k`` doubles, ``paper``'s error shrinks ~linearly in
 
 from __future__ import annotations
 
-import random as _random
 from typing import Dict, List
 
 from repro.core import ReqSketch

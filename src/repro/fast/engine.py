@@ -39,8 +39,8 @@ Query-index invariants (the service plane leans on these):
   *next* query; a stale index is never served.
 * :attr:`~FastReqSketch.query_index_hits` /
   :attr:`~FastReqSketch.query_index_rebuilds` count served-from-cache
-  queries vs rebuilds (misses == rebuilds), and
-  :attr:`~FastReqSketch.query_index_version` stamps the current build.
+  queries vs rebuilds (misses == rebuilds); a build's ``version`` is the
+  rebuild count at the time it was made.
 * Each build also memoizes its last small ``quantiles`` answer, keyed on
   the request's fractions: re-asking the same tail quantiles of an
   unchanged sketch (a dashboard refresh) is one bytes comparison and one
@@ -696,11 +696,6 @@ class FastReqSketch:
     # ------------------------------------------------------------------
     # Queries (vectorized, incrementally cached)
     # ------------------------------------------------------------------
-
-    @property
-    def query_index_version(self) -> int:
-        """Stamp of the current index build (== rebuild count so far)."""
-        return self.query_index_rebuilds
 
     def query_index(self) -> _QueryIndex:
         """The version-stamped query index (rebuilt lazily on dirt).

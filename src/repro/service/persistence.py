@@ -759,10 +759,10 @@ def recover(
     snap_seq: Dict[str, int],
     sessions=None,
     *,
-    window_apply=None,
-    window_restore=None,
-    window_snap_seq: Optional[Dict[str, int]] = None,
-    window_applied_seq: Optional[Dict[str, int]] = None,
+    window_apply,
+    window_restore,
+    window_snap_seq: Dict[str, int],
+    window_applied_seq: Dict[str, int],
     on_corrupt=None,
 ) -> int:
     """Rebuild ``store`` from disk; returns the next free sequence number.
@@ -795,9 +795,7 @@ def recover(
     windowed plane snapshots into a separate store on its own cadence,
     so a key's plain and windowed cover points advance independently.
     The caller is expected to have loaded its windowed snapshots before
-    calling.  A log carrying windowed records while ``window_apply`` is
-    ``None`` refuses to start — dropping acked writes on a config change
-    would be silent data loss.
+    calling.
 
     ``WAL_MIGRATE_SET`` records (a pushed migration bundle) *replace* the
     key's plain state via ``store.replace_payload`` and its windowed rings
@@ -839,16 +837,8 @@ def recover(
             if sessions is not None:
                 for sid, mark in marks.items():
                     sessions.observe(sid, record.key, mark)
-            if window is not None and record.seq > (window_snap_seq or {}).get(record.key, -1):
-                if window_restore is None:
-                    raise ServiceError(
-                        f"WAL record seq={record.seq} key={record.key!r} is a "
-                        "migration with windowed state but the windowed plane "
-                        "is disabled — refusing to start and silently drop "
-                        "acked writes"
-                    )
-                if window_applied_seq is not None:
-                    window_applied_seq[record.key] = record.seq
+            if window is not None and record.seq > window_snap_seq.get(record.key, -1):
+                window_applied_seq[record.key] = record.seq
                 window_restore(record.key, window)
             if sketch is not None and record.seq > snap_seq.get(record.key, -1):
                 applied_seq[record.key] = record.seq
@@ -862,16 +852,9 @@ def recover(
                     ) from exc
             continue
         if record.op in (WAL_WINDOW_INGEST, WAL_SEQ_WINDOW_INGEST):
-            if record.seq <= (window_snap_seq or {}).get(record.key, -1):
+            if record.seq <= window_snap_seq.get(record.key, -1):
                 continue
-            if window_apply is None:
-                raise ServiceError(
-                    f"WAL record seq={record.seq} key={record.key!r} is a "
-                    "windowed ingest but the windowed plane is disabled — "
-                    "refusing to start and silently drop acked writes"
-                )
-            if window_applied_seq is not None:
-                window_applied_seq[record.key] = record.seq
+            window_applied_seq[record.key] = record.seq
             try:
                 window_apply(record.key, payload)
             except Exception as exc:

@@ -265,14 +265,6 @@ class SketchStore:
             raise KeyError(key)
         return entry.sketch
 
-    def peek_payload(self, key: str) -> bytes:
-        """A resident key's ``FRQ1`` payload without touching LRU order.
-
-        A read, like :meth:`payload`: the sketch and the eviction order
-        the workload established are left alone.
-        """
-        return self.peek(key).to_bytes()
-
     def _create(self, key: str) -> _Entry:
         sketch = FastReqSketch(self.k, hra=self.hra, seed=self.derive_seed(key))
         entry = _Entry(sketch)

@@ -66,6 +66,15 @@ class TestCommands:
         assert "n=2000" in out
         assert "shards=4/local" in out
 
+    def test_sketch_sharded_process_backend(self, tmp_path, capsys):
+        path = tmp_path / "numbers.txt"
+        path.write_text(" ".join(str(i) for i in range(2000)))
+        argv = ["sketch", str(path), "--shards", "2", "--backend", "process", "--q", "0.5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "n=2000" in out
+        assert "shards=2/process" in out
+
     def test_sketch_sharded_requires_fast_engine(self, tmp_path, capsys):
         path = tmp_path / "numbers.txt"
         path.write_text("1 2 3")

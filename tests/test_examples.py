@@ -43,6 +43,7 @@ class TestExamples:
         out = run_example("quickstart.py", "--n", "20000")
         assert "stream length" in out
         assert "rank interval" in out
+        assert "4-shard union p99" in out
         # The serve/query walkthrough: a real localhost server round-trip.
         assert "service p50/p99" in out
         assert "after MERGE" in out

@@ -348,7 +348,7 @@ class TestIncrementalCoreset:
         second = sketch.query_index()
         assert first is second  # no rebuild without intervening updates
         assert sketch.query_index_hits >= 1
-        assert second.version == sketch.query_index_version
+        assert second.version == sketch.query_index_rebuilds
 
     def test_update_invalidates_cache(self, big_stream):
         sketch = FastReqSketch(32, seed=41)

@@ -185,57 +185,6 @@ class TestMemoizedErrorBound:
         assert sketch.error_bound() == eps_for_streaming_k(32, 4_097, 0.05)
 
 
-class TestShardedQueryPath:
-    def test_answer_hits_count_union_memo_and_survive_rebuilds(self):
-        from repro.shard import ShardedReqSketch
-
-        rng = np.random.default_rng(11)
-        plane = ShardedReqSketch(3, k=32, seed=6, backend="local")
-        plane.update_many(rng.random(10_000))
-        for _ in range(3):
-            plane.quantiles(QUERY_FRACTIONS)
-        assert plane.query_index_answer_hits == 2
-        plane.update_many(rng.random(1_000))  # drops the union
-        assert plane.query_index_answer_hits == 2
-        plane.quantiles(QUERY_FRACTIONS)  # a fresh union: miss
-        plane.quantiles(QUERY_FRACTIONS)
-        assert plane.query_index_answer_hits == 3
-        plane.absorb(FastReqSketch(32, seed=1))
-        assert plane.query_index_answer_hits == 3
-
-    def test_union_cache_hits_and_absorb_invalidation(self):
-        from repro.shard import ShardedReqSketch
-
-        rng = np.random.default_rng(9)
-        plane = ShardedReqSketch(4, k=32, seed=5, backend="local")
-        plane.update_many(rng.random(20_000))
-        first = plane.quantiles(QUERY_FRACTIONS)
-        rebuilds = plane.query_index_rebuilds
-        assert rebuilds >= 1
-        assert np.array_equal(plane.quantiles(QUERY_FRACTIONS), first)
-        assert plane.query_index_rebuilds == rebuilds  # served from cache
-        assert plane.query_index_hits >= 1
-        assert plane.query_index() is plane.query_index()  # engine-level hit too
-
-        donor = FastReqSketch(32, seed=77)
-        donor.update_many(rng.random(5_000) + 3.0)
-        plane.absorb(donor)
-        assert plane.rank(10.0) == 25_000  # absorb invalidated the union
-        assert plane.query_index_rebuilds == rebuilds + 1
-
-    def test_updates_invalidate_union(self):
-        from repro.shard import ShardedReqSketch
-
-        rng = np.random.default_rng(10)
-        plane = ShardedReqSketch(2, k=32, seed=4, backend="local")
-        plane.update_many(rng.random(8_192))
-        plane.quantile(0.5)
-        rebuilds = plane.query_index_rebuilds
-        plane.update_many(rng.random(1_000) + 5.0)
-        assert plane.rank(10.0) == 9_192
-        assert plane.query_index_rebuilds == rebuilds + 1
-
-
 @pytest.mark.parametrize("hra", [False, True])
 def test_wire_answers_match_in_process(hra):
     """The service answers (vectorized path included) must equal the

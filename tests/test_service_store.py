@@ -110,7 +110,7 @@ class TestMemoryAccounting:
         for i in range(20):
             store.update_many(f"k{i}", rng.random(3000))
         store.payload("k0")
-        store.peek_payload("k1")
+        store.peek("k1").to_bytes()
         assert store.retained_items == resident_sum(store)
         store.memory_budget = store.retained_items - 1
         store.update_many("k2", rng.random(10))  # one rung-1 checkpoint

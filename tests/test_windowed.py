@@ -243,6 +243,24 @@ class TestRingHorizon:
         with pytest.raises(InvalidParameterError):
             ring.horizon(10.0, 10.0)
 
+    def test_horizon_uses_merge_many(self, monkeypatch):
+        """A window ring's horizon must go through the k-way path."""
+        calls = []
+        original = FastReqSketch.merge_many
+
+        def spy(self, sketches):
+            sketches = list(sketches)
+            calls.append(len(sketches))
+            return original(self, sketches)
+
+        monkeypatch.setattr(FastReqSketch, "merge_many", spy)
+        ring = WindowRing(1.0, seed=17)
+        values = np.random.default_rng(1234).random(5500)
+        ring.ingest(np.arange(5500) / 1000.0, values)  # buckets 0..5
+        merged = ring.horizon(0.0, 6.0)
+        assert merged.n == 5500
+        assert calls and calls[-1] == 6  # one source per bucket
+
 
 class _GroupingRing(WindowRing):
     """Oracle: the ring with the straightforward bucketing algorithm.
