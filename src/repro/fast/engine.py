@@ -581,7 +581,8 @@ class FastReqSketch:
                 if items.size:
                     ours.add_run(items)  # already counts items.size into inserted
                 ours.inserted += inserted - items.size
-                ours.schedule.merge(CompactionSchedule(state))
+                if state:  # OR-ing a zero state changes nothing
+                    ours.schedule.merge(CompactionSchedule(state))
                 ours.version += 1
             total += other_n
             self._min = min(self._min, other_min)

@@ -169,7 +169,9 @@ def _resolve_horizon(start, end, last, now) -> Tuple[float, float]:
 
 
 def _decode_query_response(payload) -> QueryResult:
-    n, eps, values, retained, _ = wire.unpack_query_result(payload, 0)
+    n, eps, values, retained, end = wire.unpack_query_result(payload, 0)
+    if end != len(payload):
+        raise ServiceError(f"{len(payload) - end} trailing bytes after a query response")
     # Copy: the payload may live in a reusable receive scratch buffer.
     return QueryResult(n, eps, np.array(values), retained)
 
@@ -181,8 +183,15 @@ def _decode_multi_query_list(payload, *, expected: int, base_index: int = 0):
     :class:`QueryResult` for OK records and :class:`ServiceError` —
     carrying ``status`` and ``request_index`` — for failed ones, so one
     bad key surfaces next to its neighbours' answers instead of masking
-    them.
+    them.  A response of at least
+    :data:`~repro.service.protocol.FIXED_STRIDE_MIN_REQUESTS` OK records
+    of one answer length is decoded column-wise in one pass.
     """
+    if expected >= wire.FIXED_STRIDE_MIN_REQUESTS:
+        columns = wire.decode_uniform_query_response(payload, expected)
+        if columns is not None:
+            n, eps, values, retained = columns
+            return list(map(QueryResult, n.tolist(), eps.tolist(), values, retained.tolist()))
     try:
         (count,) = wire._COUNT.unpack_from(payload, 0)
     except Exception as exc:  # struct.error
@@ -205,6 +214,10 @@ def _decode_multi_query_list(payload, *, expected: int, base_index: int = 0):
             exc.status = status
             exc.request_index = base_index + index
             out.append(exc)
+    if offset != len(payload):
+        raise ServiceError(
+            f"{len(payload) - offset} trailing bytes after MULTI_QUERY response record {count - 1}"
+        )
     return out
 
 
@@ -377,9 +390,9 @@ class _QueryStream(_WindowedStream):
 
     One row of the points matrix per request; frames are built vectorized
     (:func:`~repro.service.protocol.build_query_frames`) and answers land
-    by row into one preallocated result matrix — the uniform-response
-    fast path decodes a whole frame with two vectorized compares and one
-    matrix copy, so neither side loops per request.
+    by row into one preallocated result matrix — the fixed-stride
+    decoder reads a whole frame with vectorized compares and column
+    copies, so neither side loops per request.
     """
 
     __slots__ = ("_key", "_kind", "_points", "_frame_requests", "_values", "_n", "_eps", "_retained")
@@ -451,7 +464,7 @@ class _QueryStream(_WindowedStream):
                     f"expected {self._values.shape[1]}"
                 )
             self._values[start : start + count] = values
-            self._n, self._eps, self._retained = n, eps, retained
+            self._n, self._eps, self._retained = int(n[-1]), float(eps[-1]), int(retained[-1])
             return
         for index, entry in enumerate(
             _decode_multi_query_list(payload, expected=count, base_index=start)

@@ -97,16 +97,26 @@ detectable by index: a resuming client re-subscribes with
 buckets still retained.
 
 ``MULTI_QUERY`` is the vectorized read path.  A *uniform* frame — every
-record naming the same key, kind, and point count (the dashboard shape:
-many point sets against one metric) — is fixed-stride on the wire, so
-both sides move it with numpy instead of per-request loops: the client
-tiles one record template and writes all point rows with a single 2-D
-slice assignment (:func:`build_query_frames`), the server verifies
-uniformity with one vectorized header compare, extracts every row as one
-matrix (:func:`try_uniform_multi_query`), answers them with a single
-batch call against the sketch's query index, and emits the response the
-same way (:func:`encode_uniform_query_response`).  Mixed frames fall
-back to a per-request loop with identical results.
+record naming the same key, kind, and point count (many point sets
+against one metric) — is fixed-stride on the wire, so both sides move it
+with numpy instead of per-request loops: the client tiles one record
+template and writes all point rows with a single 2-D slice assignment
+(:func:`build_query_frames`), the server verifies uniformity with one
+vectorized header compare, extracts every row as one matrix
+(:func:`try_uniform_multi_query`), answers them with a single batch call
+against the sketch's query index, and emits the response the same way
+(:func:`encode_uniform_query_response`).  Other frames take a
+per-request loop with identical results.  A *many-key* frame (the
+dashboard shape: many keys asking the same kind and points) is answered
+column-wise on the same wire format: :func:`pack_multi_query` encodes
+the shared ``kind + count + points`` suffix once, the server resolves
+each distinct key once per frame, and a response of at least
+:data:`FIXED_STRIDE_MIN_REQUESTS` OK records of one answer length is
+fixed-stride too, so :func:`encode_uniform_query_response` and
+:func:`decode_uniform_query_response` build and read it with per-row
+``n``/``eps``/``retained`` columns.  A frame with a failed or refused
+record, mixed answer lengths, or fewer requests keeps the per-record
+encoding; the bytes are the same either way.
 
 The frame length is capped (:data:`MAX_FRAME`) so a corrupt or hostile
 length prefix cannot make either side allocate unbounded memory; both
@@ -212,6 +222,7 @@ __all__ = [
     "kind_code",
     "query_response_bound",
     "ERROR_MESSAGE_CAP",
+    "FIXED_STRIDE_MIN_REQUESTS",
     "build_query_frames",
     "try_uniform_multi_query",
     "pack_query_result",
@@ -386,6 +397,18 @@ _EPS = struct.Struct("<d")
 #: and the ``u64 num_retained`` footer (the values sit between them).
 _QREC_HEAD = 1 + _N.size + _EPS.size + _COUNT.size
 _QREC_TAIL = _N.size
+
+#: Fewest requests for which a many-key ``MULTI_QUERY`` frame is answered
+#: and decoded with the fixed-stride codec
+#: (:func:`encode_uniform_query_response`,
+#: :func:`decode_uniform_query_response`) instead of one record at a
+#: time.  Its fixed cost (column byte views, ``np.stack``, the decode's
+#: row compares) loses on small frames: server answer plus client decode
+#: of many-key frames of 4-fraction quantile requests, in process on one
+#: pinned core of a 2-core x86 VM, took 1.39x the per-record time at 1
+#: request, 1.12x at 8, 1.00x at 12-13, 0.94x at 16, 0.81x at 64 and
+#: 0.78x at 256.  16 is the first power of two past that crossover.
+FIXED_STRIDE_MIN_REQUESTS = 16
 
 #: Wire dtype for value arrays (explicit little-endian float64).
 WIRE_DTYPE = np.dtype("<f8")
@@ -954,15 +977,23 @@ def pack_multi_query(requests) -> bytes:
     :data:`KIND_CDF`) or its :data:`QUERY_KINDS` name.  The generic
     encoder — mixed keys, kinds, and point counts; uniform single-key
     batches should go through :func:`build_query_frames` instead.
+
+    The ``kind + count + points`` suffix of a record is encoded once and
+    reused while consecutive requests carry the same ``points`` object
+    and an equal ``kind`` — the dashboard shape, many keys asking one
+    fractions list — so such a frame costs one key encoding per request.
     """
     items = list(requests)
     if not items:
         raise ServiceError("MULTI_QUERY needs at least one (key, kind, points) request")
     parts = [bytes([OP_MULTI_QUERY]), _COUNT.pack(len(items))]
+    last_points = last_kind = suffix = None
     for key, kind, points in items:
         parts.append(pack_key(key))
-        parts.append(bytes([kind_code(kind)]))
-        parts.append(pack_values(points))
+        if suffix is None or points is not last_points or kind != last_kind:
+            suffix = bytes([kind_code(kind)]) + pack_values(points)
+            last_points, last_kind = points, kind
+        parts.append(suffix)
     body = b"".join(parts)
     if len(body) > MAX_FRAME:
         raise ServiceError(f"MULTI_QUERY body of {len(body)} bytes exceeds MAX_FRAME")
@@ -972,7 +1003,8 @@ def pack_multi_query(requests) -> bytes:
 def unpack_multi_query(body, offset: int = 1):
     """Decode a ``MULTI_QUERY`` body into ``[(key, kind, points_view), ...]``.
 
-    Point arrays are zero-copy views into ``body``.  Truncation or
+    Point arrays are zero-copy views into ``body``.  One pass with the
+    record layout inlined (no helper call per record); truncation or
     trailing garbage raises :class:`~repro.errors.ServiceError` naming
     the offending request.
     """
@@ -983,22 +1015,42 @@ def unpack_multi_query(body, offset: int = 1):
     offset += _COUNT.size
     if requests == 0:
         raise ServiceError("MULTI_QUERY declares zero requests")
+    size = len(body)
+    key_length, value_count = _KEYLEN.unpack_from, _COUNT.unpack_from
     out = []
     for index in range(requests):
         try:
-            key, offset = unpack_key(body, offset)
-            if offset >= len(body):
-                raise ServiceError("truncated kind byte")
-            kind = body[offset]
-            points, offset = unpack_values(body, offset + 1)
-        except ServiceError as exc:
-            raise ServiceError(f"MULTI_QUERY request {index}: {exc}") from exc
-        out.append((key, kind, points))
-    if offset != len(body):
+            (length,) = key_length(body, offset)
+            start = offset + _KEYLEN.size
+            kind_at = start + length
+            (count,) = value_count(body, kind_at + 1)
+            first = kind_at + 1 + _COUNT.size
+            end = first + 8 * count
+            if end > size:
+                raise struct.error("truncated values")
+            key = str(body[start:kind_at], "utf-8")
+        except (struct.error, UnicodeDecodeError):
+            _raise_record_error(body, offset, index)
+        out.append((key, body[kind_at], np.frombuffer(body, WIRE_DTYPE, count, first)))
+        offset = end
+    if offset != size:
         raise ServiceError(
-            f"{len(body) - offset} trailing bytes after MULTI_QUERY request {requests - 1}"
+            f"{size - offset} trailing bytes after MULTI_QUERY request {requests - 1}"
         )
     return out
+
+
+def _raise_record_error(body, offset: int, index: int):
+    """Raise the precise error for the malformed ``MULTI_QUERY`` request
+    ``index`` at ``offset``, re-read with the checked helpers."""
+    try:
+        key_end = unpack_key(body, offset)[1]
+        if key_end >= len(body):
+            raise ServiceError("truncated kind byte")
+        unpack_values(body, key_end + 1)
+    except ServiceError as exc:
+        raise ServiceError(f"MULTI_QUERY request {index}: {exc}") from exc
+    raise ServiceError(f"MULTI_QUERY request {index}: malformed record")
 
 
 def build_query_frames(
@@ -1146,39 +1198,62 @@ def unpack_query_result(payload, offset: int = 0):
     return n, float(eps), values, retained, offset
 
 
-def encode_uniform_query_response(n: int, eps: float, values, retained: int) -> bytearray:
-    """A whole-frame ``MULTI_QUERY`` response for a uniform answer matrix.
+def _packed_scalar(codec: struct.Struct, value) -> bytes:
+    """``value`` packed when it is a Python scalar; zeros for a column,
+    which :func:`encode_uniform_query_response` writes afterwards."""
+    return codec.pack(value) if isinstance(value, (int, float)) else bytes(codec.size)
 
-    ``values`` is the ``(requests, count)`` float64 answer matrix for one
-    key; every record shares ``n``/``eps``/``retained``, so the response
-    is one template tile plus a single vectorized value fill.
+
+def encode_uniform_query_response(n, eps, values, retained) -> bytearray:
+    """A whole-frame ``MULTI_QUERY`` response of fixed-stride OK records.
+
+    ``values`` is the ``(requests, count)`` float64 answer matrix, one row
+    per request; ``n``/``eps``/``retained`` are per-row columns (the
+    many-key frame: each key brings its own) or Python scalars shared by
+    every row (the single-key uniform frame).  Every record has the same
+    length, so the response is one record template (scalars packed in)
+    tiled over the frame, then one vectorized write per column —
+    byte-identical to joining one :func:`pack_query_result` per row.
     """
     array = np.ascontiguousarray(values, dtype=WIRE_DTYPE)
     if array.ndim != 2:
         raise ServiceError(f"uniform response needs a 2-D matrix, got ndim={array.ndim}")
     requests, count = array.shape
-    head = b"\x00" + _COUNT.pack(requests)
-    rec_head = b"\x00" + _N.pack(n) + _EPS.pack(eps) + _COUNT.pack(count)
     rec = _QREC_HEAD + 8 * count + _QREC_TAIL
-    body = bytearray(len(head) + requests * rec)
-    body[: len(head)] = head
-    u8 = np.frombuffer(body, dtype=np.uint8)
-    mat = u8[len(head) :].reshape(requests, rec)
-    mat[:] = np.frombuffer(rec_head + bytes(8 * count) + _N.pack(retained), dtype=np.uint8)
-    mat[:, _QREC_HEAD : _QREC_HEAD + 8 * count] = array.view(np.uint8)
+    head = 1 + _COUNT.size
+    body = bytearray(head + requests * rec)
+    _COUNT.pack_into(body, 1, requests)
+    template = (
+        b"\x00"
+        + _packed_scalar(_N, n)
+        + _packed_scalar(_EPS, eps)
+        + _COUNT.pack(count)
+        + bytes(8 * count)
+        + _packed_scalar(_N, retained)
+    )
+    mat = np.frombuffer(body, dtype=np.uint8)[head:].reshape(requests, rec)
+    mat[:] = np.frombuffer(template, dtype=np.uint8)
+    fields = ((1, _N, n), (1 + _N.size, _EPS, eps), (rec - _QREC_TAIL, _N, retained))
+    for at, codec, value in fields:
+        if not isinstance(value, (int, float)):  # a column (a numpy scalar broadcasts)
+            column = np.asarray(value, dtype=codec.format).reshape(-1, 1)
+            mat[:, at : at + codec.size] = column.view(np.uint8)
+    mat[:, _QREC_HEAD : rec - _QREC_TAIL] = array.view(np.uint8)
     return body
 
 
 def decode_uniform_query_response(payload, expected_requests: int):
-    """``(n, eps, values_matrix, retained)`` for a uniform-OK response.
+    """``(n, eps, values_matrix, retained)`` for a fixed-stride OK response.
 
-    The inverse of :func:`encode_uniform_query_response`: verifies (with
-    one vectorized compare over the fixed-stride records) that every
-    record is OK and shares the first record's header and footer, then
-    extracts all value rows as one contiguous matrix — the copy, so the
-    result survives receive-scratch reuse.  Returns ``(n, eps,
-    values_matrix, retained)``, or ``None`` when the
-    response is not uniform (some record errored, or counts differ);
+    The inverse of :func:`encode_uniform_query_response`: verifies with
+    vectorized compares that every record is OK and carries the first
+    record's value count — by induction each record then starts where
+    the per-record decoder would start it — and extracts the columns:
+    ``n`` and ``retained`` as ``uint64`` arrays, ``eps`` as a float64
+    array and the value rows as one contiguous ``(requests, count)``
+    matrix, all copies, so the result survives receive-scratch reuse.
+    Returns ``None`` when the response is not fixed-stride (some record
+    failed, answer lengths differ, or the length does not add up);
     callers fall back to the per-record decoder.  Raises on a response
     whose declared request count disagrees with ``expected_requests``.
     """
@@ -1191,29 +1266,26 @@ def decode_uniform_query_response(payload, expected_requests: int):
             f"MULTI_QUERY response covers {requests} requests, expected {expected_requests}"
         )
     base = _COUNT.size
-    if len(payload) <= base:
-        raise ServiceError("truncated MULTI_QUERY response records")
-    if payload[base] != STATUS_OK:
-        return None
+    count_at = _QREC_HEAD - _COUNT.size
     try:
-        n, offset = unpack_n(payload, base + 1)
-        (eps,) = _EPS.unpack_from(payload, offset)
-        (count,) = _COUNT.unpack_from(payload, offset + _EPS.size)
-    except (ServiceError, struct.error):
-        raise ServiceError("truncated MULTI_QUERY response record 0") from None
-    rec = _QREC_HEAD + 8 * count + _QREC_TAIL
-    if len(payload) - base != requests * rec:
+        (count,) = _COUNT.unpack_from(payload, base + count_at)
+    except struct.error:
         return None
-    u8 = np.frombuffer(payload, dtype=np.uint8)
-    mat = u8[base : base + requests * rec].reshape(requests, rec)
-    if requests > 1:
-        same_head = (mat[1:, :_QREC_HEAD] == mat[0, :_QREC_HEAD]).all()
-        same_tail = (mat[1:, rec - _QREC_TAIL :] == mat[0, rec - _QREC_TAIL :]).all()
-        if not (same_head and same_tail):
-            return None
-    (retained,) = _N.unpack_from(payload, base + rec - _QREC_TAIL)
-    values = np.ascontiguousarray(mat[:, _QREC_HEAD : _QREC_HEAD + 8 * count]).view(WIRE_DTYPE)
-    return n, float(eps), values, retained
+    rec = _QREC_HEAD + 8 * count + _QREC_TAIL
+    if requests == 0 or len(payload) - base != requests * rec:
+        return None
+    mat = np.frombuffer(payload, dtype=np.uint8)[base:].reshape(requests, rec)
+    if mat[:, 0].any():
+        return None
+    heads = np.ascontiguousarray(mat[:, :_QREC_HEAD])
+    if (heads[:, count_at:] != heads[0, count_at:]).any():
+        return None
+    eps_at = 1 + _N.size
+    n = heads[:, 1:eps_at].copy().view(_N.format).reshape(-1)
+    eps = heads[:, eps_at:count_at].copy().view(WIRE_DTYPE).reshape(-1)
+    retained = np.ascontiguousarray(mat[:, rec - _QREC_TAIL :]).view(_N.format).reshape(-1)
+    values = np.ascontiguousarray(mat[:, _QREC_HEAD : rec - _QREC_TAIL]).view(WIRE_DTYPE)
+    return n, eps, values, retained
 
 
 def pack_topology(map_json: Optional[str] = None) -> bytes:

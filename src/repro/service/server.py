@@ -1196,8 +1196,8 @@ class QuantileService:
 
         ``cache`` (owned by the store) lets every request in one frame
         share a single store lookup (and a single LRU touch / spill
-        reload) per key — the per-frame index reuse the batched read
-        path is built around.
+        reload, error bound and retained count) per key — the per-frame
+        reuse the batched read path is built around.
         """
         kind_name = self._kind_name(kind)
         self.query_count += 1
@@ -2233,22 +2233,19 @@ class QuantileServer:
         routed = service.topology is not None or bool(service._migrations)
         try:
             if op == wire.OP_QUERY:
-                key, offset = wire.unpack_key(body, 1)
-                fractions, _ = wire.unpack_values(body, offset)
+                key, fractions = self._unpack_point_request(body)
                 reject = self._topology_reject(key) if routed else None
                 if reject is not None:
                     return reject
                 return wire.pack_query_result(*service.query(key, fractions))
             if op == wire.OP_CDF:
-                key, offset = wire.unpack_key(body, 1)
-                points, _ = wire.unpack_values(body, offset)
+                key, points = self._unpack_point_request(body)
                 reject = self._topology_reject(key) if routed else None
                 if reject is not None:
                     return reject
                 return wire.pack_query_result(*service.cdf(key, points))
             if op == wire.OP_RANK:
-                key, offset = wire.unpack_key(body, 1)
-                values, _ = wire.unpack_values(body, offset)
+                key, values = self._unpack_point_request(body)
                 reject = self._topology_reject(key) if routed else None
                 if reject is not None:
                     return reject
@@ -2398,16 +2395,31 @@ class QuantileServer:
             + wire.pack_blob(json.dumps(detail).encode("utf-8"))
         )
 
+    @staticmethod
+    def _unpack_point_request(body):
+        """``(key, points)`` of a ``QUERY``/``CDF``/``RANK`` body, which
+        must end with its points."""
+        key, offset = wire.unpack_key(body, 1)
+        points, end = wire.unpack_values(body, offset)
+        if end != len(body):
+            raise ServiceError(f"{len(body) - end} trailing bytes after the request points")
+        return key, points
+
     def _multi_query(self, body, routed: bool) -> bytes:
         """Answer one ``MULTI_QUERY`` frame (vectorized when uniform).
 
-        A uniform frame (single key/kind/count — the dashboard shape) is
-        answered with ONE batched engine call over the key's query index
-        and one vectorized response build.  Anything else — mixed keys,
-        a failing key, an invalid row — takes the per-request loop, whose
-        answers are bit-identical and whose errors attribute to the exact
-        request via per-record statuses (one missing key never fails the
-        rest of the batch).
+        A uniform frame (single key/kind/count) is answered with ONE
+        batched engine call over the key's query index and one vectorized
+        response build.  Anything else — mixed keys, a failing key, an
+        invalid row — takes the per-request loop, whose answers are
+        bit-identical and whose errors attribute to the exact request via
+        per-record statuses (one missing key never fails the rest of the
+        batch).  The loop resolves each distinct key once (the frame
+        ``cache``); when every record is OK, all answers have one length
+        and there are at least
+        :data:`~repro.service.protocol.FIXED_STRIDE_MIN_REQUESTS` of them
+        (the many-key dashboard frame), the response is built column-wise
+        by the fixed-stride encoder, byte-identical to the per-record one.
 
         On a ``routed`` node ownership is checked once per distinct key,
         as ``QUERY`` checks it: a uniform frame for a key this node does
@@ -2449,7 +2461,9 @@ class QuantileServer:
                 f"response for {len(requests)} requests would exceed "
                 f"MAX_FRAME ({wire.MAX_FRAME}); split the batch",
             )
-        parts = [b"\x00", wire._COUNT.pack(len(requests))]
+        # Each entry is an answer tuple or a ready error record.
+        records: List[object] = []
+        failed = False
         cache: Dict[str, object] = {}
         refusals: Dict[str, Optional[bytes]] = {}  # per distinct key
         for key, kind, points in requests:
@@ -2461,18 +2475,28 @@ class QuantileServer:
                         + wire.pack_blob(message.encode("utf-8")[: wire.ERROR_MESSAGE_CAP])
                     )
                 if refusals[key] is not None:
-                    parts.append(refusals[key])
+                    records.append(refusals[key])
+                    failed = True
                     continue
             try:
-                result = service.query_points(key, kind, points, cache)
+                records.append(service.query_points(key, kind, points, cache))
             except Exception as exc:
                 error = self._error_response(exc)
                 # Truncated so the response bound above holds for any key
                 # size (an unknown-key message embeds the key).
                 message = bytes(error[1 : 1 + wire.ERROR_MESSAGE_CAP])
-                parts.append(bytes([error[0]]) + wire.pack_blob(message))
-            else:
-                parts.append(wire.pack_query_result(*result))
+                records.append(bytes([error[0]]) + wire.pack_blob(message))
+                failed = True
+        if not failed and len(records) >= wire.FIXED_STRIDE_MIN_REQUESTS:
+            n, eps, values, retained = zip(*records)
+            width = values[0].shape
+            if all(row.shape == width for row in values):
+                return bytes(
+                    wire.encode_uniform_query_response(n, eps, np.stack(values), retained)
+                )
+        parts = [b"\x00", wire._COUNT.pack(len(requests))]
+        for record in records:
+            parts.append(record if isinstance(record, bytes) else wire.pack_query_result(*record))
         return b"".join(parts)
 
 

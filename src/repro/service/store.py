@@ -465,18 +465,20 @@ class SketchStore:
         it).  The error bound comes from the engine's memoized value —
         one bound computation per stream length, not per request — and
         ``num_retained`` rides along as the response footer's source.
-        ``cache`` maps keys to entries this frame already resolved, so
-        the requests of one frame share a single lookup (and a single
-        LRU touch / spill reload) per key.
+        ``cache`` maps keys this frame already resolved to their
+        ``(sketch, n, error_bound, num_retained)``, so the requests of one
+        frame share a single lookup (and a single LRU touch / spill
+        reload), bound and retained count per key: reads never change a
+        sketch, and a frame is answered without yielding to a writer.
         """
-        entry = cache.get(key) if cache is not None else None
-        if entry is None:
-            entry = self._read_entry(key)
+        hit = cache.get(key) if cache is not None else None
+        if hit is None:
+            sketch = self._read_entry(key).sketch
+            hit = (sketch, int(sketch.n), float(sketch.error_bound()), int(sketch.num_retained))
             if cache is not None:
-                cache[key] = entry
-        sketch = entry.sketch
-        values = self.evaluate(sketch, kind, points)
-        return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
+                cache[key] = hit
+        sketch, n, eps, retained = hit
+        return n, eps, self.evaluate(sketch, kind, points), retained
 
     def query_batch(self, key: str, kind: str, points: np.ndarray):
         """Uniform batch read: ``points`` is one ``(requests, count)`` matrix.

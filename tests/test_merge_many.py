@@ -110,6 +110,24 @@ class TestMergeMany:
             # below the OR.
             assert level.schedule.state >= expected
 
+    def test_schedule_states_are_exactly_ored_before_compaction(self, big_stream):
+        """With the post-merge compaction held back, every level's state is
+        exactly the OR of its inputs; zero-state donors (a staged-only
+        sketch, a level never compacted) leave it as it was."""
+        staged_only = FastReqSketch(32, seed=13)
+        staged_only.update_many(big_stream[:10])
+        shards = make_shards(big_stream, 4) + [staged_only]
+        union = FastReqSketch(32, seed=11)
+        union._compress = lambda: None  # observe the merged states as-is
+        union.merge_many(shards)
+        assert any(level.schedule.state for level in union._levels)
+        for height, level in enumerate(union._levels):
+            expected = 0
+            for shard in shards:
+                if height < len(shard._levels):
+                    expected |= shard._levels[height].schedule.state
+            assert level.schedule.state == expected
+
     def test_returns_self_for_chaining(self, big_stream):
         union = FastReqSketch(32, seed=12)
         assert union.merge_many(make_shards(big_stream[:1000], 2)) is union

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import asyncio
 import socket
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterMap
 from repro.errors import ServiceError
 from repro.service import (
     AsyncQuantileClient,
@@ -26,6 +28,8 @@ from repro.service import (
     ServerThread,
 )
 from repro.service import protocol as wire
+from repro.service.client import _decode_multi_query_list, _decode_query_response
+from repro.service.server import QuantileServer
 
 
 @pytest.fixture()
@@ -117,7 +121,10 @@ class TestMultiQueryWire:
         decoded = wire.decode_uniform_query_response(payload, 17)
         assert decoded is not None
         n, eps, matrix, retained = decoded
-        assert (n, eps, retained) == (1234, 0.05, 99)
+        # Scalars broadcast on encode; decode returns per-row columns.
+        assert n.tolist() == [1234] * 17
+        assert eps.tolist() == [0.05] * 17
+        assert retained.tolist() == [99] * 17
         assert np.array_equal(matrix, values)
         with pytest.raises(ServiceError, match="expected 3"):
             wire.decode_uniform_query_response(payload, 3)
@@ -517,3 +524,313 @@ class TestAnswerMemoOverTheWire:
             assert query[2] == _fresh_answer(service, key, "quantiles", DASH_FRACTIONS)
             assert cdf[2] == _fresh_answer(service, key, "cdf", [0.2, 0.4, 0.8])
             assert rank[2] == _fresh_answer(service, key, "ranks", [0.1, 0.5, 2.0])
+
+
+# ----------------------------------------------------------------------
+# Many-key frames answered column-wise (fixed-stride response codec)
+# ----------------------------------------------------------------------
+
+N_FIXED = wire.FIXED_STRIDE_MIN_REQUESTS
+
+#: Point sets per kind: ``cdf`` answers one value more than it asks.
+KIND_POINTS = {
+    "quantiles": (0.5, 0.9, 0.99, 0.999),
+    "ranks": (0.5, 3.0, 20.0, 150.0),
+    "cdf": (1.0, 5.0, 40.0),
+}
+
+
+def _many_key_service(keys=40, **kwargs):
+    """A service whose keys all differ in ``n``, ``eps`` and retained count."""
+    service = QuantileService(None, k=8, seed=0, **kwargs)
+    rng = np.random.default_rng(5)
+    for index in range(keys):
+        service.store.update_many(f"key/{index}", rng.lognormal(2, 1, 40 * 2**(index % 9) + index))
+    return service
+
+
+def _per_record_response(service, requests):
+    """The response the per-record encoder gives, each request answered alone."""
+    parts = [b"\x00", wire._COUNT.pack(len(requests))]
+    for key, kind, points in requests:
+        try:
+            result = service.query_points(key, kind, np.asarray(points, dtype=float))
+        except Exception as exc:
+            error = QuantileServer._error_response(exc)
+            parts.append(bytes([error[0]]) + wire.pack_blob(bytes(error[1:])))
+        else:
+            parts.append(wire.pack_query_result(*result))
+    return b"".join(parts)
+
+
+@pytest.fixture()
+def fixed_stride_calls(monkeypatch):
+    """Counts calls of the fixed-stride encoder and decoder."""
+    calls = {"encode": 0, "decode": 0}
+    encode, decode = wire.encode_uniform_query_response, wire.decode_uniform_query_response
+
+    def counted_encode(*args):
+        calls["encode"] += 1
+        return encode(*args)
+
+    def counted_decode(*args):
+        calls["decode"] += 1
+        return decode(*args)
+
+    monkeypatch.setattr(wire, "encode_uniform_query_response", counted_encode)
+    monkeypatch.setattr(wire, "decode_uniform_query_response", counted_decode)
+    return calls
+
+
+class TestColumnWiseMultiQuery:
+    @pytest.mark.parametrize("kind", sorted(KIND_POINTS))
+    @pytest.mark.parametrize("size", [N_FIXED - 1, N_FIXED, 256])
+    def test_response_bytes_match_the_per_record_encoding(self, kind, size, fixed_stride_calls):
+        service = _many_key_service()
+        points = KIND_POINTS[kind]
+        requests = [(f"key/{index % 40}", kind, points) for index in range(size)]
+        body = wire.pack_multi_query(requests)
+        response = QuantileServer(service, port=0)._multi_query(body, False)
+        assert response == _per_record_response(service, requests)
+        assert fixed_stride_calls["encode"] == (size >= N_FIXED)
+        results = _decode_multi_query_list(memoryview(response)[1:], expected=size)
+        assert fixed_stride_calls["decode"] == (size >= N_FIXED)
+        # The keys really differ in every per-record column.
+        for column in ("n", "error_bound", "num_retained"):
+            assert len({getattr(result, column) for result in results}) > 1
+        for (key, _kind, _points), result in zip(requests, results):
+            n, eps, values, retained = service.query_points(key, kind, np.asarray(points))
+            assert (result.n, result.error_bound, result.num_retained) == (n, eps, retained)
+            assert type(result.n) is int and type(result.num_retained) is int
+            assert type(result.error_bound) is float
+            assert result.quantiles.tobytes() == values.tobytes()
+
+    def test_mixed_kinds_of_one_answer_length_stay_fixed_stride(self, fixed_stride_calls):
+        service = _many_key_service()
+        requests = [
+            (f"key/{index}", "quantiles" if index % 2 else "cdf",
+             KIND_POINTS["quantiles"] if index % 2 else KIND_POINTS["cdf"])
+            for index in range(N_FIXED + 3)
+        ]
+        response = QuantileServer(service, port=0)._multi_query(
+            wire.pack_multi_query(requests), False
+        )
+        assert response == _per_record_response(service, requests)
+        assert fixed_stride_calls["encode"] == 1
+
+    def test_mixed_answer_lengths_fall_back(self, fixed_stride_calls):
+        service = _many_key_service()
+        requests = [(f"key/{index}", "quantiles", (0.5, 0.9)) for index in range(N_FIXED + 3)]
+        requests[7] = ("key/7", "quantiles", (0.5, 0.9, 0.99))
+        response = QuantileServer(service, port=0)._multi_query(
+            wire.pack_multi_query(requests), False
+        )
+        assert response == _per_record_response(service, requests)
+        assert fixed_stride_calls["encode"] == 0
+        results = _decode_multi_query_list(memoryview(response)[1:], expected=len(requests))
+        assert [result.quantiles.size for result in results] == [2] * 7 + [3] + [2] * (N_FIXED - 5)
+
+    def test_one_missing_key_falls_back_and_reports_its_index(self, fixed_stride_calls):
+        service = _many_key_service()
+        requests = [(f"key/{index}", "quantiles", KIND_POINTS["quantiles"]) for index in range(32)]
+        requests[11] = ("ghost", "quantiles", KIND_POINTS["quantiles"])
+        response = QuantileServer(service, port=0)._multi_query(
+            wire.pack_multi_query(requests), False
+        )
+        assert response == _per_record_response(service, requests)
+        assert fixed_stride_calls["encode"] == 0
+        results = _decode_multi_query_list(memoryview(response)[1:], expected=32)
+        for index, result in enumerate(results):
+            if index == 11:
+                assert isinstance(result, ServiceError)
+                assert result.status == wire.STATUS_UNKNOWN_KEY
+                assert result.request_index == 11
+            else:
+                assert result.n == service.store.get(f"key/{index}").n
+
+    def test_one_unowned_key_on_a_routed_node_falls_back(self, tmp_path, fixed_stride_calls):
+        service = QuantileService(tmp_path / "a", node_id="a", k=8, seed=0)
+        ring = ClusterMap([("a", "127.0.0.1", 1), ("b", "127.0.0.1", 2)], replication=1)
+        owned = [f"k{i}" for i in range(200) if ring.primary(f"k{i}").node_id == "a"][:N_FIXED]
+        unowned = next(f"k{i}" for i in range(200) if ring.primary(f"k{i}").node_id == "b")
+        rng = np.random.default_rng(3)
+        for index, key in enumerate(owned + [unowned]):
+            service.store.update_many(key, rng.random(100 + index))
+        service.install_topology(ring.to_json())
+        server = QuantileServer(service, port=0)
+        try:
+            points = KIND_POINTS["quantiles"]
+            requests = [(key, "quantiles", points) for key in owned]
+            # Every key owned: the frame is answered column-wise.
+            response = server._dispatch(wire.pack_multi_query(requests))
+            assert fixed_stride_calls["encode"] == 1
+            results = _decode_multi_query_list(memoryview(response)[1:], expected=N_FIXED)
+            assert [result.n for result in results] == [100 + i for i in range(N_FIXED)]
+            requests.insert(5, (unowned, "quantiles", points))
+            response = server._dispatch(wire.pack_multi_query(requests))
+            assert fixed_stride_calls["encode"] == 1  # the fallback took this one
+            results = _decode_multi_query_list(
+                memoryview(response)[1:], expected=len(requests)
+            )
+            for index, result in enumerate(results):
+                if index == 5:
+                    assert isinstance(result, ServiceError)
+                    assert result.status == wire.STATUS_WRONG_TOPOLOGY
+                    assert result.request_index == 5
+                else:
+                    assert result.n == service.store.get(requests[index][0]).n
+        finally:
+            service.close(snapshot=False)
+
+    @pytest.mark.parametrize("shape", ["error-record-of-ok-length", "counts-that-add-up"])
+    def test_look_alike_responses_are_decoded_per_record(self, shape):
+        """Records whose total length fits the fixed stride but whose
+        statuses or counts differ must not be read column-wise.  Each
+        shape passes one of the two checks and only the other catches it."""
+        records = [wire.pack_query_result(100 + i, 0.01, [1.0, 2.0], 7) for i in range(N_FIXED)]
+        if shape == "error-record-of-ok-length":
+            # Where an OK record keeps its count, the message holds a 2.
+            message = b"x" * 12 + wire._COUNT.pack(2)
+            message += b"x" * (len(records[0]) - 5 - len(message))
+            records[3] = b"\x02" + wire.pack_blob(message)
+        else:
+            # eps = 0.0 puts a zero byte where the stride expects row 4's status.
+            records[3] = wire.pack_query_result(103, 0.0, [], 7)
+            records[4] = wire.pack_query_result(104, 0.0, [1.0, 2.0, 3.0, 4.0], 7)
+        payload = wire._COUNT.pack(N_FIXED) + b"".join(records)
+        assert len(payload) == 4 + N_FIXED * len(records[0])
+        assert wire.decode_uniform_query_response(payload, N_FIXED) is None
+        results = _decode_multi_query_list(payload, expected=N_FIXED)
+        if shape == "error-record-of-ok-length":
+            assert isinstance(results[3], ServiceError) and results[3].request_index == 3
+        else:
+            assert [result.quantiles.size for result in results[2:6]] == [2, 0, 4, 2]
+        assert [getattr(result, "n", None) for result in results[5:]] == [
+            100 + i for i in range(5, N_FIXED)
+        ]
+
+    def test_decoded_results_survive_receive_buffer_reuse(self):
+        service = _many_key_service()
+        requests = [(f"key/{index}", "quantiles", KIND_POINTS["quantiles"]) for index in range(40)]
+        response = QuantileServer(service, port=0)._multi_query(
+            wire.pack_multi_query(requests), False
+        )
+        scratch = bytearray(response[1:])
+        results = _decode_multi_query_list(memoryview(scratch), expected=40)
+        saved = [_signature(result) for result in results]
+        scratch[:] = b"\xff" * len(scratch)
+        assert [_signature(result) for result in results] == saved
+
+    def test_counters_match_the_per_request_path(self):
+        frames = []
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            frames.append([
+                (f"key/{int(index)}", kind, KIND_POINTS[kind])
+                for index, kind in zip(
+                    rng.integers(0, 40, 64), rng.choice(sorted(KIND_POINTS), 64)
+                )
+            ])
+        column = _many_key_service()
+        server = QuantileServer(column, port=0)
+        for requests in frames:
+            server._multi_query(wire.pack_multi_query(requests), False)
+        per_request = _many_key_service()
+        for requests in frames:
+            for key, kind, points in requests:
+                per_request.query_points(key, kind, np.asarray(points, dtype=float))
+        assert column.query_count == per_request.query_count == 6 * 64
+        column_index = column.store.query_index_stats()
+        per_index = per_request.store.query_index_stats()
+        for counter in ("hits", "rebuilds", "answer_hits"):
+            assert column_index[counter] == per_index[counter], counter
+        assert column_index["answer_hits"] > 0
+
+    def test_wire_round_trip_over_a_socket(self, harness, rng):
+        service = QuantileService(None)
+        running = harness(service)
+        keys = [f"dash/{index}" for index in range(64)]
+        with QuantileClient(port=running.port) as client:
+            for index, key in enumerate(keys):
+                client.ingest(key, rng.random(500 + index))
+            fractions = [0.5, 0.9, 0.99]
+            results = client.query_many([(key, fractions) for key in keys])
+        for key, result in zip(keys, results):
+            sketch = service.store.get(key)
+            assert result.n == sketch.n
+            assert result.num_retained == sketch.num_retained
+            assert result.error_bound == sketch.error_bound()
+            assert np.array_equal(result.quantiles, sketch.quantiles(np.array(fractions)))
+
+
+SHARED_POINTS = [0.5, 0.9, 0.99]
+POINT_ROWS = np.random.default_rng(2).random((6, 3))
+
+
+class TestPackMultiQuerySuffixReuse:
+    @staticmethod
+    def _per_request(requests):
+        parts = [bytes([wire.OP_MULTI_QUERY]), wire._COUNT.pack(len(requests))]
+        for key, kind, points in requests:
+            parts.append(wire.pack_key(key) + bytes([wire.kind_code(kind)]))
+            parts.append(wire.pack_values(points))
+        return b"".join(parts)
+
+    @pytest.mark.parametrize(
+        "requests",
+        [
+            [(f"k{i}", "quantiles", SHARED_POINTS) for i in range(6)],
+            [(f"k{i}", "quantiles", [0.5, 0.9, 0.99]) for i in range(6)],
+            [(f"k{i}", "ranks", row) for i, row in enumerate(POINT_ROWS)],
+            [(f"k{i}", "ranks", POINT_ROWS[0]) for i in range(6)],
+            [(f"k{i}", ("cdf", wire.KIND_CDF)[i % 2], SHARED_POINTS) for i in range(6)],
+            [(f"k{i}", "quantiles" if i < 3 else "cdf", SHARED_POINTS) for i in range(6)],
+            [(f"k{i}", (wire.KIND_QUANTILES, wire.KIND_RANKS)[i >= 3], SHARED_POINTS) for i in range(6)],
+            [("k", "quantiles", SHARED_POINTS), ("k", "quantiles", [0.5]), ("k", "quantiles", SHARED_POINTS)],
+        ],
+        ids=[
+            "shared-points", "equal-lists", "numpy-rows", "shared-numpy-row",
+            "kind-names-and-codes", "kind-changes-midway", "kind-code-changes-midway",
+            "points-change-and-return",
+        ],
+    )
+    def test_bytes_match_per_request_packing(self, requests):
+        assert wire.pack_multi_query(requests) == self._per_request(requests)
+
+
+# ----------------------------------------------------------------------
+# Read decoders refuse trailing bytes
+# ----------------------------------------------------------------------
+
+
+class TestReadDecodersRefuseTrailingBytes:
+    #: One OK record, status byte first (a MULTI_QUERY record's layout).
+    RECORD = wire.pack_query_result(10, 0.1, [1.0, 2.0], 5)
+
+    @pytest.mark.parametrize(
+        "payload, decode",
+        [
+            (RECORD[1:], _decode_query_response),
+            (wire._COUNT.pack(1) + RECORD, partial(_decode_multi_query_list, expected=1)),
+            (
+                wire._COUNT.pack(N_FIXED) + RECORD * N_FIXED,
+                partial(_decode_multi_query_list, expected=N_FIXED),
+            ),
+        ],
+        ids=["query", "multi-query", "multi-query-fixed-stride"],
+    )
+    def test_client_side(self, payload, decode):
+        decode(payload)  # well formed
+        with pytest.raises(ServiceError, match="trailing"):
+            decode(payload + b"garbage!")
+
+    @pytest.mark.parametrize("op", [wire.OP_QUERY, wire.OP_CDF, wire.OP_RANK])
+    def test_server_side(self, op):
+        service = QuantileService(None)
+        service.store.update_many("k", np.arange(1.0, 101.0))
+        server = QuantileServer(service, port=0)
+        body = bytes([op]) + wire.pack_key("k") + wire.pack_values([0.5, 0.75])
+        assert server._dispatch(body)[0] == wire.STATUS_OK
+        response = server._dispatch(body + b"garbage!")
+        assert response[0] == wire.STATUS_BAD_REQUEST
+        assert b"trailing" in response
