@@ -258,13 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the per-key moves without touching any state",
     )
-    reshard_parser.add_argument(
-        "--drain-rounds",
-        type=int,
-        default=4,
-        metavar="N",
-        help="convergence rounds per key before freezing anyway (default 4)",
-    )
     reshard_parser.add_argument("--timeout", type=float, default=3.0)
 
     query_parser = sub.add_parser("query", help="query a running quantile service")
@@ -650,9 +643,7 @@ def _cmd_cluster_reshard(args) -> int:
     else:
         new_map = old_map.without_node(args.remove)
     retry = RetryPolicy(timeout=args.timeout, retries=1)
-    with Rebalancer(
-        old_map, new_map, retry=retry, drain_rounds=args.drain_rounds
-    ) as rebalancer:
+    with Rebalancer(old_map, new_map, retry=retry) as rebalancer:
         if args.plan:
             moves = rebalancer.plan()
             for move in moves:

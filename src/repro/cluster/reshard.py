@@ -17,20 +17,18 @@ exactly as the original would — so the whole problem reduces to
 2. **Transfer (writes still flowing).**  ``MIGRATE BEGIN`` on the
    streaming source captures the key's migration bundle — FRQ1 payload,
    per-``(session, key)`` high-water marks so exactly-once survives the
-   move, and the windowed ring bundle — and flips the source into
-   *forwarding* state: writes are still applied and acked, but each is
-   also buffered as a drain entry.  The bundle is pushed to every
-   gaining node (``MIGRATE_PUSH``, REPLACE semantics: a retried push is
-   idempotent).  ``MIGRATE DRAIN`` rounds report how much writing is
-   outrunning the transfer; the entries themselves are discarded —
-   they are a convergence signal, not a replay log, because step 3
-   recaptures everything.
+   move, and the windowed ring bundle — and opens the key's migration;
+   writes keep applying and acking as usual, and nothing is copied
+   aside.  The bundle is pushed to every gaining node (``MIGRATE_PUSH``,
+   REPLACE semantics: a retried push is idempotent), so a gainer that is
+   down or refuses the bundle fails the move before any write is shed.
 3. **Cutover (bounded shed window).**  Every old owner of the key is
-   frozen (``MIGRATE DRAIN freeze=1``): new writes for the key are shed
-   with ``RETRY_LATER`` and **never acknowledged** — the world is
-   momentarily still.  The source is then recaptured with a second
-   ``MIGRATE BEGIN`` — the fresh bundle contains every write the source
-   ever acknowledged, including those applied during step 2 — and
+   frozen (``MIGRATE DRAIN freeze=1``): new writes and merges for the
+   key are shed with ``RETRY_LATER`` and **never acknowledged** — the
+   world is momentarily still.  The source is then recaptured with a
+   second ``MIGRATE BEGIN`` — by full mergeability the fresh bundle is
+   the whole key, every write the source ever acknowledged included,
+   those applied during step 2 among them — and
    pushed to **every new owner**: the gainers, and the owners the key
    keeps (REPLACE makes the later push supersede the earlier one).
    Re-basing the continuing owners onto the same bundle is what makes
@@ -52,9 +50,10 @@ Crash safety falls out of the freeze deadline: a frozen key thaws by
 itself (:attr:`~repro.service.server.QuantileService.migration_freeze_timeout`)
 when the coordinator stops heartbeating it, and a thawed source under
 the *old* map is simply the authority it always was — an aborted
-reshard loses coordination progress, never data.  Re-running the
-rebalance is safe end to end (REPLACE pushes, idempotent map install,
-idempotent commit).
+reshard loses coordination progress, never data.  A coordinator that
+dies before the freeze leaves nothing that grows or refuses writes.
+Re-running the rebalance is safe end to end (REPLACE pushes, idempotent
+map install, idempotent commit).
 """
 
 from __future__ import annotations
@@ -93,16 +92,13 @@ class ReshardReport(NamedTuple):
     keys_examined: int
     moves: Tuple[KeyMove, ...]
     pushes: int
-    drain_rounds: int
-    drained_entries: int
     committed: bool
 
     def summary(self) -> str:
         return (
             f"topology v{self.old_version} -> v{self.new_version}: "
             f"{self.keys_examined} keys examined, {len(self.moves)} moved "
-            f"({self.pushes} pushes, {self.drained_entries} forwarded writes "
-            f"over {self.drain_rounds} drain rounds), "
+            f"({self.pushes} pushes), "
             f"{'committed' if self.committed else 'NOT committed'}"
         )
 
@@ -114,9 +110,10 @@ class Rebalancer:
         old_map: The currently installed topology.
         new_map: The target topology; its ``version`` must be newer.
         retry: Per-node retry policy for the coordinator's connections.
-        drain_rounds: How many convergence rounds to give a key whose
-            writes keep outrunning the transfer before freezing anyway
-            (the freeze recapture is always complete regardless).
+
+    Per moving key: capture and push the bulk, freeze every old owner,
+    recapture and push to every new owner; then flip the map and commit
+    (the module docstring gives each step's reason).
 
     Single-operator object: one coordinator, one thread, no locks.
     Use :meth:`execute` for the whole dance or :meth:`plan` to preview
@@ -129,7 +126,6 @@ class Rebalancer:
         new_map: ClusterMap,
         *,
         retry: Optional[RetryPolicy] = None,
-        drain_rounds: int = 4,
     ) -> None:
         if new_map.version <= old_map.version:
             raise ClusterError(
@@ -139,7 +135,6 @@ class Rebalancer:
             )
         self.old_map = old_map
         self.new_map = new_map
-        self.drain_rounds = drain_rounds
         self._retry = retry if retry is not None else RetryPolicy()
         #: Every node either map knows about, by id (a decommissioned
         #: node lives only in the old map but still needs the new map
@@ -226,16 +221,13 @@ class Rebalancer:
         """
         moves = self.plan()
         pushes = 0
-        rounds = 0
-        drained = 0
         begun: List[KeyMove] = []
         try:
             for move in moves:
-                p, r, d = self._transfer(move)
+                # Listed before the transfer: a push that fails after
+                # BEGIN must still abort the key's migration.
                 begun.append(move)
-                pushes += p
-                rounds += r
-                drained += d
+                pushes += self._transfer(move)
             self._cutover(moves)
         except Exception:
             self._abort(begun)
@@ -246,27 +238,18 @@ class Rebalancer:
             keys_examined=len({m.key for m in moves}) if moves else 0,
             moves=tuple(moves),
             pushes=pushes,
-            drain_rounds=rounds,
-            drained_entries=drained,
             committed=True,
         )
 
-    def _transfer(self, move: KeyMove) -> Tuple[int, int, int]:
-        """Steps 2–3 for one key: bulk push, converge, freeze, recapture."""
+    def _transfer(self, move: KeyMove) -> int:
+        """Steps 2–3 for one key: bulk push, freeze, recapture; returns
+        the number of pushes."""
         src = self._client(move.source)
         bundle = src.migrate_begin(move.key)
         pushes = 0
         for dest in move.destinations:
             self._client(dest).migrate_push(move.key, bundle)
             pushes += 1
-        rounds = 0
-        drained = 0
-        for _ in range(self.drain_rounds):
-            rounds += 1
-            _frozen, entries = src.migrate_drain(move.key)
-            drained += len(entries)
-            if not entries:
-                break
         # Freeze every old owner — source included — so no replica can
         # ack a write after the final capture below.  Shed writes are
         # never acknowledged; clients retry them onto the new owners
@@ -308,7 +291,7 @@ class Rebalancer:
             # or its next compaction diverges from the re-based peers.
             self._client(move.source).migrate_push(move.key, final)
             pushes += 1
-        return pushes, rounds, drained
+        return pushes
 
     def _cutover(self, moves: List[KeyMove]) -> None:
         """Step 4: heartbeat freezes, install the map, release keys."""

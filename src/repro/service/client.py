@@ -1064,17 +1064,15 @@ class _ClientCore:
         return self._call(wire.unpack_keys_response, wire.pack_migrate(wire.MIGRATE_KEYS))
 
     def migrate_begin(self, key: str):
-        """Capture ``key``'s MB1 bundle and put it into forwarding state."""
+        """Capture ``key``'s MB1 bundle and start its migration."""
         return self._call(_decode_blob, wire.pack_migrate(wire.MIGRATE_BEGIN, key))
 
-    def migrate_drain(self, key: str, *, freeze: bool = False):
-        """``(frozen, entries)`` — collect ``key``'s forwarded writes.  Not
-        retried on transport errors: a resend could skip a buffer the lost
-        attempt already cleared, so the coordinator handles the failure."""
+    def migrate_drain(self, key: str, *, freeze: bool = False) -> bool:
+        """Whether ``key`` is frozen, after freezing it when ``freeze``;
+        also the coordinator's heartbeat for a freeze.  Idempotent."""
         return self._call(
             wire.unpack_drain_response,
             wire.pack_migrate(wire.MIGRATE_DRAIN, key, freeze=freeze),
-            idempotent=False,
         )
 
     def migrate_commit(self, key: str):

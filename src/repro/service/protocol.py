@@ -76,8 +76,8 @@ Responses (after the status byte; every read response carries the key's
     TOPOLOGY      u32 length, JSON cluster map (empty = none installed)
     MIGRATE_PUSH  u64 n                     key's total after the apply
     MIGRATE       KEYS: u32 count, count * key; BEGIN: u32 length, MB1
-                  bundle; DRAIN: u8 frozen, u32 count, count * entry
-                  (see :func:`pack_drain_entry`); COMMIT/ABORT: empty
+                  bundle; DRAIN: u8 frozen (1 once the key is frozen);
+                  COMMIT/ABORT: empty
     WINDOW_INGEST u64 accepted               key's lifetime accepted total
     WINDOW_QUERY  u64 n, f64 eps, values, u64 retained   (query body shape)
     SUBSCRIBE     f64 resolution (resolved), i64 next_index, u32 events,
@@ -186,8 +186,6 @@ __all__ = [
     "MIGRATE_DRAIN",
     "MIGRATE_COMMIT",
     "MIGRATE_ABORT",
-    "DRAIN_INGEST",
-    "DRAIN_WINDOW",
     "MAX_FRAME",
     "encode_frame",
     "pack_key",
@@ -243,8 +241,6 @@ __all__ = [
     "unpack_keys_response",
     "pack_migration_bundle",
     "unpack_migration_bundle",
-    "pack_drain_entry",
-    "unpack_drain_entries",
     "pack_drain_response",
     "unpack_drain_response",
     "wrong_topology_body",
@@ -306,8 +302,8 @@ OP_TOPOLOGY = 0x14
 #: abort is idempotent and never double-counts.
 OP_MIGRATE_PUSH = 0x15
 #: Migration control plane (coordinator -> source node): list keys,
-#: begin (capture state + enter forwarding), drain buffered writes
-#: (optionally freezing the key), commit, abort.
+#: begin (capture state), drain (freeze the key, or heartbeat a freeze),
+#: commit, abort.
 OP_MIGRATE = 0x16
 
 #: Opcode -> wire name (STATS reporting; unknown opcodes render as hex).
@@ -1471,105 +1467,16 @@ def unpack_migration_bundle(bundle):
     return n, sketch, marks, window
 
 
-#: Drain entry kinds: a buffered plain ingest vs a windowed ingest.
-DRAIN_INGEST = 0
-DRAIN_WINDOW = 1
+def pack_drain_response(frozen: bool) -> bytes:
+    """An OK ``MIGRATE`` DRAIN body: the status and the key's freeze state."""
+    return b"\x00\x01" if frozen else b"\x00\x00"
 
 
-def pack_drain_entry(kind: int, session, values, timestamps=None) -> bytes:
-    """One buffered write captured while a key was in forwarding state.
-
-    ``session`` is ``(session_id, seq)`` for exactly-once frames (``None``
-    for unsequenced ones); windowed entries carry parallel timestamps.
-    """
-    if kind not in (DRAIN_INGEST, DRAIN_WINDOW):
-        raise ServiceError(f"unknown drain entry kind {kind}")
-    parts = [bytes([kind])]
-    if session is None:
-        parts.append(b"\x00")
-    else:
-        sid, seq = session
-        parts.append(b"\x01")
-        parts.append(pack_key(sid))
-        parts.append(_N.pack(int(seq)))
-    if kind == DRAIN_WINDOW:
-        if timestamps is None:
-            raise ServiceError("windowed drain entries need timestamps")
-        parts.append(_pack_ts_values(timestamps, values))
-    else:
-        parts.append(pack_values(values))
-    return b"".join(parts)
-
-
-def unpack_drain_entries(payload, offset: int, count: int):
-    """Decode ``count`` drain entries; returns ``(entries, new_offset)``.
-
-    Each entry is ``(kind, session, timestamps, values)`` with ``session``
-    as ``(sid, seq)`` or ``None`` and ``timestamps`` ``None`` for plain
-    ingests.  Value arrays are copies (drain responses are applied after
-    the receive scratch may be reused).
-    """
-    entries = []
-    for index in range(count):
-        try:
-            if offset >= len(payload):
-                raise ServiceError("truncated entry kind")
-            kind = payload[offset]
-            offset += 1
-            if kind not in (DRAIN_INGEST, DRAIN_WINDOW):
-                raise ServiceError(f"unknown drain entry kind {kind}")
-            if offset >= len(payload):
-                raise ServiceError("truncated session flag")
-            session = None
-            has_session = payload[offset]
-            offset += 1
-            if has_session:
-                sid, offset = unpack_key(payload, offset)
-                seq, offset = unpack_n(payload, offset)
-                session = (sid, seq)
-            if kind == DRAIN_WINDOW:
-                try:
-                    (pairs,) = _COUNT.unpack_from(payload, offset)
-                except struct.error as exc:
-                    raise ServiceError(f"truncated pair count: {exc}") from exc
-                offset += _COUNT.size
-                end = offset + 16 * pairs
-                if end > len(payload):
-                    raise ServiceError(f"truncated windowed entry: {pairs} pairs declared")
-                ts = np.frombuffer(payload, dtype=WIRE_DTYPE, count=pairs, offset=offset).copy()
-                values = np.frombuffer(
-                    payload, dtype=WIRE_DTYPE, count=pairs, offset=offset + 8 * pairs
-                ).copy()
-                offset = end
-                entries.append((kind, session, ts, values))
-            else:
-                values, offset = unpack_values(payload, offset)
-                entries.append((kind, session, None, values.copy()))
-        except ServiceError as exc:
-            raise ServiceError(f"drain entry {index}: {exc}") from exc
-    return entries, offset
-
-
-def pack_drain_response(frozen: bool, entries) -> bytes:
-    """An OK ``MIGRATE`` DRAIN payload: freeze state + encoded entries."""
-    parts = [b"\x00", b"\x01" if frozen else b"\x00", _COUNT.pack(len(entries))]
-    parts.extend(entries)
-    body = b"".join(parts)
-    if len(body) > MAX_FRAME:
-        raise ServiceError(f"DRAIN response of {len(body)} bytes exceeds MAX_FRAME")
-    return body
-
-
-def unpack_drain_response(payload):
-    """``(frozen, entries)`` for an OK DRAIN payload (after its status)."""
-    if len(payload) < 1 + _COUNT.size:
-        raise ServiceError("truncated DRAIN response")
-    frozen = bool(payload[0])
-    (count,) = _COUNT.unpack_from(payload, 1)
-    entries, offset = unpack_drain_entries(payload, 1 + _COUNT.size, count)
-    if offset != len(payload):
-        raise ServiceError(f"{len(payload) - offset} trailing bytes after DRAIN entries")
-    return frozen, entries
+def unpack_drain_response(payload) -> bool:
+    """The freeze state of an OK DRAIN payload (after its status)."""
+    if len(payload) != 1:
+        raise ServiceError(f"DRAIN response of {len(payload)} bytes, expected 1")
+    return bool(payload[0])
 
 
 def wrong_topology_body(message: str, map_json: str) -> bytes:

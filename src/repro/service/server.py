@@ -142,12 +142,11 @@ class GroupApplyError(ServiceError):
 class _Migration:
     """Per-key live-migration state on the SOURCE node of a reshard.
 
-    Created by ``MIGRATE BEGIN``: while it exists (and is not frozen) the
-    key is in **forwarding** state — writes still apply locally (and are
-    acked durably as usual) but each applied batch is also buffered
-    verbatim as a drain entry, so the rebalance coordinator can watch how
-    much is still flowing.  ``MIGRATE DRAIN freeze=1`` flips the key to
-    **frozen**: writes are shed with ``RETRY_LATER`` (never acked, so
+    Created by ``MIGRATE BEGIN``.  Until it is frozen the key behaves as
+    usual: writes apply and are acked, and the state holds nothing that
+    grows, so a coordinator that dies before the freeze leaves a harmless
+    marker.  ``MIGRATE DRAIN freeze=1`` flips the key to **frozen**:
+    writes and merges are shed with ``RETRY_LATER`` (never acked, so
     nothing can be lost) while the coordinator takes the final capture
     and cuts the topology over.  The freeze carries a deadline — if the
     coordinator dies mid-cutover the key thaws automatically and the
@@ -155,11 +154,9 @@ class _Migration:
     ingest.
     """
 
-    __slots__ = ("entries", "frozen", "deadline")
+    __slots__ = ("frozen", "deadline")
 
     def __init__(self) -> None:
-        #: Encoded drain entries buffered since the last DRAIN.
-        self.entries: List[bytes] = []
         self.frozen = False
         self.deadline = 0.0
 
@@ -739,7 +736,6 @@ class QuantileService:
         """
         if not groups:
             return []
-        sessions = session if isinstance(session, list) else [session] * len(groups)
         if not prevalidated:
             for key, _values in groups:
                 self._check_key(key)
@@ -751,6 +747,7 @@ class QuantileService:
                 )
         seq = None
         if self.wal is not None:
+            sessions = session if isinstance(session, list) else [session] * len(groups)
             heads = {None: b""}
             records = []
             for (key, values), group_session in zip(groups, sessions):
@@ -765,7 +762,6 @@ class QuantileService:
             seq = self._wal_append_many(records)
         store = self.store
         applied_seq = self._applied_seq
-        migrations = self._migrations
         results: List[Optional[int]] = [None] * len(groups)
         failed_keys = set()
         error: Optional[Exception] = None
@@ -782,10 +778,6 @@ class QuantileService:
                 error = error or exc
                 continue
             ingested += values.size
-            if migrations:
-                # pack_drain_entry copies the values immediately, so a
-                # view into a frame or the staging scratch is safe here.
-                self._migration_buffer(key, wire.DRAIN_INGEST, sessions[index], values)
         self.ingested_values += ingested
         if error is not None:
             raise GroupApplyError(error, results)
@@ -947,22 +939,16 @@ class QuantileService:
         state = self._check_migration(key)
         return state is not None and state.frozen
 
-    def _migration_buffer(self, key, kind, session, values, timestamps=None) -> None:
-        state = self._check_migration(key)
-        if state is not None and not state.frozen:
-            state.entries.append(wire.pack_drain_entry(kind, session, values, timestamps))
-
     def migrate_begin(self, key: str) -> bytes:
-        """Capture ``key``'s full state as an MB1 bundle; start forwarding.
+        """Capture ``key``'s full state as an MB1 bundle; start its migration.
 
         The capture is atomic with respect to ingest (synchronous under
         the event loop): the bundle holds the key's FRQ1 payload, its
         per-session exactly-once high-water marks, and its FRW1 window
-        bundle as of this instant, and every write applied *after* this
-        instant is buffered as a drain entry.  Re-issuing BEGIN recaptures
-        and resets the buffer (a restarted transfer supersedes the old
-        one); an existing freeze is preserved, which is what makes the
-        final post-freeze recapture a complete image of the key.
+        bundle as of this instant.  Re-issuing BEGIN recaptures (a
+        restarted transfer supersedes the old one); an existing freeze is
+        preserved, which is what makes the final post-freeze recapture a
+        complete image of the key.
         """
         self._check_key(key)
         has_sketch = key in self.store.keys()
@@ -972,19 +958,17 @@ class QuantileService:
         sketch = self.store.payload(key) if has_sketch else None
         window = self.windows.payload(key) if has_window else None
         marks = self.sessions.marks_for_key(key)
-        state = self._migrations.get(key)
-        if state is None:
-            state = self._migrations[key] = _Migration()
-        state.entries = []
+        self._migrations.setdefault(key, _Migration())
         return wire.pack_migration_bundle(self.current_n(key), sketch, marks, window)
 
-    def migrate_drain(self, key: str, *, freeze: bool = False):
-        """``(frozen, entries)``: hand over (and clear) the forward buffer.
+    def migrate_drain(self, key: str, *, freeze: bool = False) -> bool:
+        """Whether ``key`` is frozen, after optionally freezing it.
 
-        ``freeze=True`` flips the key to frozen — subsequent writes are
-        shed with ``RETRY_LATER`` until COMMIT/ABORT (or the freeze
-        deadline).  Any DRAIN on a frozen key extends the deadline: it is
-        the coordinator's liveness heartbeat.
+        ``freeze=True`` flips the key to frozen — subsequent writes and
+        merges are shed with ``RETRY_LATER`` until COMMIT/ABORT (or the
+        freeze deadline).  Any DRAIN on a frozen key extends the deadline:
+        it is the coordinator's liveness heartbeat.  A key with no
+        migration (never begun, committed, or thawed) raises.
         """
         state = self._check_migration(key)
         if state is None:
@@ -992,16 +976,14 @@ class QuantileService:
                 f"no migration in progress for key {key!r} "
                 "(send MIGRATE BEGIN first, or the freeze timed out)"
             )
-        entries = state.entries
-        state.entries = []
         if freeze:
             state.frozen = True
         if state.frozen:
             state.deadline = time.time() + self.migration_freeze_timeout
-        return state.frozen, entries
+        return state.frozen
 
     def migrate_commit(self, key: str) -> None:
-        """End ``key``'s migration (drop buffer + freeze).  Idempotent."""
+        """End ``key``'s migration (drop its freeze).  Idempotent."""
         self._migrations.pop(key, None)
 
     def migrate_abort(self, key: str) -> None:
@@ -1121,8 +1103,6 @@ class QuantileService:
             self._window_applied_seq[key] = self._wal_append_many(((op, key, payload),))
         accepted, events = self.windows.ingest(key, ts, vals, prevalidated=True)
         self.ingested_values += int(vals.size)
-        if self._migrations:
-            self._migration_buffer(key, wire.DRAIN_WINDOW, session, vals, ts)
         return accepted, events
 
     def window_accepted(self, key: str) -> int:
@@ -1905,9 +1885,10 @@ class QuantileServer:
     def _decode_ingest(self, frame, conn, sequenced, multi, windowed):
         """Decode and check one ingest frame: ``(seq or None, groups,
         timestamps or None)``, a single-key frame being one group.  Raises
-        when the frame itself is bad: truncated, the empty key, an empty
-        or NaN batch (one scan per frame; a multi-key frame is rejected
-        whole, naming the group), a bad windowed batch, no session."""
+        when the frame itself is bad: truncated or with trailing bytes,
+        the empty key, an empty or NaN batch (one scan per frame; a
+        multi-key frame is rejected whole, naming the group), a bad
+        windowed batch, no session."""
         seq, offset = wire.unpack_seq(frame, 1) if sequenced else (None, 1)
         timestamps = None
         if multi:
@@ -1918,7 +1899,9 @@ class QuantileServer:
             groups = [(key, values)]
         else:
             key, offset = wire.unpack_key(frame, offset)
-            values, _ = wire.unpack_values(frame, offset)
+            values, offset = wire.unpack_values(frame, offset)
+            if offset != len(frame):
+                raise ServiceError(f"{len(frame) - offset} trailing bytes after the ingest values")
             groups = [(key, values)]
         for key, _values in groups:
             QuantileService._check_key(key)
@@ -2157,21 +2140,33 @@ class QuantileServer:
         The ack carries the catch-up replay inline (closed buckets at or
         past ``resume_from`` still in retention), so a reconnecting
         subscriber always sees its replay *before* any live push on the
-        same connection — the dedup contract clients rely on.
+        same connection — the dedup contract clients rely on.  Subscribing
+        creates no state: a key not yet written gets an empty replay and
+        the pushes of its later writes.  A routed node redirects a key it
+        does not own, like every keyed read.
         """
         service = self.service
         try:
             key, resolution, resume_from, fractions = wire.unpack_subscribe(frame)
             service._check_key(key)
+            reject = self._topology_reject(key)
+            if reject is not None:
+                return reject
             resolved = service.windows.resolve(resolution)
-            rings = service.windows.get(key, create=True)
-            ring = rings[resolved]
+            # A lookup, never a create: a key with no rings yet has no
+            # catch-up, and its first write creates the rings as usual.
+            try:
+                ring = service.windows.get(key)[resolved]
+            except KeyError:
+                buckets = []
+            else:
+                buckets = ring.closed_buckets(resume_from)
             # Copy the fractions out of the receive buffer: the view dies
             # with this tick, the subscription outlives it.
             fractions = np.array(fractions, dtype=np.float64)
             events = []
             next_index = resume_from
-            for bucket in ring.closed_buckets(resume_from):
+            for bucket in buckets:
                 events.append(
                     wire.pack_bucket_event(
                         bucket.index,
@@ -2262,22 +2257,24 @@ class QuantileServer:
                 )
             if op == wire.OP_MERGE:
                 key, offset = wire.unpack_key(body, 1)
-                payload, _ = wire.unpack_blob(body, offset)
+                payload, end = wire.unpack_blob(body, offset)
+                self._check_end(body, end, "MERGE payload")
                 if routed:
-                    if service.migration_active(key):
-                        # A merge mid-migration is not buffered as a drain
-                        # entry, so its convergence would be invisible to
-                        # the coordinator; shed it retryably instead.
+                    if service.migration_frozen(key):
+                        # The same rule ingest follows: a frozen key sheds
+                        # every write, so the final capture is complete.
                         return wire.error_body(
                             wire.STATUS_RETRY_LATER,
-                            f"key {key!r} is migrating; retry the merge later",
+                            f"key {key!r} is frozen for a topology cutover; "
+                            "retry the merge later",
                         )
                     reject = self._topology_reject(key)
                     if reject is not None:
                         return reject
                 return b"\x00" + wire.pack_n(service.merge(key, payload))
             if op == wire.OP_STATS:
-                key, _ = wire.unpack_key(body, 1)
+                key, end = wire.unpack_key(body, 1)
+                self._check_end(body, end, "STATS key")
                 stats = self.service.stats(key or None)
                 if not key:
                     # Server-wide stats also report the network front:
@@ -2295,7 +2292,8 @@ class QuantileServer:
                     ] = self.subscriptions.active_count
                 return b"\x00" + wire.pack_blob(json.dumps(stats).encode("utf-8"))
             if op == wire.OP_FETCH:
-                key, _ = wire.unpack_key(body, 1)
+                key, end = wire.unpack_key(body, 1)
+                self._check_end(body, end, "FETCH key")
                 if not key:
                     return wire.error_body(wire.STATUS_BAD_REQUEST, "FETCH needs a key")
                 reject = self._topology_reject(key) if routed else None
@@ -2327,18 +2325,20 @@ class QuantileServer:
                 if mode == wire.MIGRATE_BEGIN:
                     return b"\x00" + wire.pack_blob(service.migrate_begin(key))
                 if mode == wire.MIGRATE_DRAIN:
-                    frozen, entries = service.migrate_drain(key, freeze=freeze)
-                    return wire.pack_drain_response(frozen, entries)
+                    return wire.pack_drain_response(
+                        service.migrate_drain(key, freeze=freeze)
+                    )
                 if mode == wire.MIGRATE_COMMIT:
                     service.migrate_commit(key)
                     return b"\x00"
                 service.migrate_abort(key)
                 return b"\x00"
-            if op == wire.OP_SNAPSHOT:
-                return b"\x00" + wire._COUNT.pack(self.service.snapshot_all())
-            if op == wire.OP_PING:
-                return b"\x00" + wire.pack_blob(__version__.encode("utf-8"))
-            if op == wire.OP_HEALTH:
+            if op in (wire.OP_SNAPSHOT, wire.OP_PING, wire.OP_HEALTH):
+                self._check_end(body, 1, f"{wire.OP_NAMES[op].upper()} opcode")
+                if op == wire.OP_SNAPSHOT:
+                    return b"\x00" + wire._COUNT.pack(self.service.snapshot_all())
+                if op == wire.OP_PING:
+                    return b"\x00" + wire.pack_blob(__version__.encode("utf-8"))
                 return self._health_response()
             return wire.error_body(wire.STATUS_BAD_REQUEST, f"unknown opcode {op:#x}")
         except Exception as exc:
@@ -2396,13 +2396,18 @@ class QuantileServer:
         )
 
     @staticmethod
-    def _unpack_point_request(body):
+    def _check_end(body, end: int, what: str) -> None:
+        """Refuse a request body that goes on past its last operand."""
+        if end != len(body):
+            raise ServiceError(f"{len(body) - end} trailing bytes after the {what}")
+
+    @classmethod
+    def _unpack_point_request(cls, body):
         """``(key, points)`` of a ``QUERY``/``CDF``/``RANK`` body, which
         must end with its points."""
         key, offset = wire.unpack_key(body, 1)
         points, end = wire.unpack_values(body, offset)
-        if end != len(body):
-            raise ServiceError(f"{len(body) - end} trailing bytes after the request points")
+        cls._check_end(body, end, "request points")
         return key, points
 
     def _multi_query(self, body, routed: bool) -> bytes:

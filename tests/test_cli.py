@@ -170,3 +170,121 @@ class TestServiceCommands:
         # Port 1 is privileged and unbound; connection is refused fast.
         assert main(["query", "k", "--port", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestClusterCommands:
+    """``cluster-status`` and ``cluster-reshard`` against in-process nodes."""
+
+    KEYS = ("lat", "err", "ttfb", "size", "rt", "qps")
+
+    @pytest.fixture()
+    def cluster(self, tmp_path):
+        from repro.cluster import ClusterClient, ClusterMap
+        from repro.service import QuantileClient, QuantileService, ServerThread
+
+        threads = {}
+
+        def spawn(node_id, port=0):
+            threads[node_id] = ServerThread(
+                QuantileService(tmp_path / node_id, node_id=node_id),
+                port=port,
+                snapshot_interval=None,
+            )
+            return threads[node_id]
+
+        for node_id in ("a", "b"):
+            spawn(node_id)
+        ring = ClusterMap(
+            [(nid, "127.0.0.1", thread.port) for nid, thread in threads.items()],
+            replication=1,
+        )
+        topology = tmp_path / "ring.json"
+        ring.save(topology)
+        for thread in threads.values():
+            with QuantileClient(port=thread.port) as client:
+                client.set_topology(ring.to_json())
+        with ClusterClient(ring) as client:
+            for key in self.KEYS:
+                client.ingest(key, [float(i) for i in range(100)])
+        try:
+            yield ring, topology, threads, spawn
+        finally:
+            for thread in threads.values():
+                thread.stop(snapshot=False)
+
+    @staticmethod
+    def _node_state(threads):
+        """Per node: its topology version, held keys and live migrations."""
+        return {
+            node_id: (
+                thread.service.topology.version,
+                sorted(thread.service.store.keys()),
+                thread.service.stats()["migrating_keys"],
+            )
+            for node_id, thread in threads.items()
+        }
+
+    def test_cluster_status_prints_every_node(self, cluster, capsys):
+        ring, topology, threads, _spawn = cluster
+        assert main(["cluster-status", str(topology), "--key", "lat"]) == 0
+        out = capsys.readouterr().out
+        assert f"cluster topology v{ring.version}" in out
+        for node_id, thread in threads.items():
+            row = next(line for line in out.splitlines() if f"127.0.0.1:{thread.port}" in line)
+            assert node_id in row and "ready" in row
+        assert "key 'lat'" in out and "consistent" in out
+
+    def test_cluster_reshard_plan_prints_moves_and_changes_nothing(self, cluster, capsys):
+        ring, topology, threads, spawn = cluster
+        spec = f"c=127.0.0.1:{spawn('c').port}"
+        new_ring = ring.add_node(("c", "127.0.0.1", threads["c"].port))
+        moving = [key for key in self.KEYS if new_ring.primary(key).node_id == "c"]
+        assert moving, "adding a node moved nothing; widen KEYS"
+        before_file = topology.read_bytes()
+        before_nodes = self._node_state({nid: threads[nid] for nid in ("a", "b")})
+
+        assert main(["cluster-reshard", str(topology), "--add", spec, "--plan"]) == 0
+        out = capsys.readouterr().out
+        for key in moving:
+            source = ring.primary(key).node_id
+            assert f"key {key!r}: {source} -> c" in out
+        assert f"plan: {len(moving)} keys would move" in out
+        assert "nothing executed" in out
+        assert topology.read_bytes() == before_file
+        assert self._node_state({nid: threads[nid] for nid in ("a", "b")}) == before_nodes
+        assert threads["c"].service.topology is None
+        assert list(threads["c"].service.store.keys()) == []
+
+    def test_cluster_reshard_add_rewrites_the_topology_only_after_a_commit(
+        self, cluster, capsys
+    ):
+        from repro.cluster import ClusterClient, ClusterMap
+
+        ring, topology, threads, spawn = cluster
+        port = spawn("c").port
+        threads.pop("c").stop(snapshot=False)
+        spec = f"c=127.0.0.1:{port}"
+        before_file = topology.read_bytes()
+
+        # The new node is down: the first push fails, the run aborts, and
+        # neither the file nor any node moves off the old map.
+        assert main(["cluster-reshard", str(topology), "--add", spec, "--timeout", "0.5"]) == 2
+        assert "error" in capsys.readouterr().err
+        assert topology.read_bytes() == before_file
+        for thread in threads.values():
+            assert thread.service.topology.version == ring.version
+            assert thread.service.stats()["migrating_keys"] == 0
+
+        spawn("c", port=port)
+        assert main(["cluster-reshard", str(topology), "--add", spec]) == 0
+        out = capsys.readouterr().out
+        assert f"topology v{ring.version} -> v{ring.version + 1}" in out
+        assert "committed" in out and "NOT committed" not in out
+        assert "moved '" in out
+        rewritten = ClusterMap.load(topology)
+        assert rewritten.version == ring.version + 1 and "c" in rewritten
+        for thread in threads.values():
+            assert thread.service.topology.version == rewritten.version
+        with ClusterClient(rewritten) as client:
+            for key in self.KEYS:
+                assert client.query(key, [0.5]).n == 100

@@ -30,6 +30,7 @@ from repro.errors import (
     ServiceError,
     WrongTopologyError,
 )
+from repro.fast import FastReqSketch
 from repro.service import protocol as wire
 from repro.service.client import QuantileClient
 from repro.service.resilience import ADMIT_APPLY, ADMIT_DUPLICATE, RetryPolicy
@@ -103,23 +104,15 @@ class TestMigrationWire:
             wire.pack_migrate(wire.MIGRATE_DRAIN, "lat", freeze=True)
         ) == (wire.MIGRATE_DRAIN, True, "lat")
 
-    def test_drain_entries_round_trip(self):
-        values = np.array([1.5, 2.5], dtype=wire.WIRE_DTYPE)
-        ts = np.array([10.0, 11.0], dtype=wire.WIRE_DTYPE)
-        entries = [
-            wire.pack_drain_entry(wire.DRAIN_INGEST, ("s", 7), values),
-            wire.pack_drain_entry(wire.DRAIN_WINDOW, None, values, ts),
-        ]
-        frozen, decoded = wire.unpack_drain_response(
-            wire.pack_drain_response(True, entries)[1:]
-        )
-        assert frozen is True
-        kind, session, timestamps, vals = decoded[0]
-        assert (kind, session, timestamps) == (wire.DRAIN_INGEST, ("s", 7), None)
-        np.testing.assert_array_equal(vals, values)
-        kind, session, timestamps, vals = decoded[1]
-        assert (kind, session) == (wire.DRAIN_WINDOW, None)
-        np.testing.assert_array_equal(timestamps, ts)
+    def test_drain_response_round_trip(self):
+        for frozen in (True, False):
+            body = wire.pack_drain_response(frozen)
+            assert body[0] == wire.STATUS_OK
+            assert wire.unpack_drain_response(body[1:]) is frozen
+        # The response is exactly ``status, u8 frozen``.
+        for payload in (b"", b"\x01\x00"):
+            with pytest.raises(ServiceError):
+                wire.unpack_drain_response(payload)
 
     def test_wrong_topology_body_raises_typed_error(self):
         body = wire.wrong_topology_body("not yours", '{"version": 9}')
@@ -208,16 +201,14 @@ class TestServiceMigration:
         a.close()
         recovered.close()
 
-    def test_forwarding_buffers_then_freeze_sheds_and_expires(self, tmp_path):
+    def test_freeze_sheds_and_expires(self, tmp_path):
         a = QuantileService(tmp_path / "a", node_id="a")
         a.migration_freeze_timeout = 0.05
         a.ingest("lat", _values(100, seed=7))
         a.migrate_begin("lat")
-        a.ingest("lat", _values(10, seed=8))  # forwarded write
-        frozen, entries = a.migrate_drain("lat")
-        assert not frozen and len(entries) == 1
-        frozen, entries = a.migrate_drain("lat", freeze=True)
-        assert frozen and entries == []
+        assert a.ingest("lat", _values(10, seed=8)) == 110  # applies as usual
+        assert a.migrate_drain("lat") is False
+        assert a.migrate_drain("lat", freeze=True) is True
         assert a.migration_frozen("lat")
         # No coordinator heartbeat: the freeze expires on its own and the
         # node goes back to being the key's authority (liveness).
@@ -310,6 +301,36 @@ class TestTopologyOverTheWire:
                 assert answers[index].request_index == index
                 assert "does not own" in str(answers[index])
             assert len(str(answers[2]).encode("utf-8")) <= wire.ERROR_MESSAGE_CAP
+
+    def test_merge_applies_until_the_freeze_and_a_stale_drain_raises(self, pair):
+        threads, _ring = pair
+        service = threads["a"].service
+        service.migration_freeze_timeout = 0.5
+        donor = QuantileService(None)
+        donor.ingest("lat", _values(30, seed=9))
+        _n, payload = donor.payload("lat")
+        # No retry policy: a RETRY_LATER answer surfaces as it is.
+        with QuantileClient("127.0.0.1", threads["a"].port) as client:
+            client.ingest("lat", _values(50))
+            client.migrate_begin("lat")
+            # An open migration does not refuse writes: the merge applies
+            # and the next capture carries it.
+            assert client.merge("lat", payload) == 80
+            n, sketch, _marks, _window = wire.unpack_migration_bundle(
+                client.migrate_begin("lat")
+            )
+            assert n == 80 and FastReqSketch.from_bytes(sketch).n == 80
+            assert client.migrate_drain("lat", freeze=True) is True
+            with pytest.raises(ServiceError) as excinfo:
+                client.merge("lat", payload)
+            assert excinfo.value.status == wire.STATUS_RETRY_LATER
+            assert service.current_n("lat") == 80
+            # Past the freeze deadline the key thawed: a heartbeat finds
+            # no migration and fails, and the merge applies again.
+            time.sleep(0.7)
+            with pytest.raises(ServiceError):
+                client.migrate_drain("lat", freeze=True)
+            assert client.merge("lat", payload) == 110
 
     def test_frozen_key_sheds_unacked(self, pair):
         threads, _ring = pair

@@ -248,9 +248,7 @@ class TestSeqMultiIngestExactlyOnce:
         with _session_client(thread.port) as client:
             groups = [("a", rng.random(3)), ("b", rng.random(2)), ("a", rng.random(4))]
             assert _send_seq_multi(client, 1, groups) == [4, 3, 8]
-            # One drain entry per applied group of the forwarding key.
-            frozen, entries = service.migrate_drain("a", freeze=True)
-            assert frozen and len(entries) == 2
+            assert service.migrate_drain("a", freeze=True) is True
             for body in (
                 wire.pack_seq_multi_ingest(2, [("b", rng.random(2)), ("a", rng.random(1))]),
                 wire.pack_multi_ingest([("b", rng.random(2)), ("a", rng.random(1))]),

@@ -985,3 +985,44 @@ class TestTickPipeline:
             assert service.sessions.high_water("s1", kept) == 3
         finally:
             service.close(snapshot=False)
+
+
+class TestRequestsRefuseTrailingBytes:
+    """A request body ends with its last operand: bytes past it answer
+    ``BAD_REQUEST`` and nothing of the request applies."""
+
+    @pytest.mark.parametrize(
+        "name", ["ingest", "seq_ingest", "merge", "stats", "fetch", "snapshot", "ping", "health"]
+    )
+    def test_suffix_is_refused_and_nothing_applies(self, tmp_path, name):
+        donor = QuantileService(None)
+        donor.ingest("k", [5.0, 6.0, 7.0])
+        body = {
+            "ingest": bytes([wire.OP_INGEST]) + wire.pack_key("k") + wire.pack_values([1.0, 2.0]),
+            "seq_ingest": wire.pack_seq_ingest(2, "k", [1.0, 2.0]),
+            "merge": bytes([wire.OP_MERGE])
+            + wire.pack_key("k")
+            + wire.pack_blob(donor.payload("k")[1]),
+            "stats": bytes([wire.OP_STATS]) + wire.pack_key("k"),
+            "fetch": bytes([wire.OP_FETCH]) + wire.pack_key("k"),
+            "snapshot": bytes([wire.OP_SNAPSHOT]),
+            "ping": bytes([wire.OP_PING]),
+            "health": wire.pack_health(),
+        }[name]
+        service = QuantileService(tmp_path)
+        server = QuantileServer(service, overload=None)
+        conn = _TickConn()
+        try:
+            first = _tick(server, conn, [wire.pack_hello("s1"), wire.pack_seq_ingest(1, "k", [0.5])])
+            assert _n(first[1]) == 1
+            appends = service.wal_appends
+            refused = _tick(server, conn, [body + b"garbage!"])[0]
+            assert refused[0] == wire.STATUS_BAD_REQUEST
+            assert b"8 trailing bytes" in refused
+            assert service.current_n("k") == 1
+            assert service.wal_appends == appends
+            assert service.sessions.high_water("s1", "k") == 1
+            assert "k" not in service._snap_seq
+            assert _tick(server, conn, [body])[0][0] == wire.STATUS_OK
+        finally:
+            service.close(snapshot=False)

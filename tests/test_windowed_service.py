@@ -5,13 +5,14 @@ client's replicated windowed writes and failover horizon reads."""
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterClient, ClusterMap
-from repro.errors import ServiceError
+from repro.errors import ServiceError, WrongTopologyError
 from repro.service import AsyncQuantileClient, QuantileClient
 from repro.service import protocol as wire
 from repro.service.resilience import RetryPolicy
@@ -226,6 +227,58 @@ class TestSubscribe:
                     time.sleep(0.01)
                 assert client.stats()["windowed"]["active_subscriptions"] == 0
                 assert service.windows.ring(KEY).n == 2
+
+    def test_subscribe_before_first_write_gets_the_later_push(self):
+        service = _service()
+        with ServerThread(service) as running:
+            with QuantileClient(port=running.port) as client:
+                events = client.subscribe(KEY, [0.5])
+                received = []
+                reader = threading.Thread(target=lambda: received.append(next(events)))
+                reader.start()
+                deadline = time.monotonic() + 5.0
+                while client.stats()["windowed"]["active_subscriptions"] == 0:
+                    assert time.monotonic() < deadline, "subscription never registered"
+                    time.sleep(0.01)
+                assert service.windows.keys() == []  # subscribing made no rings
+                client.ingest_windowed(KEY, [1005.0], [1.0])
+                client.ingest_windowed(KEY, [1015.0], [2.0])  # closes bucket 100
+                reader.join(timeout=5.0)
+                assert not reader.is_alive(), "the bucket-close push never arrived"
+                events.close()
+        assert [(event.index, event.n) for event in received] == [(100, 1)]
+
+    def test_subscribe_to_an_unknown_key_leaves_no_state(self, tmp_path):
+        service = QuantileService(tmp_path, window_resolutions=(10.0,), seed=0)
+        with ServerThread(service, snapshot_interval=None) as running:
+            with QuantileClient(port=running.port) as subscriber:
+                # The ack comes straight back: an empty catch-up.
+                ack = subscriber._request_once(wire.pack_subscribe("ghost", 0.0, 0, [0.5]))
+                assert wire.unpack_subscribe_response(ack)[1:] == (0, [])
+                with QuantileClient(port=running.port) as client:
+                    assert client.stats()["windowed"]["active_subscriptions"] == 1
+                    assert "ghost" not in client.migrate_keys()
+                    client.snapshot()
+        assert service.windows.keys() == []
+        recovered = QuantileService(tmp_path, window_resolutions=(10.0,), seed=0)
+        try:
+            assert recovered.windows.keys() == []
+        finally:
+            recovered.close(snapshot=False)
+
+    def test_subscribe_redirects_an_unowned_key(self):
+        ring = ClusterMap(
+            [("a", "127.0.0.1", 7001), ("b", "127.0.0.1", 7002)], replication=1
+        )
+        unowned = next(f"k{i}" for i in range(100) if ring.primary(f"k{i}").node_id == "b")
+        service = _service(node_id="a")
+        service.install_topology(ring.to_json())
+        with ServerThread(service) as running:
+            with QuantileClient(port=running.port) as client:
+                with pytest.raises(WrongTopologyError) as excinfo:
+                    client._request_once(wire.pack_subscribe(unowned, 0.0, 0, [0.5]))
+                assert ClusterMap.from_json(excinfo.value.map_json) == ring
+                assert client.stats()["windowed"]["active_subscriptions"] == 0
 
     def test_subscribe_unknown_resolution_rejected(self):
         service = _service()
