@@ -386,17 +386,20 @@ SERVICE_SMOKE_QUERY_RATIO = 60.0
 #: with every batch rolling buckets over) is divided by the same run's
 #: in-process ``update_many`` — raw CPU speed cancels, what remains is
 #: the per-batch bucketing/grouping/WAL-less apply overhead.
-#: ``windowed_horizon_query`` (horizon merges/sec over
+#: ``windowed_horizon_query`` (horizon reads/sec over
 #: ~``WINDOWED_BUCKET_SPAN`` buckets, 2 fractions each) is divided by the
-#: same run's ``merge_many`` items/sec — the k-way merge IS the dominant
-#: kernel of a horizon answer, so the quotient isolates per-query
-#: overhead from merge-kernel speed.  Committed at roughly half the low
+#: same run's ``merge_many`` items/sec — a horizon is answered from the
+#: buckets' weighted union (one sort of their retained items, no merge),
+#: and the k-way merge row stands in as the same-run sort-and-concatenate
+#: kernel speed, so the quotient isolates per-query overhead from raw
+#: CPU speed.  The ratio was committed when horizons still merged; the
+#: union path only raises it.  Committed at roughly half the low
 #: end of repeated BENCH_SMOKE runs on the reference box (observed:
 #: ingest 0.0057-0.0080, query 0.00013-0.0002 — smoke batches are ~200
 #: values across 100 keys, so per-batch overhead dominates by design),
 #: leaving the shared 30% tolerance to trip on real regressions (e.g.
-#: losing the grouped ``update_many`` ingest path or merging buckets
-#: pairwise per query) rather than scheduler noise.
+#: losing the grouped ``update_many`` ingest path or rebuilding a
+#: merge target per query) rather than scheduler noise.
 WINDOWED_SMOKE_INGEST_RATIO = 0.003
 WINDOWED_SMOKE_QUERY_RATIO = 0.00006
 #: Keys and bucket span of the windowed benchmark workload.
@@ -739,7 +742,7 @@ def _measure_service_query_vectorized(batch_data, *, queries: int, repeats: int)
 
 
 def _measure_windowed(batch_data, *, queries: int, repeats: int) -> Dict[str, float]:
-    """The windowed plane: bucketed ingest and horizon merges, in-process.
+    """The windowed plane: bucketed ingest and horizon reads, in-process.
 
     ``windowed_ingest`` streams the batch workload across
     ``WINDOWED_KEYS`` keys into 1-second buckets; every per-key batch's
@@ -749,9 +752,10 @@ def _measure_windowed(batch_data, *, queries: int, repeats: int) -> Dict[str, fl
     Fresh key names per repeat keep rings empty like the other rows.
 
     ``windowed_horizon_query`` answers ``[start, end)`` reads over the
-    populated keys: each query is one k-way ``merge_many`` over the
-    ~``WINDOWED_BUCKET_SPAN`` overlapping buckets plus a 2-fraction
-    evaluate — the merge-on-query cost the windowed design commits to.
+    populated keys: each query indexes the weighted union of the
+    ~``WINDOWED_BUCKET_SPAN`` overlapping buckets (one sort, no merge
+    target, no compaction) plus a 2-fraction evaluate — the
+    union-on-query cost the windowed design commits to.
     """
     import numpy as np
 

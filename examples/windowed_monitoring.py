@@ -8,8 +8,8 @@ Run::
 The operational version of the paper's motivating scenario, now on the
 service's windowed plane: timestamped values ingest into a per-key ring
 of time-bucketed sketches, a SUBSCRIBE stream pushes each closed bucket
-to the dashboard, any time horizon is answered purely by *merging*
-bucket sketches (Theorem 3), and a tail-regression alert fires from the
+to the dashboard, any time horizon is answered from the weighted
+union of its bucket sketches (Theorem 3), and a tail-regression alert fires from the
 pushed per-bucket p99s.  The synthetic stream stages an incident: calm
 traffic, a slowdown regime, recovery.
 """
@@ -106,7 +106,7 @@ def main() -> None:
             )
             events.close()
 
-            print("\nhorizon views (merge-on-query over the bucket ring):")
+            print("\nhorizon views (union-on-query over the bucket ring):")
             for label, kwargs in (
                 (
                     f"last {args.baseline} windows",
@@ -128,7 +128,7 @@ def main() -> None:
                 f"{stats['buckets']} buckets "
                 f"({100 * stats['retained_items'] / (args.n + 1):.2f}% of the "
                 f"raw stream); expired buckets fall off the ring, and any\n"
-                f"time horizon is answerable by merging — no raw data kept "
+                f"time horizon is answerable from the buckets — no raw data kept "
                 f"anywhere."
             )
 

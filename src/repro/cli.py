@@ -12,7 +12,7 @@ Subcommands::
     repro-quantiles serve --node-id a          # ... as a named cluster node
     repro-quantiles serve --window-resolutions 1s,1m  # windowed rings per key
     repro-quantiles query KEY --q 0.5 0.99     # query a running service
-    repro-quantiles query KEY --last 5m        # merge-on-query time horizon
+    repro-quantiles query KEY --last 5m        # union-on-query time horizon
     repro-quantiles query K1 K2 --rank 1.5     # ranks, many keys, one frame
     repro-quantiles ingest KEY FILE            # stream a numbers file in
     repro-quantiles watch KEY --q 0.5 0.99     # follow closed window buckets
@@ -689,8 +689,8 @@ def _cmd_query(args) -> int:
                              indent=2, sort_keys=True))
             return 0
         if args.last is not None:
-            # Windowed horizon reads: one WINDOW_QUERY per key (merge of
-            # every retained bucket overlapping the trailing window).
+            # Windowed horizon reads: one WINDOW_QUERY per key (the union
+            # of every retained bucket overlapping the trailing window).
             resolution = _parse_optional_duration(args.resolution)
             failed = False
             for key in args.keys:

@@ -51,7 +51,8 @@ itself (:attr:`~repro.service.server.QuantileService.migration_freeze_timeout`)
 when the coordinator stops heartbeating it, and a thawed source under
 the *old* map is simply the authority it always was — an aborted
 reshard loses coordination progress, never data.  A coordinator that
-dies before the freeze leaves nothing that grows or refuses writes.
+dies before the freeze leaves nothing that grows or refuses writes, and
+its unfrozen marker expires on the same deadline (BEGIN re-arms it too).
 Re-running the rebalance is safe end to end (REPLACE pushes, idempotent
 map install, idempotent commit).
 """

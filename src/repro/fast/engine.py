@@ -48,6 +48,9 @@ Query-index invariants (the service plane leans on these):
   are stored, a hit hands out a copy, and the memo dies with its build.
   :attr:`~FastReqSketch.query_index_answer_hits` counts the reads it
   answered whole.
+* :meth:`FastReqSketch.union_index` builds the same kind of index over
+  several sketches' weighted union (a windowed horizon read) and answers
+  through the same code; it changes no input and is cached nowhere.
 
 Differences from the reference engine, all deliberate: float64 items only
 (NaN rejected); the ``auto`` parameter scheme only (constant ``k``,
@@ -102,7 +105,7 @@ _NativeStageBuffer = load_stage_buffer()
 
 
 class _QueryIndex:
-    """One immutable build of a sketch's query index.
+    """One immutable build of a query index, and the answers read from it.
 
     ``items`` is the weighted coreset sorted ascending and ``padded`` the
     zero-padded inclusive cumulative item weights (the *rank index*: a
@@ -111,14 +114,21 @@ class _QueryIndex:
     (the *inverse rank index*: a ``searchsorted`` over it maps a target
     rank to its item position), so the build holds one weights array.
     Both are ``None`` when every item weighs 1: a rank is then a position.
+    ``total`` is the summed weight (the summarized stream length),
     ``minimum``/``maximum`` are the extremes, staged values included, and
-    ``version`` is the sketch's monotonically increasing rebuild stamp.
+    ``version`` is the owning sketch's monotonically increasing rebuild
+    stamp (0 for a union build).
 
-    ``memo`` is the last validated small ``quantiles`` answer served from
-    this build, as ``(fractions bytes, private answer copy)``.  A build is
-    never mutated — any content change makes the sketch build a new index
-    — so the memo can never serve an answer from an older state and needs
-    no invalidation.
+    Every answer path (the fraction and split-point checks, the
+    ``searchsorted`` calls, the exact endpoints) lives here, so a sketch
+    and a union of sketches answer, and refuse, the same way.  Callers
+    check emptiness first: these methods assume ``total > 0``.
+
+    ``memo`` is the last validated small ``quantiles`` answer a sketch
+    served from this build, as ``(fractions bytes, private answer copy)``.
+    A build is never mutated — any content change makes the sketch build
+    a new index — so the memo can never serve an answer from an older
+    state and needs no invalidation.
     """
 
     __slots__ = ("items", "cumweights", "padded", "total", "minimum", "maximum", "version", "memo")
@@ -132,6 +142,77 @@ class _QueryIndex:
         self.maximum = maximum
         self.version = version
         self.memo: Optional[Tuple[bytes, np.ndarray]] = None
+
+    def ranks(self, points, *, inclusive: bool = True) -> np.ndarray:
+        """Estimated ranks of ``points`` (int64)."""
+        side = "right" if inclusive else "left"
+        positions = np.searchsorted(self.items, np.asarray(points, dtype=np.float64), side=side)
+        return positions if self.padded is None else self.padded[positions]
+
+    def quantiles(self, qs: np.ndarray) -> np.ndarray:
+        """Items at normalized ranks ``qs`` (a float64 array), with the
+        exact extremes at 0 and 1."""
+        # Written so that NaN fails the check (it compares false both ways).
+        if not ((qs >= 0.0) & (qs <= 1.0)).all():
+            raise InvalidParameterError("quantile fractions must be in [0, 1]")
+        targets = np.maximum(1, np.ceil(qs * self.total)).astype(np.int64)
+        if self.cumweights is None:
+            positions = targets - 1  # unit weights: target rank t sits at t - 1
+        else:
+            positions = np.searchsorted(self.cumweights, targets, side="left")
+        positions = np.minimum(positions, self.items.size - 1)
+        result = self.items[positions]
+        result = np.where(qs <= 0.0, self.minimum, result)
+        return np.where(qs >= 1.0, self.maximum, result)
+
+    @staticmethod
+    def split_points(split_points) -> np.ndarray:
+        """``split_points`` as float64, refused unless non-empty, NaN-free
+        and strictly increasing (checked before any index is built)."""
+        points = np.asarray(split_points, dtype=np.float64)
+        if points.size == 0:
+            raise InvalidParameterError("split_points must be non-empty")
+        if np.isnan(points).any():
+            raise InvalidParameterError("split_points must not be NaN")
+        if (np.diff(points) <= 0).any():
+            raise InvalidParameterError("split_points must be strictly increasing")
+        return points
+
+    def cdf(self, points: np.ndarray, *, inclusive: bool = True) -> np.ndarray:
+        """Estimated CDF at checked :meth:`split_points`, final element 1.0."""
+        masses = self.ranks(points, inclusive=inclusive) / self.total
+        return np.concatenate([masses, [1.0]])
+
+
+def _build_index(parts, *, presorted: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(sorted items, padded cumulative weights)`` over weighted ``parts``.
+
+    ``parts`` are non-empty ``(items, height)`` pairs; each item weighs
+    ``2**height``.  ``presorted`` says every part is already ascending (a
+    sketch's levels), so a lone weight-1 part is the index as it stands.
+    Otherwise weight-1 parts cost one sort of their concatenation, and
+    mixed weights one stable argsort plus one cumsum.  The weights array
+    is ``None`` when every item weighs 1.
+    """
+    if all(height == 0 for _, height in parts):  # every item weighs 1
+        if not parts:
+            return _EMPTY_ITEMS, None
+        if presorted and len(parts) == 1:
+            return parts[0][0], None
+        items = np.concatenate([items for items, _ in parts])
+        items.sort()
+        return items, None
+    merged = np.concatenate([items for items, _ in parts])
+    # Stable argsort: timsort gallops through the pre-sorted runs (every
+    # level is one) instead of resorting them.
+    order = np.argsort(merged, kind="stable")
+    weights = np.concatenate(
+        [np.full(items.size, 1 << height, dtype=np.int64) for items, height in parts]
+    )
+    # Cumulate straight into the padded array: its tail is cumweights.
+    padded = np.zeros(merged.size + 1, dtype=np.int64)
+    np.cumsum(weights[order], out=padded[1:])
+    return merged[order], padded
 
 
 def _sketch_from_wire(cls, payload: bytes):
@@ -283,7 +364,7 @@ class FastReqSketch:
         seed: Seed for the numpy RNG driving the compaction coins.  The
             generator is built from it at the first compaction, not here:
             a sketch that only stages values (a short-lived time bucket, a
-            horizon target, a decoded payload) never pays for one.
+            decoded payload) never pays for one.
             :meth:`reseed` is the one way to re-pin the stream later.
         n_bound: Optional known stream-length bound; when given the buffer
             capacity is the fixed ``B = 2 k ceil(log2(n/k))`` of Theorem 14
@@ -714,21 +795,7 @@ class FastReqSketch:
             return self._index
         levels, minimum, maximum = self._peek_levels()
         parts = [(items, height) for height, (items, _, _) in enumerate(levels) if items.size]
-        padded = None
-        if all(height == 0 for _, height in parts):  # every item weighs 1
-            sorted_items = parts[0][0] if parts else _EMPTY_ITEMS
-        else:
-            merged = np.concatenate([items for items, _ in parts])
-            # Stable argsort over a concatenation of sorted runs: timsort
-            # gallops through the pre-sorted blocks instead of resorting.
-            order = np.argsort(merged, kind="stable")
-            sorted_items = merged[order]
-            weights = np.concatenate(
-                [np.full(items.size, 1 << height, dtype=np.int64) for items, height in parts]
-            )
-            # Cumulate straight into the padded array: its tail is cumweights.
-            padded = np.zeros(merged.size + 1, dtype=np.int64)
-            np.cumsum(weights[order], out=padded[1:])
+        sorted_items, padded = _build_index(parts, presorted=True)
         self.query_index_rebuilds += 1
         self._index = _QueryIndex(sorted_items, padded, minimum, maximum, self.query_index_rebuilds)
         self._index_key = key
@@ -742,10 +809,7 @@ class FastReqSketch:
         """Vectorized rank estimates for an array of query points."""
         if self.n == 0:
             raise EmptySketchError("ranks on an empty sketch")
-        index = self.query_index()
-        side = "right" if inclusive else "left"
-        positions = np.searchsorted(index.items, np.asarray(items, dtype=np.float64), side=side)
-        return positions if index.padded is None else index.padded[positions]
+        return self.query_index().ranks(items, inclusive=inclusive)
 
     def normalized_rank(self, item: float, *, inclusive: bool = True) -> float:
         """Rank scaled into [0, 1]."""
@@ -770,33 +834,50 @@ class FastReqSketch:
         if key is not None and memo is not None and memo[0] == key:
             self.query_index_answer_hits += 1
             return memo[1].copy()
-        # Written so that NaN fails the check (it compares false both ways).
-        if not ((qs >= 0.0) & (qs <= 1.0)).all():
-            raise InvalidParameterError("quantile fractions must be in [0, 1]")
-        targets = np.maximum(1, np.ceil(qs * index.total)).astype(np.int64)
-        if index.cumweights is None:
-            positions = targets - 1  # unit weights: target rank t sits at t - 1
-        else:
-            positions = np.searchsorted(index.cumweights, targets, side="left")
-        positions = np.minimum(positions, index.items.size - 1)
-        result = index.items[positions]
-        result = np.where(qs <= 0.0, index.minimum, result)
-        result = np.where(qs >= 1.0, index.maximum, result)
+        result = index.quantiles(qs)
         if key is not None:
             index.memo = (key, result.copy())
         return result
 
     def cdf(self, split_points: Sequence[float], *, inclusive: bool = True) -> np.ndarray:
         """Estimated CDF at the split points, final element 1.0."""
-        points = np.asarray(split_points, dtype=np.float64)
-        if points.size == 0:
-            raise InvalidParameterError("split_points must be non-empty")
-        if np.isnan(points).any():
-            raise InvalidParameterError("split_points must not be NaN")
-        if (np.diff(points) <= 0).any():
-            raise InvalidParameterError("split_points must be strictly increasing")
-        masses = self.ranks(points, inclusive=inclusive) / self.n
-        return np.concatenate([masses, [1.0]])
+        points = _QueryIndex.split_points(split_points)
+        if self.n == 0:
+            raise EmptySketchError("cdf on an empty sketch")
+        return self.query_index().cdf(points, inclusive=inclusive)
+
+    @staticmethod
+    def union_index(sketches) -> _QueryIndex:
+        """A query index over the weighted union of ``sketches``' retained items.
+
+        The paper's estimator over several sketches at once, with no merge
+        target: each level's consolidated items weigh ``2**height`` and
+        each staging block is read raw at weight 1, then one sort (one
+        stable argsort and cumsum when weights differ) orders them all.
+        Nothing is merged, compacted or drained and no coin is drawn: the
+        inputs' ``n``, staged counts and level versions are unchanged.
+        Full mergeability (Theorem 3) makes the union a valid summary of
+        the inputs' combined stream; a ``merge_many`` would only add its
+        own compaction error to it.  The inputs must share ``k``/``hra``.
+        The build's ``version`` is 0 and it is cached nowhere.
+        """
+        parts = []
+        minimum, maximum = math.inf, -math.inf
+        for sketch in sketches:
+            for height, level in enumerate(sketch._levels):
+                items = level.consolidate()
+                if items.size:
+                    parts.append((items, height))
+            if sketch._stage.count:
+                parts.append((np.frombuffer(sketch._stage.peek(), dtype=np.float64), 0))
+            minimum = min(minimum, sketch._min)
+            maximum = max(maximum, sketch._max)
+        items, padded = _build_index(parts, presorted=False)
+        if items.size:
+            # The drained extremes are tracked; the staged ones are in items.
+            minimum = min(minimum, float(items[0]))
+            maximum = max(maximum, float(items[-1]))
+        return _QueryIndex(items, padded, minimum, maximum, 0)
 
     # ------------------------------------------------------------------
     # Error bounds (auto-scheme, mirrors ReqSketch)

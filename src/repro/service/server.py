@@ -144,14 +144,15 @@ class _Migration:
 
     Created by ``MIGRATE BEGIN``.  Until it is frozen the key behaves as
     usual: writes apply and are acked, and the state holds nothing that
-    grows, so a coordinator that dies before the freeze leaves a harmless
-    marker.  ``MIGRATE DRAIN freeze=1`` flips the key to **frozen**:
+    grows.  ``MIGRATE DRAIN freeze=1`` flips the key to **frozen**:
     writes and merges are shed with ``RETRY_LATER`` (never acked, so
     nothing can be lost) while the coordinator takes the final capture
-    and cuts the topology over.  The freeze carries a deadline — if the
-    coordinator dies mid-cutover the key thaws automatically and the
-    source stays authoritative, so a crashed rebalance never wedges
-    ingest.
+    and cuts the topology over.  Every BEGIN and DRAIN is the
+    coordinator's heartbeat and re-arms ``deadline``; a migration that
+    misses it expires, frozen or not — if the coordinator dies mid-dance
+    the key thaws (or its marker goes) automatically and the source stays
+    authoritative, so a crashed rebalance never wedges ingest or leaves
+    the node routed for good.
     """
 
     __slots__ = ("frozen", "deadline")
@@ -319,8 +320,8 @@ class QuantileService:
         self._topology_json: Optional[str] = None
         #: Keys mid-migration on this node (source side of a reshard).
         self._migrations: Dict[str, _Migration] = {}
-        #: Seconds a frozen key stays frozen without a coordinator
-        #: heartbeat (a DRAIN) before it thaws itself.
+        #: Seconds a migration lives without a coordinator heartbeat (a
+        #: BEGIN or DRAIN) before it expires; a frozen key then thaws.
         self.migration_freeze_timeout = 5.0
         self._applied_seq: Dict[str, int] = {}
         self._snap_seq: Dict[str, int] = {}
@@ -915,22 +916,39 @@ class QuantileService:
         )
 
     def _check_migration(self, key: str) -> Optional[_Migration]:
-        """``key``'s live migration state, expiring stale freezes."""
+        """``key``'s live migration state, expiring a stale one."""
         state = self._migrations.get(key)
         if state is None:
             return None
-        if state.frozen and time.time() >= state.deadline:
-            # The coordinator stopped heartbeating (DRAIN) mid-cutover:
-            # auto-abort so the key thaws and the source stays
-            # authoritative.  Every write shed while frozen was never
-            # acked, so nothing is lost by resuming normal ingest.
+        if time.time() >= state.deadline:
+            self._expire_migration(key)
+            return None
+        return state
+
+    def _expire_migration(self, key: str) -> None:
+        """Drop a migration whose coordinator stopped heartbeating.
+
+        Auto-abort: a frozen key thaws and the source stays
+        authoritative.  Every write shed while frozen was never acked, so
+        nothing is lost by resuming normal ingest.
+        """
+        state = self._migrations.pop(key)
+        if state.frozen:
             log.warning(
                 "migration freeze for key %r expired without a commit; thawing",
                 key,
             )
-            del self._migrations[key]
-            return None
-        return state
+        else:
+            log.warning("migration of key %r expired before its freeze; dropping it", key)
+
+    def migrating_keys(self) -> int:
+        """Live migrations on this node, after expiring stale ones."""
+        migrations = self._migrations
+        if migrations:
+            now = time.time()
+            for key in [key for key, state in migrations.items() if now >= state.deadline]:
+                self._expire_migration(key)
+        return len(migrations)
 
     def migration_active(self, key: str) -> bool:
         return self._check_migration(key) is not None
@@ -946,9 +964,10 @@ class QuantileService:
         the event loop): the bundle holds the key's FRQ1 payload, its
         per-session exactly-once high-water marks, and its FRW1 window
         bundle as of this instant.  Re-issuing BEGIN recaptures (a
-        restarted transfer supersedes the old one); an existing freeze is
+        restarted transfer supersedes the old one); a live freeze is
         preserved, which is what makes the final post-freeze recapture a
-        complete image of the key.
+        complete image of the key.  Every BEGIN re-arms the migration's
+        deadline (:attr:`migration_freeze_timeout`).
         """
         self._check_key(key)
         has_sketch = key in self.store.keys()
@@ -958,7 +977,10 @@ class QuantileService:
         sketch = self.store.payload(key) if has_sketch else None
         window = self.windows.payload(key) if has_window else None
         marks = self.sessions.marks_for_key(key)
-        self._migrations.setdefault(key, _Migration())
+        state = self._check_migration(key)
+        if state is None:
+            state = self._migrations[key] = _Migration()
+        state.deadline = time.time() + self.migration_freeze_timeout
         return wire.pack_migration_bundle(self.current_n(key), sketch, marks, window)
 
     def migrate_drain(self, key: str, *, freeze: bool = False) -> bool:
@@ -966,20 +988,19 @@ class QuantileService:
 
         ``freeze=True`` flips the key to frozen — subsequent writes and
         merges are shed with ``RETRY_LATER`` until COMMIT/ABORT (or the
-        freeze deadline).  Any DRAIN on a frozen key extends the deadline:
-        it is the coordinator's liveness heartbeat.  A key with no
-        migration (never begun, committed, or thawed) raises.
+        deadline).  Every DRAIN extends the deadline: it is the
+        coordinator's liveness heartbeat.  A key with no migration (never
+        begun, committed, or expired) raises.
         """
         state = self._check_migration(key)
         if state is None:
             raise ServiceError(
                 f"no migration in progress for key {key!r} "
-                "(send MIGRATE BEGIN first, or the freeze timed out)"
+                "(send MIGRATE BEGIN first, or it timed out)"
             )
         if freeze:
             state.frozen = True
-        if state.frozen:
-            state.deadline = time.time() + self.migration_freeze_timeout
+        state.deadline = time.time() + self.migration_freeze_timeout
         return state.frozen
 
     def migrate_commit(self, key: str) -> None:
@@ -1127,20 +1148,20 @@ class QuantileService:
     def window_query(self, key: str, kind, resolution: float, start: float, end: float, points):
         """A horizon read: ``(n, eps, values, retained)`` over ``[start, end)``.
 
-        Merges the overlapping buckets of one ring into a fresh
-        deterministic-seeded scratch (one ``merge_many``) and evaluates
-        the points against the merge — the windowed twin of
-        :meth:`query_points`.
+        Answers from the weighted union of one ring's overlapping buckets
+        (a read-only :class:`~repro.windowed.ring.Horizon`: one sort, no
+        merge, no coin) — the windowed twin of :meth:`query_points`.
+        ``retained`` is the buckets' summed ``num_retained``.
         """
         kind_name = self._kind_name(kind)
-        merged = self.windows.horizon(key, start, end, resolution)
-        if merged.is_empty:
+        horizon = self.windows.horizon(key, start, end, resolution)
+        if horizon.is_empty:
             raise EmptySketchError(
                 f"no windowed data in [{start}, {end}) for key {key!r}"
             )
-        values = self.store.evaluate(merged, kind_name, points)
+        values = self.store.evaluate(horizon, kind_name, points)
         self.query_count += 1
-        return int(merged.n), float(merged.error_bound()), values, int(merged.num_retained)
+        return int(horizon.n), float(horizon.error_bound()), values, int(horizon.num_retained)
 
     # ------------------------------------------------------------------
     # Queries (index-backed; see repro.service.store.SketchStore.query)
@@ -1288,7 +1309,7 @@ class QuantileService:
             "next_seq": self._seq,
             "sessions": len(self.sessions),
             "topology_version": None if self.topology is None else self.topology.version,
-            "migrating_keys": len(self._migrations),
+            "migrating_keys": self.migrating_keys(),
             "degraded": self.degraded,
             "degraded_reason": self.degraded_reason,
             "degraded_entries": self.degraded_entries,
@@ -1834,7 +1855,7 @@ class QuantileServer:
         shed_body = self._shed_body(conn)
         #: Routing guards engage only when a topology is installed or a
         #: migration is live — standalone services skip them entirely.
-        routed = service.topology is not None or bool(service._migrations)
+        routed = service.topology is not None or service.migrating_keys() > 0
         for index, frame in enumerate(frames):
             if not len(frame):
                 self._count_op(0)
@@ -2225,7 +2246,7 @@ class QuantileServer:
             return wire.error_body(wire.STATUS_BAD_REQUEST, "empty request frame")
         op = body[0]
         service = self.service
-        routed = service.topology is not None or bool(service._migrations)
+        routed = service.topology is not None or service.migrating_keys() > 0
         try:
             if op == wire.OP_QUERY:
                 key, fractions = self._unpack_point_request(body)
@@ -2385,7 +2406,7 @@ class QuantileServer:
                 None if self.service.topology is None
                 else self.service.topology.version
             ),
-            "migrating_keys": len(self.service._migrations),
+            "migrating_keys": self.service.migrating_keys(),
         }
         if self.service.scrub is not None:
             detail["scrub"] = self.service.scrub.stats()

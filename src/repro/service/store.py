@@ -444,8 +444,9 @@ class SketchStore:
     def evaluate(sketch, kind: str, points) -> np.ndarray:
         """Run one read request against ``sketch``; returns float64 values.
 
-        ``kind`` is ``"quantiles"`` / ``"ranks"`` / ``"cdf"``.  Every kind
-        routes through the sketch's version-stamped query index — one
+        ``sketch`` is a ``FastReqSketch`` or a windowed ``Horizon`` (they
+        share one answer path).  ``kind`` is ``"quantiles"`` / ``"ranks"``
+        / ``"cdf"``.  Every kind routes through a query index — one
         vectorized ``searchsorted`` per call; ranks are widened to float64
         (exact below 2**53) so every kind shares the wire value format.
         """

@@ -1,12 +1,13 @@
 """Time-bucketed sketch rings: the windowed plane's core data structure.
 
 A :class:`WindowRing` keeps one :class:`~repro.fast.FastReqSketch` per
-wall-clock time bucket of a fixed width and answers any horizon by
-*merging* the overlapping buckets (``merge_many`` — one snapshot + one
-compression pass, Theorem 3 of the paper makes the union lossless).
-Nothing is ever re-scanned: ingest cost is one vectorized grouped
-``update_many`` pass, query cost is one k-way merge over at most
-``retention`` tiny summaries.
+wall-clock time bucket of a fixed width and answers any horizon from the
+*weighted union* of the overlapping buckets' retained items (a read-only
+:class:`Horizon`; Theorem 3 of the paper, full mergeability, makes that
+union a valid summary of the horizon, and no merge target adds its own
+compaction error).  Nothing is ever re-scanned: ingest cost is one
+vectorized grouped ``update_many`` pass, query cost is one sort over at
+most ``retention`` tiny summaries.
 
 Timestamps come from the **caller** (epoch seconds as float64) — tests
 drive deterministic clocks, production passes ``time.time()``-based
@@ -37,12 +38,11 @@ Semantics:
   can push subscription notifications exactly once per bucket.
 
 Determinism: every bucket sketch is seeded from a splitmix64 mix of the
-ring seed and the bucket index, and :meth:`horizon` merges into a fresh
-target seeded from a disjoint scratch namespace — so a ring rebuilt from
-the same payloads (WAL replay, FRW1 snapshot + tail) answers every
-horizon bit-identically.  :meth:`reseed_epoch` re-pins every bucket's
-coin stream after a snapshot is written/loaded, mirroring the service's
-per-key epoch reseeding for plain sketches.
+ring seed and the bucket index, and :meth:`horizon` draws no coin at all
+— so a ring rebuilt from the same payloads (WAL replay, FRW1 snapshot +
+tail) answers every horizon bit-identically.  :meth:`reseed_epoch`
+re-pins every bucket's coin stream after a snapshot is written/loaded,
+mirroring the service's per-key epoch reseeding for plain sketches.
 """
 
 from __future__ import annotations
@@ -52,15 +52,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
+from repro.core.params import eps_for_streaming_k
+from repro.errors import EmptySketchError, InvalidParameterError
 from repro.fast import FastReqSketch
 
-__all__ = ["WindowRing", "ClosedBucket", "mix_seed"]
+__all__ = ["WindowRing", "Horizon", "ClosedBucket", "mix_seed"]
 
 _MASK64 = (1 << 64) - 1
-#: Salt for the horizon scratch sketch's seed — a namespace disjoint from
-#: the per-bucket seeds (which mix the bucket *index*, never this salt).
-_HORIZON_SALT = 0x484F52495A4F4E31  # b"HORIZON1"
 #: Bucket indices are int64 (the grouping computes them with
 #: ``astype(np.int64)``); a quotient outside ``[-2**63, 2**63)`` (or an
 #: infinite one, when ``t / width`` overflows) does not survive that cast.
@@ -204,18 +202,6 @@ class WindowRing:
 
     def _bucket_seed(self, index: int) -> Optional[int]:
         return None if self.seed is None else mix_seed(self.seed, index)
-
-    @property
-    def horizon_seed(self) -> Optional[int]:
-        """Seed of the scratch sketch :meth:`horizon` merges into.
-
-        Public so the bit-exactness invariant is testable: a fresh
-        ``FastReqSketch`` with this seed, ``merge_many``-ed over
-        :meth:`buckets` in index order, answers identically to
-        :meth:`horizon`.  Mixed with a salt disjoint from every bucket
-        seed's namespace.
-        """
-        return None if self.seed is None else mix_seed(self.seed, _HORIZON_SALT)
 
     # ------------------------------------------------------------------
     # State
@@ -407,15 +393,15 @@ class WindowRing:
     # Horizon queries
     # ------------------------------------------------------------------
 
-    def horizon(self, start: float, end: float) -> FastReqSketch:
-        """One merged sketch over buckets overlapping ``[start, end)``.
+    def horizon(self, start: float, end: float) -> Horizon:
+        """A read-only :class:`Horizon` over buckets overlapping ``[start, end)``.
 
-        Pure merge: the bucket sketches are untouched, the target is a
-        fresh deterministic-seeded scratch (:attr:`horizon_seed`) filled
-        by one k-way ``merge_many``.  May return an empty sketch (no
-        overlapping data) — callers decide whether that is an error.
-        Bounds whose ``t / bucket_seconds`` has no int64 floor (infinite,
-        or too large in magnitude) are refused, as ingest timestamps are.
+        Answers from the buckets' weighted union: no merge target, no
+        compaction, no coin, and every bucket's ``n``, staging block and
+        level versions stay as they were.  May be empty (no overlapping
+        data) — callers decide whether that is an error.  Bounds whose
+        ``t / bucket_seconds`` has no int64 floor (infinite, or too large
+        in magnitude) are refused, as ingest timestamps are.
         """
         if not end > start:
             raise InvalidParameterError(
@@ -433,10 +419,7 @@ class WindowRing:
             for index, sketch in self.buckets()
             if index >= lo and index * width < end
         ]
-        target = FastReqSketch(self.k, hra=self.hra, seed=self.horizon_seed)
-        if sources:
-            target.merge_many(sources)
-        return target
+        return Horizon(sources, self.k)
 
     # ------------------------------------------------------------------
     # Durability hooks (see repro.windowed.wire for the FRW1 format)
@@ -491,3 +474,56 @@ class WindowRing:
             "expired_buckets": self.expired_buckets,
             "accepted": self.accepted,
         }
+
+
+class Horizon:
+    """Read-only answers over a set of bucket sketches, built once.
+
+    The query index is :meth:`FastReqSketch.union_index` of the sources —
+    the paper's weighted count over their retained items — so a horizon
+    costs one sort of the overlapping buckets' items, and a bucket that
+    only staged values (never compacted) answers exactly.  The answer
+    code and its errors are the engine's.  ``error_bound`` is the
+    a-priori bound a merged sketch of the same ``n`` reports: the union
+    carries the buckets' compaction errors but none of a merge's own, and
+    those are independent and zero-mean, so dropping them only lowers the
+    variance the bound controls.
+    """
+
+    __slots__ = ("k", "n", "num_retained", "_index")
+
+    def __init__(self, sources: List[FastReqSketch], k: int) -> None:
+        self.k = k
+        self.n = sum(int(sketch.n) for sketch in sources)
+        self.num_retained = sum(sketch.num_retained for sketch in sources)
+        self._index = FastReqSketch.union_index(sources)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.n == 0
+
+    def _answer_index(self, what: str):
+        if self.n == 0:
+            raise EmptySketchError(f"{what} on an empty horizon")
+        return self._index
+
+    def error_bound(self, *, delta: float = 0.05) -> float:
+        """A-priori multiplicative error ``eps`` at the horizon's ``n``."""
+        return eps_for_streaming_k(self.k, max(2, self.n), delta)
+
+    def rank(self, item: float, *, inclusive: bool = True) -> int:
+        return int(self.ranks(np.asarray([item]), inclusive=inclusive)[0])
+
+    def ranks(self, items, *, inclusive: bool = True) -> np.ndarray:
+        return self._answer_index("ranks").ranks(items, inclusive=inclusive)
+
+    def quantile(self, q: float) -> float:
+        return float(self.quantiles(np.asarray([q]))[0])
+
+    def quantiles(self, fractions) -> np.ndarray:
+        qs = np.asarray(fractions, dtype=np.float64)
+        return self._answer_index("quantiles").quantiles(qs)
+
+    def cdf(self, split_points, *, inclusive: bool = True) -> np.ndarray:
+        points = self._index.split_points(split_points)
+        return self._answer_index("cdf").cdf(points, inclusive=inclusive)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import ServiceError
 from repro.fast import FastReqSketch
 
-from .ring import ClosedBucket, WindowRing, _exact_index, mix_seed
+from .ring import ClosedBucket, Horizon, WindowRing, _exact_index, mix_seed
 from .wire import hash_resolution, pack_rings, unpack_rings
 
 __all__ = ["WindowStore", "WindowEvent"]
@@ -237,8 +237,8 @@ class WindowStore:
 
     def horizon(
         self, key: str, start: float, end: float, resolution: float = 0.0
-    ) -> FastReqSketch:
-        """Merged sketch for ``[start, end)`` at one resolution."""
+    ) -> Horizon:
+        """Read-only :class:`Horizon` over ``[start, end)`` at one resolution."""
         return self.ring(key, resolution).horizon(start, end)
 
     # ------------------------------------------------------------------

@@ -217,6 +217,30 @@ class TestServiceMigration:
         assert not a.migration_active("lat")
         a.close()
 
+    def test_unfrozen_migration_expires(self, tmp_path):
+        # A coordinator that dies between BEGIN and the freeze: the
+        # marker expires on the same deadline a freeze does.
+        a = QuantileService(tmp_path / "a", node_id="a")
+        a.migration_freeze_timeout = 0.05
+        a.ingest("lat", _values(100, seed=7))
+        a.migrate_begin("lat")
+        assert a.stats()["migrating_keys"] == 1
+        time.sleep(0.1)
+        assert a.stats()["migrating_keys"] == 0
+        with pytest.raises(ServiceError, match="no migration in progress"):
+            a.migrate_drain("lat")
+        assert a.ingest("lat", _values(10, seed=8)) == 110
+        # BEGIN and DRAIN both re-arm the deadline.
+        a.migration_freeze_timeout = 0.5
+        a.migrate_begin("lat")
+        time.sleep(0.3)
+        assert a.migrate_drain("lat") is False  # heartbeat: 0.5 s more
+        time.sleep(0.3)
+        assert a.migration_active("lat")
+        time.sleep(0.4)
+        assert not a.migration_active("lat")
+        a.close()
+
     def test_topology_install_persists_and_refuses_downgrade(self, tmp_path):
         a = QuantileService(tmp_path / "a", node_id="a")
         ring = ClusterMap([("a", "127.0.0.1", 7001)], replication=1, version=3)

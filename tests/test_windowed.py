@@ -1,14 +1,16 @@
 """The windowed quantile plane: rings, store, durations, FRW1, recovery.
 
 The acceptance property lives here: ``WINDOW_QUERY`` answers must be
-**bit-identical** to a fresh ``merge_many`` over the same retained
-buckets — under out-of-order ingest, bucket expiry, snapshots, and full
+**bit-identical** to the weighted union of the same retained buckets
+(an independent sort + cumsum over decoded copies, :func:`_union_oracle`)
+— under out-of-order ingest, bucket expiry, snapshots, and full
 snapshot+WAL-tail restarts.  Everything is driven with caller-supplied
 timestamps, so every schedule is deterministic and replayable.
 """
 
 from __future__ import annotations
 
+import math
 import tempfile
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.params import eps_for_streaming_k
 from repro.errors import EmptySketchError, InvalidParameterError, ServiceError
 from repro.fast import FastReqSketch
 from repro.service import QuantileService
@@ -35,6 +38,82 @@ FRACTIONS = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 1.0])
 
 def _values(count, seed=0):
     return np.random.default_rng(seed).standard_normal(count)
+
+
+class _UnionOracle:
+    """The paper's estimator over several sketches, computed from scratch.
+
+    Each source is decoded from its own ``FRQ1`` bytes (staged values ride
+    as level-0 items), every level's items weigh ``2**height``, and one
+    stable argsort plus a cumsum give ``rank(y) = sum of weights <= y``.
+    Shares no code with the engine's index builder.
+    """
+
+    def __init__(self, sources):
+        items, weights = [], []
+        self.minimum, self.maximum = math.inf, -math.inf
+        self.n = 0
+        for sketch in sources:
+            copy = FastReqSketch.from_bytes(sketch.to_bytes())
+            levels, low, high = copy._peek_levels()
+            for height, (level_items, _, _) in enumerate(levels):
+                items.append(level_items)
+                weights.append(np.full(level_items.size, 2**height, dtype=np.int64))
+            self.minimum = min(self.minimum, low)
+            self.maximum = max(self.maximum, high)
+            self.n += copy.n
+        merged = np.concatenate(items) if items else np.empty(0)
+        order = np.argsort(merged, kind="stable")
+        self.items = merged[order]
+        weights = np.concatenate(weights) if weights else np.empty(0, np.int64)
+        self.cumweights = np.cumsum(weights[order])
+        assert (self.cumweights[-1] if self.n else 0) == self.n
+
+    def ranks(self, points, inclusive=True):
+        side = "right" if inclusive else "left"
+        positions = np.searchsorted(self.items, np.asarray(points, float), side=side)
+        return np.concatenate(([0], self.cumweights))[positions]
+
+    def quantiles(self, fractions):
+        out = []
+        for q in np.asarray(fractions, float):
+            if q <= 0.0:
+                out.append(self.minimum)
+            elif q >= 1.0:
+                out.append(self.maximum)
+            else:
+                target = max(1, math.ceil(q * self.n))
+                position = int(np.searchsorted(self.cumweights, target, side="left"))
+                out.append(self.items[min(position, self.items.size - 1)])
+        return np.asarray(out, dtype=np.float64)
+
+    def cdf(self, points):
+        return np.concatenate((self.ranks(points) / self.n, [1.0]))
+
+
+def _sources(ring, start, end):
+    """The ring's buckets overlapping ``[start, end)``, in index order."""
+    lo = ring.bucket_index(start)
+    return [
+        sketch
+        for index, sketch in ring.buckets()
+        if index >= lo and index * ring.bucket_seconds < end
+    ]
+
+
+def _bucket_marks(ring):
+    """What a read must not change: per bucket ``n``, staged count, level
+    versions and coin-stream state."""
+    return [
+        (
+            index,
+            int(sketch.n),
+            sketch.num_staged,
+            [level.version for level in sketch._levels],
+            None if sketch._rng is None else sketch._rng.bit_generator.state,
+        )
+        for index, sketch in ring.buckets()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -211,14 +290,101 @@ class TestRingClose:
 
 
 class TestRingHorizon:
-    def test_matches_fresh_merge_many_bit_exact(self):
+    def test_matches_union_oracle_bit_exact(self):
         ring = WindowRing(10.0, seed=11)
         ring.ingest(1000.0 + np.arange(500) * 0.1, _values(500))
-        merged = ring.horizon(1000.0, 1050.0)
-        fresh = FastReqSketch(ring.k, hra=ring.hra, seed=ring.horizon_seed)
-        fresh.merge_many([sketch for _, sketch in ring.buckets()])
-        assert merged.n == fresh.n == 500
-        assert np.array_equal(merged.quantiles(FRACTIONS), fresh.quantiles(FRACTIONS))
+        horizon = ring.horizon(1000.0, 1050.0)
+        sources = [sketch for _, sketch in ring.buckets()]
+        oracle = _UnionOracle(sources)
+        assert horizon.n == oracle.n == 500
+        assert np.array_equal(horizon.quantiles(FRACTIONS), oracle.quantiles(FRACTIONS))
+        # n and eps are what a merged sketch reported; retained is the sum.
+        merged = FastReqSketch(ring.k, hra=ring.hra, seed=0).merge_many(sources)
+        assert horizon.error_bound() == merged.error_bound()
+        assert horizon.num_retained == sum(s.num_retained for s in sources)
+
+    def test_staged_only_buckets_answer_exact_order_statistics(self):
+        ring = WindowRing(1.0, retention=64, lateness=2.0, seed=15)
+        rng = np.random.default_rng(15)
+        admitted = []
+        for second in range(30):
+            ts = 1000.0 + second + rng.random(700)
+            values = rng.lognormal(0.0, 1.0, 700)
+            accepted, _ = ring.ingest(ts, values)
+            assert accepted == 700
+            admitted.append(values)
+        assert all(s.num_staged == s.n for _, s in ring.buckets())  # no compaction
+        exact = np.sort(np.concatenate(admitted))
+        horizon = ring.horizon(1000.0, 1030.0)
+        fractions = np.linspace(0.0, 1.0, 101)
+        targets = np.maximum(1, np.ceil(fractions * exact.size)).astype(int)
+        assert np.array_equal(horizon.quantiles(fractions), exact[targets - 1])
+        assert horizon.rank(float(exact[4321])) == 4322
+        assert horizon.num_retained == horizon.n == exact.size
+
+    def test_compacting_buckets_match_the_union_oracle(self):
+        ring = WindowRing(10.0, retention=16, hra=True, seed=16)
+        rng = np.random.default_rng(16)
+        for bucket in range(5):
+            # One large run (compacts at once) plus staged stragglers.
+            ts = 1000.0 + bucket * 10.0 + np.sort(rng.random(10_000)) * 9.0
+            ring.ingest(ts, rng.lognormal(0.0, 2.0, 10_000))
+            ring.ingest(ts[-1] + rng.random(300) * 0.5, rng.lognormal(0.0, 2.0, 300))
+        assert all(s.num_levels > 1 and s.num_staged for _, s in ring.buckets())
+        horizon = ring.horizon(1010.0, 1040.0)
+        oracle = _UnionOracle(_sources(ring, 1010.0, 1040.0))
+        assert horizon.n == oracle.n == 3 * 10_300
+        fractions = np.array([0.0, 1e-4, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0])
+        assert np.array_equal(horizon.quantiles(fractions), oracle.quantiles(fractions))
+        points = np.sort(rng.lognormal(0.0, 2.0, 50))
+        assert np.array_equal(horizon.ranks(points), oracle.ranks(points))
+        assert np.array_equal(
+            horizon.ranks(points, inclusive=False), oracle.ranks(points, inclusive=False)
+        )
+        assert np.array_equal(horizon.cdf(points), oracle.cdf(points))
+        assert horizon.error_bound(delta=0.01) == eps_for_streaming_k(ring.k, oracle.n, 0.01)
+
+    def test_reads_change_no_bucket(self):
+        ring = WindowRing(10.0, retention=16, seed=18)
+        rng = np.random.default_rng(18)
+        ring.ingest(1000.0 + np.arange(400) * 0.1, rng.random(400))  # staged only
+        before = _bucket_marks(ring)
+        assert all(sketch._rng is None for _, sketch in ring.buckets())
+        horizon = ring.horizon(1000.0, 1040.0)
+        horizon.quantiles(FRACTIONS)
+        horizon.cdf([0.25, 0.5])
+        assert all(sketch._rng is None for _, sketch in ring.buckets())
+        assert _bucket_marks(ring) == before
+        # Buckets that compacted keep their versions and coin state too.
+        ring.ingest(1050.0 + np.sort(rng.random(9000)) * 9.0, rng.random(9000))
+        ring.ingest([1059.5] * 5, rng.random(5))
+        before = _bucket_marks(ring)
+        assert before[-1][4] is not None  # this bucket drew coins
+        ring.horizon(1000.0, 1060.0).ranks([0.5])
+        assert _bucket_marks(ring) == before
+
+    def test_errors_match_the_sketch(self):
+        ring = WindowRing(10.0, seed=19)
+        ring.ingest(1000.0 + np.arange(50) * 0.1, _values(50))
+        horizon = ring.horizon(1000.0, 1010.0)
+        sketch = FastReqSketch(ring.k)
+        sketch.update_many(_values(50))
+        bad_calls = [
+            lambda s: s.quantiles([0.5, 1.5]),
+            lambda s: s.quantiles([-0.1]),
+            lambda s: s.quantiles([float("nan")]),
+            lambda s: s.quantile(2.0),
+            lambda s: s.cdf([0.5, 0.5]),
+            lambda s: s.cdf([0.5, 0.1]),
+            lambda s: s.cdf([]),
+            lambda s: s.cdf([float("nan")]),
+        ]
+        for call in bad_calls:
+            with pytest.raises(InvalidParameterError) as from_sketch:
+                call(sketch)
+            with pytest.raises(InvalidParameterError) as from_horizon:
+                call(horizon)
+            assert str(from_horizon.value) == str(from_sketch.value)
 
     def test_pure_and_repeatable(self):
         ring = WindowRing(10.0, seed=12)
@@ -239,12 +405,17 @@ class TestRingHorizon:
 
     def test_empty_and_invalid(self):
         ring = WindowRing(10.0, seed=14)
-        assert ring.horizon(0.0, 10.0).is_empty
+        empty = ring.horizon(0.0, 10.0)
+        assert empty.is_empty and empty.num_retained == 0
+        with pytest.raises(EmptySketchError):
+            empty.quantiles([0.5])
+        with pytest.raises(EmptySketchError):
+            empty.cdf([0.5])
         with pytest.raises(InvalidParameterError):
             ring.horizon(10.0, 10.0)
 
-    def test_horizon_uses_merge_many(self, monkeypatch):
-        """A window ring's horizon must go through the k-way path."""
+    def test_horizon_makes_no_merge_many_call(self, monkeypatch):
+        """A horizon answers from the buckets' union, never a merge."""
         calls = []
         original = FastReqSketch.merge_many
 
@@ -257,9 +428,10 @@ class TestRingHorizon:
         ring = WindowRing(1.0, seed=17)
         values = np.random.default_rng(1234).random(5500)
         ring.ingest(np.arange(5500) / 1000.0, values)  # buckets 0..5
-        merged = ring.horizon(0.0, 6.0)
-        assert merged.n == 5500
-        assert calls and calls[-1] == 6  # one source per bucket
+        horizon = ring.horizon(0.0, 6.0)
+        assert horizon.n == 5500
+        assert horizon.quantile(1.0) == values.max()
+        assert calls == []
 
 
 class _GroupingRing(WindowRing):
@@ -677,6 +849,69 @@ class TestServiceRecovery:
         assert recovered.windows.ring("k").stats() == expected_stats
         recovered.close()
 
+    def test_window_query_ranks_and_cdf_match_the_union_oracle(self):
+        service = QuantileService(None, seed=0, **_WINDOW_KW)
+        rng = np.random.default_rng(22)
+        for step in range(6):
+            ts = 1000.0 + step * 10.0 + np.sort(rng.random(9000)) * 9.0
+            service.window_ingest(KEY, ts, rng.lognormal(0.0, 1.0, 9000))
+        service.window_ingest(KEY, [1055.0, 1059.0], [0.5, 7.0])
+        oracle = _UnionOracle(_sources(service.windows.ring(KEY), 1010.0, 1060.0))
+        points = np.array([0.1, 0.5, 1.0, 2.0, 8.0])
+        n, eps, ranks, retained = service.window_query(
+            KEY, "ranks", 0.0, 1010.0, 1060.0, points
+        )
+        assert n == oracle.n == 5 * 9000 + 2
+        assert eps == eps_for_streaming_k(service.windows.k, n)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, oracle.ranks(points).astype(np.float64))
+        _, _, cdf, _ = service.window_query(KEY, "cdf", 0.0, 1010.0, 1060.0, points)
+        assert np.array_equal(cdf, oracle.cdf(points))
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            service.window_query(KEY, "cdf", 0.0, 1010.0, 1060.0, points[::-1])
+        with pytest.raises(InvalidParameterError, match=r"in \[0, 1\]"):
+            service.window_query(KEY, "quantiles", 0.0, 1010.0, 1060.0, [1.5])
+
+    def test_restart_is_bit_exact_on_a_one_second_one_minute_ring(self, tmp_path):
+        kw = dict(window_resolutions=(1.0, 60.0), window_retention=240, window_lateness=2.0)
+        service = QuantileService(tmp_path, seed=0, **kw)
+        rng = np.random.default_rng(23)
+
+        def second(t):
+            service.window_ingest(KEY, t + rng.random(200), rng.lognormal(0.0, 1.0, 200))
+
+        for t in range(1000, 1120):  # two full minutes of 12,000 values
+            second(float(t))
+        service.snapshot_all()
+        for t in range(1120, 1150):  # a WAL tail after the snapshot
+            second(float(t))
+        minute = service.windows.ring(KEY, 60.0)
+        assert any(sketch.num_levels > 1 for _, sketch in minute.buckets())
+        reads = [
+            (kind, resolution, start, points)
+            for resolution in (1.0, 60.0)
+            for start in (1000.0, 1090.0, 1125.0)
+            for kind, points in (
+                ("quantiles", FRACTIONS),
+                ("ranks", np.array([0.5, 1.0, 3.0])),
+                ("cdf", np.array([0.5, 1.0, 3.0])),
+            )
+        ]
+
+        def answers(svc):
+            return [
+                svc.window_query(KEY, kind, resolution, start, 1150.0, points)
+                for kind, resolution, start, points in reads
+            ]
+
+        expected = answers(service)
+        service.close(snapshot=False)  # crash-style exit
+
+        recovered = QuantileService(tmp_path, seed=0, **kw)
+        for want, got in zip(expected, answers(recovered)):
+            _assert_same_answer(want, got)
+        recovered.close()
+
     def test_window_query_errors(self):
         service = QuantileService(None, seed=0, **_WINDOW_KW)
         with pytest.raises(KeyError):
@@ -723,9 +958,9 @@ _STEPS = st.lists(
 class TestWindowQueryBitExactProperty:
     @given(_STEPS)
     @settings(max_examples=25, deadline=None)
-    def test_window_query_equals_fresh_merge_many(self, ops):
-        """WINDOW_QUERY == a fresh ``merge_many`` over the same retained
-        buckets, bit for bit — through out-of-order ingest, expiry (small
+    def test_window_query_equals_union_oracle(self, ops):
+        """WINDOW_QUERY == the weighted union of the same retained buckets,
+        bit for bit — through out-of-order ingest, expiry (small
         retention), snapshots, and crash restarts."""
         with tempfile.TemporaryDirectory() as data_dir:
             kw = dict(
@@ -761,7 +996,7 @@ class TestWindowQueryBitExactProperty:
                         assert (before is None) == (after is None)
                         if before is not None:
                             _assert_same_answer(before, after)
-                    self._check_against_fresh_merge(service)
+                    self._check_against_union_oracle(service)
             finally:
                 service.close(snapshot=False)
 
@@ -776,7 +1011,7 @@ class TestWindowQueryBitExactProperty:
         lo, hi = self._horizon_bounds(service.windows.ring(KEY))
         return _window_answer(service, lo, hi)
 
-    def _check_against_fresh_merge(self, service):
+    def _check_against_union_oracle(self, service):
         if KEY not in service.windows:
             return
         ring = service.windows.ring(KEY)
@@ -784,18 +1019,12 @@ class TestWindowQueryBitExactProperty:
             return
         lo, hi = self._horizon_bounds(ring)
         got = _window_answer(service, lo, hi)
-        lo_bucket = ring.bucket_index(lo)
-        sources = [
-            sketch
-            for index, sketch in ring.buckets()
-            if index >= lo_bucket and index * ring.bucket_seconds < hi
-        ]
-        fresh = FastReqSketch(ring.k, hra=ring.hra, seed=ring.horizon_seed)
-        fresh.merge_many(sources)
+        sources = _sources(ring, lo, hi)
+        oracle = _UnionOracle(sources)
         expected = (
-            int(fresh.n),
-            float(fresh.error_bound()),
-            fresh.quantiles(FRACTIONS),
-            int(fresh.num_retained),
+            oracle.n,
+            eps_for_streaming_k(ring.k, max(2, oracle.n)),
+            oracle.quantiles(FRACTIONS),
+            sum(sketch.num_retained for sketch in sources),
         )
         _assert_same_answer(expected, got)
