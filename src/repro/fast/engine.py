@@ -168,20 +168,23 @@ class _QueryIndex:
     @staticmethod
     def split_points(split_points) -> np.ndarray:
         """``split_points`` as float64, refused unless non-empty, NaN-free
-        and strictly increasing (checked before any index is built)."""
+        and strictly increasing along the last axis (checked before any
+        index is built; a ``(requests, count)`` matrix is checked row by
+        row)."""
         points = np.asarray(split_points, dtype=np.float64)
         if points.size == 0:
             raise InvalidParameterError("split_points must be non-empty")
         if np.isnan(points).any():
             raise InvalidParameterError("split_points must not be NaN")
-        if (np.diff(points) <= 0).any():
+        if (np.diff(points, axis=-1) <= 0).any():
             raise InvalidParameterError("split_points must be strictly increasing")
         return points
 
     def cdf(self, points: np.ndarray, *, inclusive: bool = True) -> np.ndarray:
-        """Estimated CDF at checked :meth:`split_points`, final element 1.0."""
+        """Estimated CDF at checked :meth:`split_points`, 1.0 appended
+        along the last axis."""
         masses = self.ranks(points, inclusive=inclusive) / self.total
-        return np.concatenate([masses, [1.0]])
+        return np.concatenate([masses, np.ones(masses.shape[:-1] + (1,))], axis=-1)
 
 
 def _build_index(parts, *, presorted: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -829,11 +832,13 @@ class FastReqSketch:
             raise EmptySketchError("quantiles on an empty sketch")
         qs = np.asarray(fractions, dtype=np.float64)
         index = self.query_index()
-        key = qs.tobytes() if qs.ndim == 1 and qs.size <= _MEMO_MAX_POINTS else None
+        # Keyed on the fractions alone: quantiles are elementwise, so a
+        # one-row batch matrix shares a flat request's entry.
+        key = qs.tobytes() if qs.size <= _MEMO_MAX_POINTS else None
         memo = index.memo
         if key is not None and memo is not None and memo[0] == key:
             self.query_index_answer_hits += 1
-            return memo[1].copy()
+            return memo[1].reshape(qs.shape).copy()
         result = index.quantiles(qs)
         if key is not None:
             index.memo = (key, result.copy())

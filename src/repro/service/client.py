@@ -1313,7 +1313,9 @@ class _StreamConnection:
             header = await self._reader.readexactly(4)
             length = int.from_bytes(header, "little")
             if length > wire.MAX_FRAME:
-                raise ServiceError(f"peer announced a {length}-byte frame (cap {wire.MAX_FRAME})")
+                raise TransportError(
+                    f"peer announced a {length}-byte frame (cap {wire.MAX_FRAME})"
+                )
             return await self._reader.readexactly(length)
         except asyncio.IncompleteReadError as exc:
             if not header and not exc.partial:

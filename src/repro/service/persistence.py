@@ -61,6 +61,8 @@ __all__ = [
     "WriteAheadLog",
     "SnapshotStore",
     "recover",
+    "scan_wal",
+    "WalScan",
     "WAL_INGEST",
     "WAL_MERGE",
     "WAL_SEQ_INGEST",
@@ -481,46 +483,29 @@ class WriteAheadLog:
     def _heal_torn_tail(self) -> int:
         """Truncate a torn *tail* left by a crash; returns the bytes dropped.
 
-        Only a genuine torn append is healed: the invalid region must be a
-        single record whose declared extent reaches (or overruns) the end
-        of the file — the signature of a crash mid-append.  An unreadable
-        record with more data *after* its declared end is mid-file
-        corruption (bit rot, a bad sector): truncating there would destroy
-        every later record, so it raises instead — the operator keeps the
-        damaged file for offline repair (``replay(strict=True)`` pinpoints
-        the damage).
+        Only what :func:`scan_wal` calls a torn tail is healed.  Mid-file
+        corruption raises instead: truncating there would destroy every
+        later record, so the operator keeps the damaged file for offline
+        repair (``replay(strict=True)`` pinpoints the damage).
 
         The scan re-reads the whole log once before :func:`recover` reads
         it again; recovery is rare (startup only) and the log is bounded
         by the checkpoint interval, so correctness of this path wins over
         saving the extra pass.
         """
-        if not self.path.exists():
-            return 0
-        size = self.path.stat().st_size
-        valid = 0
-        with open(self.path, "rb") as handle:
-            for _record, end in self._records(handle, strict=False):
-                valid = end
-        torn = size - valid
-        if not torn:
-            return 0
-        with open(self.path, "rb") as handle:
-            handle.seek(valid)
-            head = handle.read(_RECORD_HEAD.size)
-        if len(head) == _RECORD_HEAD.size:
-            (length, _crc) = _RECORD_HEAD.unpack(head)
-            if valid + _RECORD_HEAD.size + length < size:
-                raise ServiceError(
-                    f"WAL record at byte {valid} is unreadable but is not the "
-                    f"last record ({size - valid} bytes follow): mid-file "
-                    "corruption, not a torn append — refusing to truncate "
-                    "acknowledged records; repair the log offline "
-                    "(replay(strict=True) locates the damage)"
-                )
-        with open(self.path, "r+b") as handle:
-            handle.truncate(valid)
-        return torn
+        scan = scan_wal(self.path)
+        if scan.status == "corrupt":
+            raise ServiceError(
+                f"WAL record at byte {scan.valid} is unreadable but is not the "
+                f"last record ({scan.size - scan.valid} bytes follow): mid-file "
+                "corruption, not a torn append — refusing to truncate "
+                "acknowledged records; repair the log offline "
+                "(replay(strict=True) locates the damage)"
+            )
+        if scan.status == "torn_tail":
+            with open(self.path, "r+b") as handle:
+                handle.truncate(scan.valid)
+        return scan.size - scan.valid
 
     # -- barriers, truncation, shutdown ----------------------------------
 
@@ -598,6 +583,47 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class WalScan(NamedTuple):
+    """What :func:`scan_wal` found in a log file."""
+
+    status: str  #: ``"clean"``, ``"torn_tail"`` or ``"corrupt"``
+    valid: int  #: byte length of the intact record prefix
+    records: int  #: records in that prefix
+    size: int  #: file size in bytes
+
+
+def scan_wal(path) -> WalScan:
+    """Walk a WAL file's record CRCs and classify what follows them.
+
+    The one statement of the torn-tail rule, shared by the open-time
+    healer, the scrub and :func:`~repro.service.scrub.verify_wal_file`:
+    an unreadable suffix that is a single record whose declared extent
+    reaches (or overruns) the end of the file is a torn append — the
+    signature of a crash mid-write, safe to truncate.  An unreadable
+    record with data after its declared end is mid-file corruption (bit
+    rot, a bad sector).  A missing file is clean and empty.
+    """
+    path = Path(path)
+    if not path.exists():
+        return WalScan("clean", 0, 0, 0)
+    size = path.stat().st_size
+    valid = records = 0
+    status = "clean"
+    with open(path, "rb") as handle:
+        for _record, valid in WriteAheadLog._records(handle, strict=False):
+            records += 1
+        if valid < size:
+            status = "torn_tail"
+            handle.seek(valid)
+            head = handle.read(_RECORD_HEAD.size)
+            if len(head) == _RECORD_HEAD.size:
+                (length, _crc) = _RECORD_HEAD.unpack(head)
+                if valid + _RECORD_HEAD.size + length < size:
+                    status = "corrupt"
+    return WalScan(status, valid, records, size)
+
 
 class SnapshotStore:
     """Per-key snapshot files with CRC32-footered ``FRS1`` framing.

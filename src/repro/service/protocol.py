@@ -120,7 +120,15 @@ encoding; the bytes are the same either way.
 
 The frame length is capped (:data:`MAX_FRAME`) so a corrupt or hostile
 length prefix cannot make either side allocate unbounded memory; both
-sides fail the connection loudly with :class:`~repro.errors.ServiceError`.
+sides fail the connection loudly with
+:class:`~repro.errors.TransportError` (a ``ServiceError`` and a
+``ConnectionError``), because the announced body stays unread and the
+stream cannot be resynchronized.  A request under the cap can still imply
+a response over it, so the response bound
+(:func:`query_response_bound`) guards every read opcode — ``QUERY``,
+``CDF``, ``RANK``, ``MULTI_QUERY`` and ``WINDOW_QUERY``: the server
+answers such a read with a small ``BAD_REQUEST`` and keeps serving the
+connection.
 
 Hot-path discipline: every decode helper accepts any buffer (``bytes``,
 ``bytearray``, ``memoryview``) and reads value arrays as zero-copy
@@ -946,19 +954,26 @@ def kind_code(kind) -> int:
     return code
 
 
-def query_response_bound(requests: int, count: int) -> int:
-    """Upper bound on a ``MULTI_QUERY`` response body for a request shape.
+def query_response_bound(requests: int, count) -> int:
+    """Upper bound on a read's response body, as a ``MULTI_QUERY``
+    response of ``requests`` records of ``count`` points each (or, when
+    ``count`` is an array, of one record per listed count).
 
     An OK record outweighs its request record (the fixed head plus the
     ``num_retained`` footer, and ``cdf`` answers ``count + 1`` masses),
     so a request frame under :data:`MAX_FRAME` can imply a response over
-    it.  Both sides use this bound to refuse such batches up front —
-    with a small error frame server-side — instead of emitting a frame
-    the protocol layer itself forbids.  Error records are bounded too
-    (messages are truncated to :data:`ERROR_MESSAGE_CAP`).
+    it.  Both sides use this bound to refuse such reads up front — the
+    server with a small error frame, for every read opcode (a
+    ``QUERY``/``CDF``/``RANK``/``WINDOW_QUERY`` answer is bounded as one
+    record) — instead of emitting a frame the protocol layer itself
+    forbids.  Error records are bounded too (messages are truncated to
+    :data:`ERROR_MESSAGE_CAP`).
     """
-    record = _QREC_HEAD + 8 * (count + 1) + _QREC_TAIL
-    return 1 + _COUNT.size + requests * max(record, 1 + _COUNT.size + ERROR_MESSAGE_CAP)
+    error = 1 + _COUNT.size + ERROR_MESSAGE_CAP
+    if isinstance(count, (int, np.integer)):
+        return 1 + _COUNT.size + requests * max(_QREC_HEAD + 8 * (count + 1) + _QREC_TAIL, error)
+    records = np.maximum(_QREC_HEAD + 8 * (np.asarray(count) + 1) + _QREC_TAIL, error)
+    return 1 + _COUNT.size + int(records.sum())
 
 
 #: Per-record error messages inside MULTI_QUERY responses are truncated
@@ -1534,14 +1549,15 @@ def read_frame_sync(sock, *, scratch: Optional[bytearray] = None):
     reuses it.  Without ``scratch`` the return type stays ``bytes``.
 
     Raises:
-        ServiceError: On EOF mid-frame or an oversized length prefix.
+        TransportError: On EOF mid-frame or an oversized length prefix
+            (the stream is dead either way: the caller must drop it).
         ConnectionError: If the peer closed before any byte arrived.
     """
     header = bytearray(_LEN.size)
     _recv_into_exact(sock, memoryview(header), eof_ok=True)
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME:
-        raise ServiceError(f"peer announced a {length}-byte frame (cap {MAX_FRAME})")
+        raise TransportError(f"peer announced a {length}-byte frame (cap {MAX_FRAME})")
     if scratch is None:
         body = bytearray(length)
         _recv_into_exact(sock, memoryview(body), eof_ok=False)
@@ -1566,13 +1582,6 @@ def _recv_into_exact(sock, view: memoryview, *, eof_ok: bool) -> None:
                 f"connection closed {total - got} bytes into a {total}-byte read"
             )
         got += received
-
-
-def _recv_exact(sock, count: int, *, eof_ok: bool) -> bytes:
-    """Back-compat shim over :func:`_recv_into_exact` (returns ``bytes``)."""
-    buf = bytearray(count)
-    _recv_into_exact(sock, memoryview(buf), eof_ok=eof_ok)
-    return bytes(buf)
 
 
 class FrameReader:
@@ -1600,7 +1609,7 @@ class FrameReader:
         (length,) = _LEN.unpack_from(header, 0)
         header.release()
         if length > MAX_FRAME:
-            raise ServiceError(f"peer announced a {length}-byte frame (cap {MAX_FRAME})")
+            raise TransportError(f"peer announced a {length}-byte frame (cap {MAX_FRAME})")
         return self._take(length, eof_ok=False)
 
     def _take(self, count: int, *, eof_ok: bool) -> memoryview:

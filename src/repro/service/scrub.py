@@ -46,7 +46,7 @@ from typing import Dict, Optional
 from repro.errors import SnapshotCorruptError
 from repro.service.log import RateLimiter
 from repro.service.log import logger as log
-from repro.service.persistence import _RECORD_HEAD, WriteAheadLog
+from repro.service.persistence import scan_wal
 from repro.service.store import spill_filename
 
 __all__ = ["Scrubber", "ScrubReport", "verify_wal_file"]
@@ -168,36 +168,16 @@ class Scrubber:
                 svc._quarantine_corrupt_file(path, corrupt)
 
     def _scrub_wal(self, report: ScrubReport) -> None:
-        """Walk the live WAL's CRCs from an independent read handle."""
-        svc = self.service
-        path = Path(svc.wal.path)
-        if not path.exists():
-            report["wal_status"] = self.wal_status = "clean"
-            return
-        size = path.stat().st_size
-        valid = 0
-        count = 0
-        with open(path, "rb") as handle:
-            for _record, end in WriteAheadLog._records(handle, strict=False):
-                valid = end
-                count += 1
-        report["wal_records"] = count
-        if valid == size:
-            report["wal_status"] = self.wal_status = "clean"
-            return
-        # Unreadable suffix: a single record whose declared extent
-        # reaches/overruns EOF is an in-flight (or crash-torn) append —
-        # normal.  Data beyond the declared end is mid-file corruption.
-        with open(path, "rb") as handle:
-            handle.seek(valid)
-            head = handle.read(_RECORD_HEAD.size)
-        status = "torn_tail"
-        if len(head) == _RECORD_HEAD.size:
-            (length, _crc) = _RECORD_HEAD.unpack(head)
-            if valid + _RECORD_HEAD.size + length < size:
-                status = "corrupt"
-        report["wal_status"] = self.wal_status = status
-        if status == "corrupt":
+        """Walk the live WAL's CRCs from an independent read handle.
+
+        A torn tail is an in-flight (or crash-torn) append — normal;
+        mid-file corruption is reported (see :func:`scan_wal`).
+        """
+        path = Path(self.service.wal.path)
+        scan = scan_wal(path)
+        report["wal_records"] = scan.records
+        report["wal_status"] = self.wal_status = scan.status
+        if scan.status == "corrupt":
             should_emit, suppressed = self._wal_log.ready("wal_corrupt")
             if should_emit:
                 log.error(
@@ -206,9 +186,9 @@ class Scrubber:
                     "records may be unreplayable; on a cluster, wipe this "
                     "node's data dir and let repair re-fetch; standalone, "
                     "repair offline (replay(strict=True) locates the damage)",
-                    valid,
+                    scan.valid,
                     path,
-                    size - valid,
+                    scan.size - scan.valid,
                     f" [+{suppressed} suppressed]" if suppressed else "",
                 )
 
@@ -219,21 +199,4 @@ def verify_wal_file(path) -> str:
     The offline twin of the scrub's WAL walk, usable against a log no
     service has open (integrity audits in tests and tooling).
     """
-    path = Path(path)
-    if not path.exists():
-        return "clean"
-    size = path.stat().st_size
-    valid = 0
-    with open(path, "rb") as handle:
-        for _record, end in WriteAheadLog._records(handle, strict=False):
-            valid = end
-    if valid == size:
-        return "clean"
-    with open(path, "rb") as handle:
-        handle.seek(valid)
-        head = handle.read(_RECORD_HEAD.size)
-    if len(head) == _RECORD_HEAD.size:
-        (length, _crc) = _RECORD_HEAD.unpack(head)
-        if valid + _RECORD_HEAD.size + length < size:
-            return "corrupt"
-    return "torn_tail"
+    return scan_wal(path).status

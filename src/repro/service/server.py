@@ -2248,34 +2248,10 @@ class QuantileServer:
         service = self.service
         routed = service.topology is not None or service.migrating_keys() > 0
         try:
-            if op == wire.OP_QUERY:
-                key, fractions = self._unpack_point_request(body)
-                reject = self._topology_reject(key) if routed else None
-                if reject is not None:
-                    return reject
-                return wire.pack_query_result(*service.query(key, fractions))
-            if op == wire.OP_CDF:
-                key, points = self._unpack_point_request(body)
-                reject = self._topology_reject(key) if routed else None
-                if reject is not None:
-                    return reject
-                return wire.pack_query_result(*service.cdf(key, points))
-            if op == wire.OP_RANK:
-                key, values = self._unpack_point_request(body)
-                reject = self._topology_reject(key) if routed else None
-                if reject is not None:
-                    return reject
-                return wire.pack_query_result(*service.rank(key, values))
+            if op in self._READ_KINDS or op == wire.OP_WINDOW_QUERY:
+                return self._read(op, body, routed)
             if op == wire.OP_MULTI_QUERY:
                 return self._multi_query(body, routed)
-            if op == wire.OP_WINDOW_QUERY:
-                key, kind, resolution, start, end, points = wire.unpack_window_query(body)
-                reject = self._topology_reject(key) if routed else None
-                if reject is not None:
-                    return reject
-                return wire.pack_query_result(
-                    *service.window_query(key, kind, resolution, start, end, points)
-                )
             if op == wire.OP_MERGE:
                 key, offset = wire.unpack_key(body, 1)
                 payload, end = wire.unpack_blob(body, offset)
@@ -2422,14 +2398,52 @@ class QuantileServer:
         if end != len(body):
             raise ServiceError(f"{len(body) - end} trailing bytes after the {what}")
 
-    @classmethod
-    def _unpack_point_request(cls, body):
-        """``(key, points)`` of a ``QUERY``/``CDF``/``RANK`` body, which
-        must end with its points."""
-        key, offset = wire.unpack_key(body, 1)
-        points, end = wire.unpack_values(body, offset)
-        cls._check_end(body, end, "request points")
-        return key, points
+    #: The single-key point reads and the query kind each one asks.
+    _READ_KINDS = {
+        wire.OP_QUERY: wire.KIND_QUANTILES,
+        wire.OP_CDF: wire.KIND_CDF,
+        wire.OP_RANK: wire.KIND_RANKS,
+    }
+
+    def _read(self, op: int, body, routed: bool) -> bytes:
+        """Answer one ``QUERY``/``CDF``/``RANK`` or ``WINDOW_QUERY`` body.
+
+        All four decode to ``(key, kind, points)`` — a window read adds
+        its horizon — and pass the one read gate before they are answered.
+        """
+        if op == wire.OP_WINDOW_QUERY:
+            key, kind, *horizon, points = wire.unpack_window_query(body)
+        else:
+            kind, horizon = self._READ_KINDS[op], None
+            key, offset = wire.unpack_key(body, 1)
+            points, end = wire.unpack_values(body, offset)
+            self._check_end(body, end, "request points")
+        refusal = self._read_refusal(key, 1, points.size, routed)
+        if refusal is not None:
+            return refusal
+        if horizon is None:
+            return wire.pack_query_result(*self.service.query_points(key, kind, points))
+        return wire.pack_query_result(*self.service.window_query(key, kind, *horizon, points))
+
+    def _read_refusal(self, key, requests: int, count, routed: bool) -> Optional[bytes]:
+        """What a read answers instead of its values, or ``None``: the
+        ``WRONG_TOPOLOGY`` redirect when a ``routed`` node does not own
+        ``key`` (``None`` for a mixed frame, checked record by record),
+        else ``BAD_REQUEST`` when the response to ``requests`` answers of
+        ``count`` points (:func:`~repro.service.protocol.query_response_bound`)
+        could exceed ``MAX_FRAME`` — such a frame would end the connection.
+        """
+        if routed and key is not None:
+            reject = self._topology_reject(key)
+            if reject is not None:
+                return reject
+        if wire.query_response_bound(requests, count) > wire.MAX_FRAME:
+            return wire.error_body(
+                wire.STATUS_BAD_REQUEST,
+                f"response for {requests} requests would exceed "
+                f"MAX_FRAME ({wire.MAX_FRAME}); split the batch",
+            )
+        return None
 
     def _multi_query(self, body, routed: bool) -> bytes:
         """Answer one ``MULTI_QUERY`` frame (vectorized when uniform).
@@ -2457,20 +2471,9 @@ class QuantileServer:
         uniform = wire.try_uniform_multi_query(body)
         if uniform is not None:
             key, kind, points = uniform
-            reject = self._topology_reject(key) if routed else None
-            if reject is not None:
-                return reject
-            if wire.query_response_bound(points.shape[0], points.shape[1]) > wire.MAX_FRAME:
-                # A request frame under MAX_FRAME can imply a response
-                # over it (an OK record outweighs its request record).
-                # Refuse with a small error frame instead of emitting a
-                # frame our own protocol layer forbids — the connection
-                # stays usable and the client can split the batch.
-                return wire.error_body(
-                    wire.STATUS_BAD_REQUEST,
-                    f"response for {points.shape[0]} requests would exceed "
-                    f"MAX_FRAME ({wire.MAX_FRAME}); split the batch",
-                )
+            refusal = self._read_refusal(key, *points.shape, routed)
+            if refusal is not None:
+                return refusal
             try:
                 result = service.query_batch(key, kind, points)
             except Exception:
@@ -2478,15 +2481,10 @@ class QuantileServer:
             else:
                 return bytes(wire.encode_uniform_query_response(*result))
         requests = wire.unpack_multi_query(body)
-        bound = sum(
-            wire.query_response_bound(1, int(points.size)) for _k, _kind, points in requests
-        )
-        if bound > wire.MAX_FRAME:
-            return wire.error_body(
-                wire.STATUS_BAD_REQUEST,
-                f"response for {len(requests)} requests would exceed "
-                f"MAX_FRAME ({wire.MAX_FRAME}); split the batch",
-            )
+        counts = np.array([points.size for _key, _kind, points in requests])
+        refusal = self._read_refusal(None, len(requests), counts, routed)
+        if refusal is not None:
+            return refusal
         # Each entry is an answer tuple or a ready error record.
         records: List[object] = []
         failed = False

@@ -442,13 +442,16 @@ class SketchStore:
 
     @staticmethod
     def evaluate(sketch, kind: str, points) -> np.ndarray:
-        """Run one read request against ``sketch``; returns float64 values.
+        """Run read requests against ``sketch``; returns float64 values.
 
         ``sketch`` is a ``FastReqSketch`` or a windowed ``Horizon`` (they
         share one answer path).  ``kind`` is ``"quantiles"`` / ``"ranks"``
-        / ``"cdf"``.  Every kind routes through a query index — one
-        vectorized ``searchsorted`` per call; ranks are widened to float64
-        (exact below 2**53) so every kind shares the wire value format.
+        / ``"cdf"``.  ``points`` is one request's points, or a
+        ``(requests, count)`` matrix of uniform requests with one answer
+        row each (``cdf`` checks and appends along the last axis).  Every
+        kind routes through a query index — one vectorized ``searchsorted``
+        per call, however many rows; ranks are widened to float64 (exact
+        below 2**53) so every kind shares the wire value format.
         """
         if kind == "quantiles":
             return sketch.quantiles(points)
@@ -484,40 +487,17 @@ class SketchStore:
     def query_batch(self, key: str, kind: str, points: np.ndarray):
         """Uniform batch read: ``points`` is one ``(requests, count)`` matrix.
 
-        All rows are answered with a single index-backed engine call —
-        flatten, one vectorized ``searchsorted``, reshape — which is what
-        makes a uniform ``MULTI_QUERY`` frame O(total points) instead of
-        O(requests) Python dispatches.  Raises (instead of degrading to a
-        per-row loop) when any row is invalid; the server then falls back
-        to the per-request path so errors attribute to the exact request.
-        Row answers are bit-identical to per-row :meth:`query` calls.
+        All rows are answered with a single index-backed engine call
+        (:meth:`evaluate` on the matrix), which is what makes a uniform
+        ``MULTI_QUERY`` frame O(total points) instead of O(requests)
+        Python dispatches.  Raises (instead of degrading to a per-row
+        loop) when any row is invalid; the server then falls back to the
+        per-request path so errors attribute to the exact request.  Row
+        answers are bit-identical to per-row :meth:`query` calls.
         """
         sketch = self._read_entry(key).sketch
-        values = self._evaluate_batch(sketch, kind, points)
+        values = self.evaluate(sketch, kind, points)
         return int(sketch.n), float(sketch.error_bound()), values, int(sketch.num_retained)
-
-    @staticmethod
-    def _evaluate_batch(sketch, kind: str, points) -> np.ndarray:
-        """:meth:`evaluate` over every row of a ``(requests, count)`` matrix."""
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        requests, count = pts.shape
-        if kind == "quantiles":
-            return sketch.quantiles(pts.reshape(-1)).reshape(requests, count)
-        if kind == "ranks":
-            ranks = sketch.ranks(pts.reshape(-1)).reshape(requests, count)
-            return np.asarray(ranks, dtype=np.float64)
-        if kind == "cdf":
-            if count == 0:
-                raise InvalidParameterError("split_points must be non-empty")
-            if np.isnan(pts).any():
-                raise InvalidParameterError("split_points must not be NaN")
-            if (np.diff(pts, axis=1) <= 0).any():
-                raise InvalidParameterError("split_points must be strictly increasing")
-            # Same operations as FastReqSketch.cdf per row (int64 rank
-            # division, then the appended 1.0), so rows stay bit-identical.
-            masses = sketch.ranks(pts.reshape(-1)).reshape(requests, count) / sketch.n
-            return np.concatenate([masses, np.ones((requests, 1))], axis=1)
-        raise ServiceError(f"unknown query kind {kind!r}")
 
     def _read_entry(self, key: str) -> _Entry:
         """``key``'s entry for a read (LRU touch, spill reload), or ``KeyError``."""

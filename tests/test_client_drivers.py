@@ -309,6 +309,42 @@ class TestUntrustedPeers:
         finally:
             listener.close()
 
+    def test_over_cap_announcement_drops_the_connection(self, connect):
+        """The body of an over-cap frame stays unread, so the stream is
+        dead: the next call must reconnect, not decode those bytes."""
+        connections = []
+
+        def handler(conn):
+            connections.append(conn)
+            first = len(connections) == 1
+            with conn:
+                while True:
+                    try:
+                        wire.read_frame_sync(conn)
+                    except (ConnectionError, ServiceError, OSError):
+                        return
+                    if first:
+                        first = False
+                        # The unread "body" happens to read as a whole frame.
+                        stale = wire.encode_frame(b"\x00" + wire.pack_blob(b"stale"))
+                        reply = struct.pack("<I", wire.MAX_FRAME + 1) + stale
+                    else:
+                        reply = wire.encode_frame(b"\x00" + wire.pack_blob(b"fresh"))
+                    try:
+                        conn.sendall(reply)
+                    except OSError:
+                        return
+
+        listener = _serve(handler)
+        try:
+            client = connect(listener.getsockname()[1])
+            with pytest.raises(TransportError, match="peer announced"):
+                client.ping()
+            assert client.ping() == "fresh"
+        finally:
+            listener.close()
+        assert len(connections) == 2
+
     def test_stalled_server_times_out_alike(self, connect):
         """A listener that accepts and never answers: the HELLO read times
         out, and both drivers raise the same class."""

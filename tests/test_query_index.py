@@ -354,6 +354,18 @@ class TestAnswerMemo:
         sketch.quantiles([0.5])
         assert sketch.query_index_answer_hits == 1
 
+    def test_memo_serves_a_one_row_batch_in_its_shape(self):
+        """The store answers a uniform batch as a ``(requests, count)``
+        matrix: a one-row batch shares the flat request's memo entry."""
+        sketch = FastReqSketch(32, seed=11)
+        sketch.update_many(np.random.default_rng(6).random(10_000))
+        flat = sketch.quantiles([0.5, 0.99])
+        row = sketch.quantiles(np.array([[0.5, 0.99]]))
+        assert sketch.query_index_answer_hits == 1
+        assert row.shape == (1, 2) and row.tobytes() == flat.tobytes()
+        row[0, 0] = -1.0  # a hit hands out a copy
+        assert sketch.quantiles([0.5, 0.99]).tobytes() == flat.tobytes()
+
     def test_ranks_and_cdf_are_not_memoized(self):
         sketch = FastReqSketch(32, seed=9)
         sketch.update_many(np.arange(100, dtype=np.float64))

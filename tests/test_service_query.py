@@ -288,6 +288,44 @@ class TestServerQueryPlane:
             # The connection survives and keeps answering.
             assert client.query("k", [0.5]).n == 1_000
 
+    #: A small frame cap (every layer reads ``MAX_FRAME`` at call time),
+    #: so each read below fits its request under it by a few bytes and
+    #: its answer over it, in kilobytes instead of 64 MiB.
+    SMALL_CAP = 4092
+
+    @pytest.mark.parametrize("read", ["query", "cdf", "rank", "window-cdf"])
+    def test_every_read_opcode_refuses_an_over_cap_response(self, harness, monkeypatch, read):
+        monkeypatch.setattr(wire, "MAX_FRAME", self.SMALL_CAP)
+        service = QuantileService(None, window_resolutions=(10.0,), seed=0)
+        running = harness(service)
+        with QuantileClient(port=running.port) as client:
+            client.ingest("k", np.arange(100.0))
+            client.ingest_windowed("k", np.full(100, 1000.0), np.arange(100.0))
+            if read == "window-cdf":
+                # 33 request bytes around the points; the answer has 37.
+                points = np.arange((self.SMALL_CAP - 33) // 8, dtype=float)
+                body = wire.pack_window_query("k", "cdf", 0.0, 1000.0, 1010.0, points)
+                answer = 37 + 8 * points.size
+                call = partial(
+                    client.query_horizon, "k", points, start=1000.0, end=1010.0, kind="cdf"
+                )
+            else:
+                # 8 request bytes around the points; the answer has 29
+                # (one more point for a CDF's final mass).
+                points = np.linspace(0.0, 1.0, (self.SMALL_CAP - 8) // 8)
+                op = {"query": wire.OP_QUERY, "cdf": wire.OP_CDF, "rank": wire.OP_RANK}[read]
+                body = bytes([op]) + wire.pack_key("k") + wire.pack_values(points)
+                answer = 29 + 8 * (points.size + (read == "cdf"))
+                call = partial(getattr(client, read), "k", points)
+            assert len(body) <= self.SMALL_CAP < answer
+            with pytest.raises(ServiceError, match="split the batch") as excinfo:
+                call()
+            assert excinfo.value.status == wire.STATUS_BAD_REQUEST
+            # The same connection keeps answering.
+            assert client.query("k", [0.5]).n == 100
+            assert client.stats()["connections"] == 1
+        assert service.query_count == 1
+
     def test_query_stream_preflights_oversized_frames_client_side(self, harness, rng):
         running = harness(QuantileService(None))
         with QuantileClient(port=running.port) as client:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from repro.service import (
     verify_wal_file,
 )
 from repro.service.faultdisk import DISK_PASS
-from repro.service.persistence import WAL_INGEST, _SNAP_MAGIC
+from repro.service.persistence import WAL_INGEST, _SNAP_MAGIC, scan_wal
+from repro.service.scrub import Scrubber
 from repro.service.store import spill_filename
 
 
@@ -185,6 +187,13 @@ class TestSnapshotFraming:
 # ----------------------------------------------------------------------
 
 
+def _flip(data: bytes, at: int) -> bytes:
+    """``data`` with every bit of byte ``at`` flipped."""
+    damaged = bytearray(data)
+    damaged[at] ^= 0xFF
+    return bytes(damaged)
+
+
 def _corrupt_snapshot(directory, key) -> None:
     path = directory / spill_filename(key)
     data = bytearray(path.read_bytes())
@@ -321,6 +330,43 @@ class TestWalScrub:
         data[12] ^= 0xFF  # inside the first record: data follows the damage
         path.write_bytes(bytes(data))
         assert verify_wal_file(path) == "corrupt"
+
+    @pytest.mark.parametrize(
+        "damage, status, records",
+        [
+            (lambda data: data, "clean", 3),
+            (lambda data: data + b"\x10\x00\x00", "torn_tail", 3),
+            (lambda data: data + struct.pack("<II", 100, 0) + bytes(10), "torn_tail", 3),
+            (lambda data: _flip(data, len(data) - 1), "torn_tail", 2),
+            (lambda data: _flip(data, 12), "corrupt", 0),
+        ],
+        ids=["clean", "torn-header", "torn-body", "crc-last-record", "crc-mid-file"],
+    )
+    def test_healer_scrub_and_verify_agree(self, tmp_path, rng, damage, status, records):
+        """One torn-tail rule: the open-time healer truncates exactly what
+        the scrub and ``verify_wal_file`` call a torn tail, and refuses
+        what they call corrupt."""
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as wal:
+            for seq, key in enumerate("abc", 1):
+                wal.append(WAL_INGEST, seq, key, batch_bytes(rng.random(50)))
+        damaged = damage(path.read_bytes())
+        path.write_bytes(damaged)
+        scan = scan_wal(path)
+        assert (scan.status, scan.records, scan.size) == (status, records, len(damaged))
+        assert verify_wal_file(path) == status
+        service = SimpleNamespace(snapshots=None, window_snapshots=None, wal=wal)
+        report = Scrubber(service).scrub_once()
+        assert (report["wal_status"], report["wal_records"]) == (status, records)
+        if status == "corrupt":
+            with pytest.raises(ServiceError, match="mid-file corruption"):
+                WriteAheadLog(path)
+            assert path.read_bytes() == damaged
+            return
+        with WriteAheadLog(path) as healed:
+            assert healed.healed_bytes == scan.size - scan.valid
+            assert len(list(healed.replay())) == records
+        assert scan_wal(path) == ("clean", scan.valid, records, scan.valid)
 
     def test_scrub_reports_live_wal_status(self, tmp_path, rng):
         service = QuantileService(tmp_path, k=32)
